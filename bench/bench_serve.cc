@@ -150,11 +150,11 @@ void ClientLoop(int client_index, int requests, const BenchFlags& flags,
       request.deadline_s = 60.0;
     }
     tally->requests.fetch_add(1);
-    const double start = retry_internal::MonotonicSeconds();
+    const double start = MonotonicSeconds();
     Result<QueryResponse> outcome = client->CallWithRetry(
         request, retry,
         flags.seed_offset + 1000ull * client_index + r);
-    latency->Observe(retry_internal::MonotonicSeconds() - start);
+    latency->Observe(MonotonicSeconds() - start);
     if (!outcome.ok()) {
       // Transport-level failure: still a definite outcome, but track it
       // apart from structured server replies.

@@ -443,35 +443,42 @@ StageBreakdown AggregateByStage(const FoldedProfile& profile) {
   return breakdown;
 }
 
+std::vector<std::string> CompareShares(
+    const std::map<std::string, double>& before,
+    const std::map<std::string, double>& after, double tolerance,
+    double min_share) {
+  std::set<std::string> names;
+  for (const auto& [name, share] : before) names.insert(name);
+  for (const auto& [name, share] : after) names.insert(name);
+  std::vector<std::string> drift;
+  for (const std::string& name : names) {
+    auto a = before.find(name);
+    auto b = after.find(name);
+    const double sa = a == before.end() ? 0.0 : a->second;
+    const double sb = b == after.end() ? 0.0 : b->second;
+    if (sa < min_share && sb < min_share) continue;
+    const double diff = std::fabs(sa - sb);
+    if (diff > tolerance) {
+      drift.push_back(name + ": share " + FormatPercent(sa) + " -> " +
+                      FormatPercent(sb) + " (diff " + FormatPercent(diff) +
+                      " > tolerance " + FormatPercent(tolerance) + ")");
+    }
+  }
+  return drift;
+}
+
 std::vector<std::string> CompareStageShares(const FoldedProfile& a,
                                             const FoldedProfile& b,
                                             double tolerance,
                                             double min_share) {
-  std::map<std::string, double> shares_a;
-  std::map<std::string, double> shares_b;
-  for (const StageShare& s : AggregateByStage(a).stages) {
-    shares_a[s.stage] = s.share;
-  }
-  for (const StageShare& s : AggregateByStage(b).stages) {
-    shares_b[s.stage] = s.share;
-  }
-  std::set<std::string> stages;
-  for (const auto& [stage, _] : shares_a) stages.insert(stage);
-  for (const auto& [stage, _] : shares_b) stages.insert(stage);
-  std::vector<std::string> drift;
-  for (const std::string& stage : stages) {
-    double sa = shares_a.count(stage) ? shares_a[stage] : 0.0;
-    double sb = shares_b.count(stage) ? shares_b[stage] : 0.0;
-    if (std::max(sa, sb) < min_share) continue;
-    double diff = std::fabs(sa - sb);
-    if (diff > tolerance) {
-      drift.push_back("stage " + stage + ": share " + FormatPercent(sa) +
-                      " vs " + FormatPercent(sb) + " (diff " +
-                      FormatPercent(diff) + " > tolerance " +
-                      FormatPercent(tolerance) + ")");
+  auto shares = [](const FoldedProfile& profile) {
+    std::map<std::string, double> out;
+    for (const StageShare& s : AggregateByStage(profile).stages) {
+      out[s.stage] = s.share;
     }
-  }
-  return drift;
+    return out;
+  };
+  return CompareShares(shares(a), shares(b), tolerance, min_share);
 }
 
 std::string RenderProfTopByStack(const FoldedProfile& profile, int top_n) {

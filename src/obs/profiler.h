@@ -80,11 +80,17 @@ struct StageBreakdown {
 };
 StageBreakdown AggregateByStage(const FoldedProfile& profile);
 
-/// Compares per-stage sample shares of two profiles. Returns one
-/// human-readable drift line per stage whose share differs by more than
-/// `tolerance` (absolute share difference), considering only stages whose
-/// share reaches `min_share` in at least one profile — small stages are all
-/// noise at ~100 Hz. Empty result = the profiles agree.
+/// The share drift gate behind `proftop --compare` and `tracetop
+/// --compare`, over name -> share maps: one human-readable line per name
+/// whose share differs by more than `tolerance` (absolute), skipping names
+/// under `min_share` in both maps — small shares are all noise. Empty
+/// result = the shares agree.
+std::vector<std::string> CompareShares(
+    const std::map<std::string, double>& before,
+    const std::map<std::string, double>& after, double tolerance,
+    double min_share);
+
+/// CompareShares over the per-stage sample shares of two profiles.
 std::vector<std::string> CompareStageShares(const FoldedProfile& a,
                                             const FoldedProfile& b,
                                             double tolerance,

@@ -132,6 +132,20 @@ int64_t UnixMicrosNow() {
       .count();
 }
 
+WireSpan MakeWireSpan(std::string name, std::string process,
+                      uint64_t span_id, uint64_t parent_span_id,
+                      int64_t start_unix_us, int64_t end_unix_us) {
+  WireSpan span;
+  span.name = std::move(name);
+  span.process = std::move(process);
+  span.pid = static_cast<int64_t>(::getpid());
+  span.span_id = span_id;
+  span.parent_span_id = parent_span_id;
+  span.start_unix_us = start_unix_us;
+  span.duration_us = std::max<int64_t>(0, end_unix_us - start_unix_us);
+  return span;
+}
+
 std::string SerializeWireSpans(const std::vector<WireSpan>& spans) {
   std::ostringstream os;
   os << "[";

@@ -66,6 +66,13 @@ struct WireSpan {
   std::vector<std::pair<std::string, std::string>> annotations;
 };
 
+/// A completed span recorded by this process — the one builder behind every
+/// hand-made WireSpan: pid is getpid(), and the duration is end - start
+/// clamped at 0 (the wall clock can step backwards).
+WireSpan MakeWireSpan(std::string name, std::string process,
+                      uint64_t span_id, uint64_t parent_span_id,
+                      int64_t start_unix_us, int64_t end_unix_us);
+
 /// JSON array of span objects (the QRSP "spans" field and the slow-query
 /// log "spans" field share this shape).
 std::string SerializeWireSpans(const std::vector<WireSpan>& spans);

@@ -118,23 +118,14 @@ std::vector<std::string> CompareHopShares(const TraceTopSummary& before,
                                           const TraceTopSummary& after,
                                           double tolerance,
                                           double min_share) {
-  std::set<std::string> names;
-  for (const auto& [name, hop] : before.hops) names.insert(name);
-  for (const auto& [name, hop] : after.hops) names.insert(name);
-  std::vector<std::string> drift;
-  for (const std::string& name : names) {
-    const double a = ShareOf(before, name);
-    const double b = ShareOf(after, name);
-    if (a < min_share && b < min_share) continue;
-    const double delta = b - a;
-    if (delta > tolerance || delta < -tolerance) {
-      drift.push_back(name + ": share " + FormatDouble(a, 3) + " -> " +
-                      FormatDouble(b, 3) + " (delta " +
-                      FormatDouble(delta, 3) + ", tolerance " +
-                      FormatDouble(tolerance, 3) + ")");
+  auto shares = [](const TraceTopSummary& summary) {
+    std::map<std::string, double> out;
+    for (const auto& [name, hop] : summary.hops) {
+      out[name] = ShareOf(summary, name);
     }
-  }
-  return drift;
+    return out;
+  };
+  return CompareShares(shares(before), shares(after), tolerance, min_share);
 }
 
 }  // namespace fairem

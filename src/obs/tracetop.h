@@ -49,9 +49,7 @@ std::string RenderHopShares(const TraceTopSummary& summary);
 /// of the root's duration.
 std::string RenderCriticalPath(const std::vector<WireSpan>& spans);
 
-/// Compares per-hop shares of two logs. A hop whose share moved by more
-/// than `tolerance` (absolute) — considering hops at or above `min_share`
-/// in either log — yields one drift line; empty means within tolerance.
+/// CompareShares (src/obs/profiler.h) over the per-hop shares of two logs.
 std::vector<std::string> CompareHopShares(const TraceTopSummary& before,
                                           const TraceTopSummary& after,
                                           double tolerance,

@@ -50,12 +50,6 @@ void SleepSeconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void CountRetry(const Status& status) {
   static Counter* retries =
       MetricsRegistry::Global().GetCounter("fairem.robust.retries");

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "src/util/io_util.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 
@@ -38,8 +39,6 @@ namespace retry_internal {
 
 /// Real monotonic sleep, swappable for tests via SetRetrySleepFnForTest.
 void SleepSeconds(double seconds);
-/// Seconds elapsed on the monotonic clock since an arbitrary epoch.
-double MonotonicSeconds();
 void CountRetry(const Status& status);
 void CountGiveUp();
 void CountSuccessAfterRetry();
@@ -66,7 +65,7 @@ template <typename Fn>
 auto RetryCall(const RetryPolicy& policy, Fn&& fn, uint64_t seed = 1234)
     -> decltype(fn()) {
   Rng rng(seed ^ 0xda3e39cb94b95bdbULL);
-  const double start = retry_internal::MonotonicSeconds();
+  const double start = MonotonicSeconds();
   int attempt = 1;
   while (true) {
     auto outcome = fn();
@@ -81,8 +80,7 @@ auto RetryCall(const RetryPolicy& policy, Fn&& fn, uint64_t seed = 1234)
     }
     double backoff = BackoffSeconds(policy, attempt, &rng);
     if (policy.deadline_seconds > 0.0 &&
-        retry_internal::MonotonicSeconds() - start + backoff >
-            policy.deadline_seconds) {
+        MonotonicSeconds() - start + backoff > policy.deadline_seconds) {
       retry_internal::CountGiveUp();
       return outcome;
     }

@@ -1,14 +1,8 @@
 #include "src/route/router.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <map>
@@ -17,15 +11,14 @@
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/slowlog.h"
 #include "src/obs/trace.h"
 #include "src/report/grid.h"
 #include "src/robust/checkpoint.h"
 #include "src/robust/circuit_breaker.h"
 #include "src/robust/supervisor.h"
+#include "src/serve/daemon_core.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
-#include "src/util/durable_file.h"
 #include "src/util/io_util.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
@@ -33,11 +26,9 @@
 namespace fairem {
 namespace {
 
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// The hedge fires once a call has outlived this quantile of observed
+/// backend-call latencies (floored at hedge_min_delay_s).
+constexpr double kHedgeQuantile = 0.95;
 
 // SIGHUP latch for live membership reload. sig_atomic_t write is the only
 // thing the handler does; the event loop consumes it between poll rounds.
@@ -54,14 +45,6 @@ void InstallSighupHandler() {
 }
 
 struct RouteMetrics {
-  Counter* accepted;
-  Counter* closed;
-  Counter* client_disconnects;
-  Counter* slow_client_closes;
-  Counter* malformed_frames;
-  Counter* queries_total;
-  Counter* queries_ok;
-  Counter* failed_queries;
   Counter* degraded_answers;
   Counter* unroutable_queries;
   Counter* shed_overload;
@@ -76,28 +59,14 @@ struct RouteMetrics {
   Counter* health_probe_failures;
   Counter* breaker_opens;
   Counter* reloads;
-  Counter* responses_dropped;
-  Counter* shutdowns;
   Gauge* backends;
   Gauge* backends_usable;
   Gauge* inflight_jobs;
-  Gauge* connections;
-  Histogram* request_seconds;
   Histogram* backend_call_seconds;
 
   static RouteMetrics Make() {
     MetricsRegistry& reg = MetricsRegistry::Global();
     RouteMetrics m;
-    m.accepted = reg.GetCounter("fairem.route.connections_accepted");
-    m.closed = reg.GetCounter("fairem.route.connections_closed");
-    m.client_disconnects = reg.GetCounter("fairem.route.client_disconnects");
-    m.slow_client_closes = reg.GetCounter("fairem.route.slow_client_closes");
-    m.malformed_frames = reg.GetCounter("fairem.route.malformed_frames");
-    m.queries_total = reg.GetCounter("fairem.route.queries_total");
-    m.queries_ok = reg.GetCounter("fairem.route.queries_ok");
-    // A definite non-retryable error delivered to a client. The chaos
-    // drill gates on this staying 0 while a backend is killed mid-load.
-    m.failed_queries = reg.GetCounter("fairem.route.failed_queries");
     m.degraded_answers = reg.GetCounter("fairem.route.degraded_answers");
     m.unroutable_queries = reg.GetCounter("fairem.route.unroutable_queries");
     m.shed_overload = reg.GetCounter("fairem.route.shed_overload");
@@ -113,28 +82,13 @@ struct RouteMetrics {
         reg.GetCounter("fairem.route.health_probe_failures");
     m.breaker_opens = reg.GetCounter("fairem.route.breaker_opens");
     m.reloads = reg.GetCounter("fairem.route.reloads");
-    m.responses_dropped = reg.GetCounter("fairem.route.responses_dropped");
-    m.shutdowns = reg.GetCounter("fairem.route.shutdowns");
     m.backends = reg.GetGauge("fairem.route.backends");
     m.backends_usable = reg.GetGauge("fairem.route.backends_usable");
     m.inflight_jobs = reg.GetGauge("fairem.route.inflight_jobs");
-    m.connections = reg.GetGauge("fairem.route.connections");
-    m.request_seconds = reg.GetHistogram("fairem.route.request_seconds");
     m.backend_call_seconds =
         reg.GetHistogram("fairem.route.backend_call_seconds");
     return m;
   }
-};
-
-struct FrontConnection {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
-  double last_activity_s = 0.0;
-
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
 };
 
 /// One backend daemon as the router sees it: its breaker, its persistent
@@ -146,10 +100,7 @@ struct Backend {
   uint64_t opens_seen = 0;
 
   // Probe connection (persistent, re-established on any failure).
-  int fd = -1;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
+  FramedConn probe;
   double next_probe_s = 0.0;
   double probe_sent_s = -1.0;  // >= 0 while a probe awaits its reply
   uint64_t probe_id = 0;
@@ -157,108 +108,49 @@ struct Backend {
   /// Last HLTH reply's serving flag. Optimistic before the first probe so
   /// a cold-started router can route immediately.
   bool serving = true;
-
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
 };
 
 /// One request to one backend: its own connection, so cancelling a loser
 /// (hedge or failover) is just a close — no shared stream to corrupt.
 struct RouteCall {
-  int fd = -1;
+  FramedConn conn;
   std::string backend;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
   double started_s = 0.0;
   // "router.call" span for this backend attempt; 0 when the job is
   // untraced or the span has already been closed into job.spans.
   uint64_t span_id = 0;
   int64_t started_unix_us = 0;
 
-  bool active() const { return fd >= 0; }
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
+  bool active() const { return conn.open(); }
 };
 
-struct RouteJob {
-  uint64_t conn_id = 0;
-  uint64_t route_id = 0;   // router-side correlation id, all calls share it
-  QueryRequest request;    // request.id is the client's correlation id
-  std::string key;
-  double admitted_s = 0.0;
-  double deadline_s = 0.0;  // absolute, monotonic
+struct RouteJob : AdmittedQuery {
+  uint64_t route_id = 0;  // router-side correlation id, all calls share it
+                          // (request.id stays the client's)
   std::vector<std::string> tried;
   bool rerouted = false;
   RouteCall primary;
   RouteCall hedge;
   double hedge_at_s = -1.0;  // < 0: hedging disabled for this job
-  // Tracing state (DESIGN.md §16); inert when ctx is invalid.
-  TraceContext ctx;
-  std::string trace_hex;         // cached ctx.TraceIdHex()
-  uint64_t request_span_id = 0;  // "router.request" hop span
-  int64_t admitted_unix_us = 0;
-  std::vector<WireSpan> spans;   // completed router-side spans
 };
 
-Result<int> ConnectUnix(const std::string& socket_path) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("route: socket path empty or too long: '" +
-                                   socket_path + "'");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("route: socket failed: ") +
-                           std::strerror(errno));
-  }
-  // Blocking connect: on UNIX sockets it either succeeds immediately or
-  // fails immediately (ECONNREFUSED/ENOENT for a dead backend); there is
-  // no multi-RTT handshake to stall the event loop on.
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    int saved = errno;
-    ::close(fd);
-    if (saved == ENOENT || saved == ECONNREFUSED || saved == EAGAIN) {
-      return Status::Unavailable(std::string("backend not up: ") +
-                                 std::strerror(saved));
-    }
-    return Status::IOError("route: connect('" + socket_path +
-                           "') failed: " + std::strerror(saved));
-  }
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  return fd;
-}
+// failed_queries counts only definite errors delivered to a client (sheds
+// are retryable and expected under load); the chaos drill gates on it
+// staying 0 while a backend is killed mid-load.
+constexpr FrontIdentity kRouteIdentity = {
+    "router",      "fairem.route",   "queries_total",
+    "queries_ok",  "failed_queries", /*sheds_are_failures=*/false};
 
-class RouteDaemon {
+class RouteDaemon : public DaemonFront {
  public:
   explicit RouteDaemon(const RouteOptions& options)
-      : options_(options),
+      : DaemonFront(kRouteIdentity, FrontSettings::From(options)),
+        options_(options),
         metrics_(RouteMetrics::Make()),
-        slowlog_(options.slow_query_log, options.slow_query_ms),
         rng_(0x526f757465ull ^ static_cast<uint64_t>(::getpid())) {}
 
-  ~RouteDaemon() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0) ::close(backend.fd);
-    }
-    for (auto& [id, job] : jobs_) {
-      CloseCall(&job.primary);
-      CloseCall(&job.hedge);
-    }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (!options_.socket_path.empty()) {
-      ::unlink(options_.socket_path.c_str());
-    }
-  }
-
-  Status Run() {
+  /// Reads the initial membership; fails when it is empty.
+  Status LoadBackends() {
     std::vector<std::string> initial = options_.backends;
     if (!options_.backends_file.empty()) {
       Result<std::string> text = ReadFileToString(options_.backends_file);
@@ -277,129 +169,67 @@ class RouteDaemon {
       return Status::InvalidArgument(
           "route: no backends configured (--backends or --backends_file)");
     }
-    FAIREM_RETURN_NOT_OK(Listen());
-    FAIREM_LOG(INFO) << "fairem route ready"
-                     << LogKv("socket", options_.socket_path)
-                     << LogKv("backends", backends_.size());
-    while (true) {
-      const double now = MonotonicSeconds();
-      if (ShutdownGuard::requested() && !draining_) BeginDrain();
-      if (g_sighup_latch != 0) {
-        g_sighup_latch = 0;
-        ReloadBackends();
-      }
-      ProbeBackends(now);
-      StartHedges(now);
-      ExpireJobs(now);
-      if (draining_ && DrainComplete()) break;
-      PollOnce();
-      AcceptPending(now);
-      PumpFrontConnections();
-      PumpBackendProbes();
-      PumpCalls();
-      CloseSlowClients(now);
-      UpdateGauges(now);
-    }
-    FinishDrain();
     return Status::OK();
   }
 
  private:
-  // ------------------------------------------------------------- sockets --
+  // --------------------------------------------------- front-end hooks --
 
-  Status Listen() {
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (options_.socket_path.empty() ||
-        options_.socket_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("route: socket path empty or too long: '" +
-                                     options_.socket_path + "'");
-    }
-    std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-                options_.socket_path.size() + 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      return Status::IOError(std::string("route: socket failed: ") +
-                             std::strerror(errno));
-    }
-    ::unlink(options_.socket_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return Status::IOError("route: bind failed for '" +
-                             options_.socket_path +
-                             "': " + std::strerror(errno));
-    }
-    if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-      return Status::IOError(std::string("route: listen failed: ") +
-                             std::strerror(errno));
-    }
-    SetNonblocking(listen_fd_);
+  Status Warm() override {
+    FAIREM_LOG(INFO) << "fairem route ready"
+                     << LogKv("socket", options_.socket_path)
+                     << LogKv("backends", backends_.size());
     return Status::OK();
   }
 
-  static void SetNonblocking(int fd) {
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  void BeforePoll(double now) override {
+    if (g_sighup_latch != 0) {
+      g_sighup_latch = 0;
+      ReloadBackends();
+    }
+    ProbeBackends(now);
+    StartHedges(now);
+    ExpireJobs(now);
   }
 
-  void PollOnce() {
-    std::vector<pollfd> fds;
-    fds.reserve(1 + conns_.size() + backends_.size() + 2 * jobs_.size());
-    if (!draining_ && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
+  void AddPollFds(std::vector<pollfd>* fds) override {
+    for (const auto& [path, backend] : backends_) backend.probe.AddPollFd(fds);
+    for (const auto& [id, job] : jobs_) {
+      job.primary.conn.AddPollFd(fds);
+      job.hedge.conn.AddPollFd(fds);
     }
-    for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.has_pending_out()) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
-    }
+  }
+
+  void AfterPoll() override {
+    PumpBackendProbes();
+    PumpCalls();
+  }
+
+  void FillHealth(HealthReport* reply) override {
+    reply->serving = !draining() && UsableBackendCount(MonotonicSeconds()) > 0;
+    reply->queue_depth = static_cast<double>(jobs_.size());
+    reply->inflight = static_cast<double>(jobs_.size());
+    reply->retry_after_s = CurrentRetryAfterS();
+  }
+
+  void HandleQuery(uint64_t conn_id, const QueryRequest& request) override {
+    AdmitRoutedQuery(conn_id, request);
+  }
+
+  // In-flight routed queries finish, fail over, or deadline out — the loop
+  // keeps pumping them; only new arrivals are shed.
+  bool Busy() const override { return !jobs_.empty(); }
+
+  void UpdateGauges() override {
+    const double now = MonotonicSeconds();
+    metrics_.backends->Set(static_cast<double>(backends_.size()));
+    metrics_.backends_usable->Set(
+        static_cast<double>(UsableBackendCount(now)));
+    metrics_.inflight_jobs->Set(static_cast<double>(jobs_.size()));
     for (auto& [path, backend] : backends_) {
-      if (backend.fd < 0) continue;
-      short events = POLLIN;
-      if (backend.has_pending_out()) events |= POLLOUT;
-      fds.push_back({backend.fd, events, 0});
+      backend.state_gauge->Set(
+          static_cast<double>(backend.breaker.state(now)));
     }
-    for (auto& [id, job] : jobs_) {
-      for (RouteCall* call : {&job.primary, &job.hedge}) {
-        if (!call->active()) continue;
-        short events = POLLIN;
-        if (call->has_pending_out()) events |= POLLOUT;
-        fds.push_back({call->fd, events, 0});
-      }
-    }
-    int timeout_ms = static_cast<int>(options_.poll_interval_s * 1000.0);
-    if (timeout_ms < 1) timeout_ms = 1;
-    // EINTR (SIGTERM/SIGHUP landing) just re-enters the loop, which checks
-    // the latches at the top.
-    (void)::poll(fds.empty() ? nullptr : fds.data(),
-                 static_cast<nfds_t>(fds.size()), timeout_ms);
-  }
-
-  void AcceptPending(double now) {
-    if (draining_ || listen_fd_ < 0) return;
-    for (;;) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient accept error: retry next loop
-      }
-      SetNonblocking(fd);
-      FrontConnection conn;
-      conn.fd = fd;
-      conn.id = ++next_conn_id_;
-      conn.last_activity_s = now;
-      metrics_.accepted->Increment();
-      conns_.emplace(conn.id, std::move(conn));
-    }
-  }
-
-  void CloseConn(uint64_t conn_id) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    ::close(it->second.fd);
-    conns_.erase(it);
-    metrics_.closed->Increment();
   }
 
   // ---------------------------------------------------------- membership --
@@ -427,9 +257,8 @@ class RouteDaemon {
           ".state");
       next.emplace(path, std::move(backend));
     }
-    // Whatever is left in backends_ was removed: close its probe.
+    // Whatever is left in backends_ was removed (its probe closes with it).
     for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0) ::close(backend.fd);
       if (backend.state_gauge != nullptr) backend.state_gauge->Set(-1.0);
       FAIREM_LOG(INFO) << "backend removed" << LogKv("backend", path);
     }
@@ -467,13 +296,13 @@ class RouteDaemon {
 
   void ProbeBackends(double now) {
     for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0 && backend.probe_sent_s >= 0.0 &&
+      if (backend.probe.open() && backend.probe_sent_s >= 0.0 &&
           now - backend.probe_sent_s > options_.health_timeout_s) {
         ProbeFailed(backend, now, "probe timeout");
       }
       if (now < backend.next_probe_s) continue;
       ScheduleNextProbe(backend, now);
-      if (backend.fd < 0) {
+      if (!backend.probe.open()) {
         // Probes ignore the breaker on purpose: they are how an open
         // breaker ever finds out the backend recovered.
         Result<int> fd = ConnectUnix(backend.path);
@@ -483,10 +312,7 @@ class RouteDaemon {
           RecordBackendFailure(backend, now);
           continue;
         }
-        backend.fd = *fd;
-        backend.decoder = FrameDecoder();
-        backend.outbuf.clear();
-        backend.out_sent = 0;
+        backend.probe.Reset(*fd);
       } else {
         if (backend.probe_sent_s >= 0.0) continue;  // previous still out
         metrics_.health_probes->Increment();
@@ -496,9 +322,8 @@ class RouteDaemon {
       probe.id = ++probe_sequence_;
       backend.probe_id = probe.id;
       backend.probe_sent_s = now;
-      backend.outbuf.append(
-          EncodeServeMessage(kFrameHealth, SerializeHealthReport(probe)));
-      FlushBackend(backend, now);
+      backend.probe.Queue(kFrameHealth, SerializeHealthReport(probe));
+      FlushProbe(backend, now);
     }
   }
 
@@ -512,60 +337,28 @@ class RouteDaemon {
                      << LogKv("backend", backend.path)
                      << LogKv("reason", reason);
     metrics_.health_probe_failures->Increment();
-    if (backend.fd >= 0) ::close(backend.fd);
-    backend.fd = -1;
-    backend.decoder = FrameDecoder();
-    backend.outbuf.clear();
-    backend.out_sent = 0;
+    backend.probe.Close();
     backend.probe_sent_s = -1.0;
     RecordBackendFailure(backend, now);
   }
 
-  void FlushBackend(Backend& backend, double now) {
-    while (backend.has_pending_out()) {
-      ssize_t n = ::write(backend.fd, backend.outbuf.data() + backend.out_sent,
-                          backend.outbuf.size() - backend.out_sent);
-      if (n > 0) {
-        backend.out_sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  void FlushProbe(Backend& backend, double now) {
+    if (!backend.probe.Flush()) {
       ProbeFailed(backend, now, "probe write failed");
-      return;
-    }
-    if (!backend.has_pending_out()) {
-      backend.outbuf.clear();
-      backend.out_sent = 0;
     }
   }
 
   void PumpBackendProbes() {
     const double now = MonotonicSeconds();
     for (auto& [path, backend] : backends_) {
-      if (backend.fd < 0) continue;
-      FlushBackend(backend, now);
-      if (backend.fd < 0) continue;
-      char buf[4096];
-      bool closed_by_peer = false;
-      for (;;) {
-        ssize_t n = ::read(backend.fd, buf, sizeof(buf));
-        if (n > 0) {
-          backend.decoder.Feed(buf, static_cast<size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          closed_by_peer = true;
-          break;
-        }
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        closed_by_peer = true;
-        break;
-      }
+      if (!backend.probe.open()) continue;
+      FlushProbe(backend, now);
+      if (!backend.probe.open()) continue;
+      const bool open = backend.probe.ReadAvailable();
       for (;;) {
         ServeMessage message;
-        Result<FrameDecoder::Next> next = backend.decoder.TryNext(&message);
+        Result<FrameDecoder::Next> next =
+            backend.probe.decoder.TryNext(&message);
         if (!next.ok()) {
           ProbeFailed(backend, now, "malformed probe reply");
           break;
@@ -580,7 +373,7 @@ class RouteDaemon {
         // excluded by the serving flag, not the breaker.
         RecordBackendSuccess(backend, now);
       }
-      if (closed_by_peer && backend.fd >= 0) {
+      if (!open && backend.probe.open()) {
         ProbeFailed(backend, now, "probe connection closed");
       }
     }
@@ -612,117 +405,6 @@ class RouteDaemon {
 
   // ------------------------------------------------------------- inbound --
 
-  void PumpFrontConnections() {
-    std::vector<uint64_t> ids;
-    ids.reserve(conns_.size());
-    for (auto& [id, conn] : conns_) ids.push_back(id);
-    for (uint64_t id : ids) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ReadConn(it->second);
-      it = conns_.find(id);
-      if (it != conns_.end()) FlushConn(it->second);
-    }
-  }
-
-  void ReadConn(FrontConnection& conn) {
-    char buf[65536];
-    bool closed_by_peer = false;
-    for (;;) {
-      ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-      if (n > 0) {
-        conn.last_activity_s = MonotonicSeconds();
-        conn.decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed_by_peer = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed_by_peer = true;
-      break;
-    }
-    const uint64_t conn_id = conn.id;
-    for (;;) {
-      ServeMessage message;
-      Result<FrameDecoder::Next> next = conn.decoder.TryNext(&message);
-      if (!next.ok()) {
-        metrics_.malformed_frames->Increment();
-        FAIREM_LOG(WARN) << "closing connection on malformed frame"
-                         << LogKv("conn", conn_id)
-                         << LogKv("status", next.status().ToString());
-        CloseConn(conn_id);
-        return;
-      }
-      if (*next == FrameDecoder::Next::kNeedMore) break;
-      HandleMessage(conn_id, message);
-      if (conns_.find(conn_id) == conns_.end()) return;
-    }
-    if (closed_by_peer) {
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-    }
-  }
-
-  void HandleMessage(uint64_t conn_id, const ServeMessage& message) {
-    if (message.type == kFrameHealth) {
-      HandleHealthProbe(conn_id, message);
-      return;
-    }
-    if (message.type == kFrameProgress) {
-      // PROG is advisory and flows toward clients; a stray one arriving on
-      // the front socket is a confused-but-harmless peer. Ignore it.
-      return;
-    }
-    metrics_.queries_total->Increment();
-    if (message.type != kFrameQueryRequest) {
-      metrics_.malformed_frames->Increment();
-      CloseConn(conn_id);
-      return;
-    }
-    Result<QueryRequest> request = ParseQueryRequest(message.bytes);
-    if (!request.ok()) {
-      QueryResponse response;
-      response.status = request.status();
-      Respond(conn_id, response);
-      return;
-    }
-    QueryResponse response;
-    response.id = request->id;
-    if (request->op == "ping") {
-      response.payload = "pong";
-      Respond(conn_id, response);
-      return;
-    }
-    if (request->op == "stats") {
-      // The router's own metrics: `fairem query <router> stats` shows
-      // fairem.route.*, the same way a daemon shows fairem.serve.*.
-      UpdateGauges(MonotonicSeconds());
-      response.payload =
-          MetricsSnapshotToJson(MetricsRegistry::Global().Snapshot());
-      Respond(conn_id, response);
-      return;
-    }
-    AdmitRoutedQuery(conn_id, *request);
-  }
-
-  void HandleHealthProbe(uint64_t conn_id, const ServeMessage& message) {
-    Result<HealthReport> probe = ParseHealthReport(message.bytes);
-    HealthReport reply;
-    if (probe.ok()) reply.id = probe->id;
-    reply.serving = !draining_ && UsableBackendCount(MonotonicSeconds()) > 0;
-    reply.queue_depth = static_cast<double>(jobs_.size());
-    reply.inflight = static_cast<double>(jobs_.size());
-    reply.retry_after_s = CurrentRetryAfterS();
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.outbuf.append(
-        EncodeServeMessage(kFrameHealth, SerializeHealthReport(reply)));
-    FlushConn(it->second);
-  }
-
   double CurrentRetryAfterS() const {
     return LoadAwareRetryAfterS(options_.retry_after_s,
                                 static_cast<int>(jobs_.size()),
@@ -742,26 +424,10 @@ class RouteDaemon {
 
   // -------------------------------------------------------------- routing --
 
-  /// A one-shot router-side span for queries refused without a RouteJob
-  /// (sheds): even a refused query shows its hop in the client's trace.
-  static void AttachAdHocSpan(const QueryRequest& request,
-                              QueryResponse* response, const char* outcome) {
-    if (!request.trace.valid()) return;
-    WireSpan span;
-    span.name = "router.request";
-    span.process = "router";
-    span.pid = static_cast<int64_t>(::getpid());
-    span.span_id = NewSpanId();
-    span.parent_span_id = request.trace.parent_span_id;
-    span.start_unix_us = UnixMicrosNow();
-    span.annotations.emplace_back("outcome", outcome);
-    response->spans.push_back(std::move(span));
-  }
-
   void AdmitRoutedQuery(uint64_t conn_id, const QueryRequest& request) {
     QueryResponse response;
     response.id = request.id;
-    if (draining_) {
+    if (draining()) {
       metrics_.shed_draining->Increment();
       response.status = Status::Unavailable("router draining; retry later");
       response.retry_after_s = options_.retry_after_s;
@@ -777,26 +443,12 @@ class RouteDaemon {
       Respond(conn_id, response);
       return;
     }
-    const double now = MonotonicSeconds();
-    double deadline_s = request.deadline_s > 0.0
-                            ? std::min(request.deadline_s,
-                                       options_.max_deadline_s)
-                            : options_.default_deadline_s;
     RouteJob job;
-    job.conn_id = conn_id;
+    Admit(&job, conn_id, request,
+          request.dataset + "." + request.mode + "." + request.matcher,
+          UnixMicrosNow());
     job.route_id = ++route_sequence_;
-    job.request = request;
-    job.key = request.dataset + "." + request.mode + "." + request.matcher;
-    job.admitted_s = now;
-    job.deadline_s = now + deadline_s;
-    if (request.trace.valid()) {
-      job.ctx = request.trace;
-      job.trace_hex = request.trace.TraceIdHex();
-      // Pre-minted so backend calls can parent under it before the hop
-      // span itself closes in FinishRoutedJob.
-      job.request_span_id = NewSpanId();
-      job.admitted_unix_us = UnixMicrosNow();
-    }
+    const double now = job.admitted_s;
     if (options_.hedge) job.hedge_at_s = now + HedgeDelay();
     if (!Dispatch(job, &job.primary, now)) {
       FinishUnroutable(job);
@@ -845,11 +497,8 @@ class RouteDaemon {
         metrics_.failovers->Increment();
         continue;
       }
-      call->fd = *fd;
+      call->conn.Reset(*fd);
       call->backend = target;
-      call->decoder = FrameDecoder();
-      call->outbuf.clear();
-      call->out_sent = 0;
       call->started_s = now;
       QueryRequest forwarded = job.request;
       forwarded.id = job.route_id;
@@ -863,8 +512,7 @@ class RouteDaemon {
         call->started_unix_us = UnixMicrosNow();
         forwarded.trace.parent_span_id = call->span_id;
       }
-      call->outbuf.append(EncodeServeMessage(
-          kFrameQueryRequest, SerializeQueryRequest(forwarded)));
+      call->conn.Queue(kFrameQueryRequest, SerializeQueryRequest(forwarded));
       FlushCall(*call);
       return true;
     }
@@ -875,10 +523,8 @@ class RouteDaemon {
     // Until the histogram has seen enough calls the quantile estimate is
     // noise; stay on the floor.
     if (metrics_.backend_call_seconds->count() >= 20) {
-      delay = std::max(delay,
-                       options_.hedge_delay_factor *
-                           metrics_.backend_call_seconds->Quantile(
-                               options_.hedge_quantile));
+      delay = std::max(
+          delay, metrics_.backend_call_seconds->Quantile(kHedgeQuantile));
     }
     return delay;
   }
@@ -896,26 +542,17 @@ class RouteDaemon {
 
   // ------------------------------------------------------- call lifecycle --
 
-  void CloseCall(RouteCall* call) {
-    if (call->fd >= 0) ::close(call->fd);
-    call->fd = -1;
-    call->outbuf.clear();
-    call->out_sent = 0;
-  }
+  void CloseCall(RouteCall* call) { call->conn.Close(); }
 
   /// Forwards a backend's advisory PROG frame to the job's client, with
   /// the correlation id rewritten from the router's to the client's.
   void ForwardProgress(RouteJob& job, const std::string& bytes) {
     Result<ProgressUpdate> update = ParseProgressUpdate(bytes);
     if (!update.ok() || update->id != job.route_id) return;
-    auto it = conns_.find(job.conn_id);
-    if (it == conns_.end()) return;
     ProgressUpdate forwarded = *update;
     forwarded.id = job.request.id;
     if (forwarded.trace_id.empty()) forwarded.trace_id = job.trace_hex;
-    it->second.outbuf.append(EncodeServeMessage(
-        kFrameProgress, SerializeProgressUpdate(forwarded)));
-    FlushConn(it->second);
+    Send(job.conn_id, kFrameProgress, SerializeProgressUpdate(forwarded));
   }
 
   /// Pump one call's IO. Returns 0 while pending, +1 with *out filled on a
@@ -924,26 +561,10 @@ class RouteDaemon {
   int PumpCall(RouteCall& call, RouteJob& job, QueryResponse* out) {
     FlushCall(call);
     if (!call.active()) return -1;
-    char buf[65536];
-    bool closed_by_peer = false;
-    for (;;) {
-      ssize_t n = ::read(call.fd, buf, sizeof(buf));
-      if (n > 0) {
-        call.decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed_by_peer = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed_by_peer = true;
-      break;
-    }
+    const bool open = call.conn.ReadAvailable();
     for (;;) {
       ServeMessage message;
-      Result<FrameDecoder::Next> next = call.decoder.TryNext(&message);
+      Result<FrameDecoder::Next> next = call.conn.decoder.TryNext(&message);
       if (!next.ok()) return -1;
       if (*next == FrameDecoder::Next::kNeedMore) break;
       if (message.type == kFrameProgress) {
@@ -962,22 +583,12 @@ class RouteDaemon {
       *out = std::move(*response);
       return 1;
     }
-    return closed_by_peer ? -1 : 0;
+    return open ? 0 : -1;
   }
 
   void FlushCall(RouteCall& call) {
-    while (call.has_pending_out()) {
-      ssize_t n = ::write(call.fd, call.outbuf.data() + call.out_sent,
-                          call.outbuf.size() - call.out_sent);
-      if (n > 0) {
-        call.out_sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      CloseCall(&call);  // EPIPE and friends: the backend went away
-      return;
-    }
+    // EPIPE and friends: the backend went away.
+    if (!call.conn.Flush()) CloseCall(&call);
   }
 
   void PumpCalls() {
@@ -1009,16 +620,10 @@ class RouteDaemon {
   void FinishCallSpan(RouteJob& job, RouteCall& call, bool is_hedge,
                       const char* outcome) {
     if (!job.ctx.valid() || call.span_id == 0) return;
-    WireSpan span;
-    span.name = "router.call";
-    span.process = "router";
-    span.pid = static_cast<int64_t>(::getpid());
-    span.span_id = call.span_id;
-    span.parent_span_id = job.request_span_id;
-    span.start_unix_us = call.started_unix_us;
-    const int64_t now_us = UnixMicrosNow();
-    span.duration_us =
-        now_us > call.started_unix_us ? now_us - call.started_unix_us : 0;
+    WireSpan span =
+        MakeWireSpan("router.call", "router", call.span_id,
+                     job.request_span_id, call.started_unix_us,
+                     UnixMicrosNow());
     span.annotations.emplace_back("backend", call.backend);
     span.annotations.emplace_back("hedge", is_hedge ? "true" : "false");
     span.annotations.emplace_back("outcome", outcome);
@@ -1026,48 +631,18 @@ class RouteDaemon {
     call.span_id = 0;
   }
 
-  /// Finalizes a routed query: closes the "router.request" hop span onto
-  /// the response (ahead of the backend's own spans, which `response` may
-  /// already carry), feeds the slow-query log, and responds to the client.
-  void FinishRoutedJob(RouteJob& job, QueryResponse& response, double now,
+  /// Finalizes a routed query through the core's Finish: the
+  /// "router.request" hop span lands ahead of the backend's own spans,
+  /// which `response` may already carry.
+  void FinishRoutedJob(RouteJob& job, QueryResponse& response,
                        const char* outcome) {
-    const double total_s = now - job.admitted_s;
-    metrics_.request_seconds->ObserveWithExemplar(total_s, job.trace_hex);
+    std::vector<std::pair<std::string, std::string>> hop;
     if (job.ctx.valid()) {
-      WireSpan root;
-      root.name = "router.request";
-      root.process = "router";
-      root.pid = static_cast<int64_t>(::getpid());
-      root.span_id = job.request_span_id;
-      root.parent_span_id = job.ctx.parent_span_id;
-      root.start_unix_us = job.admitted_unix_us;
-      const int64_t now_us = UnixMicrosNow();
-      root.duration_us = now_us > job.admitted_unix_us
-                             ? now_us - job.admitted_unix_us
-                             : 0;
-      root.annotations.emplace_back("key", job.key);
-      root.annotations.emplace_back("outcome", outcome);
-      root.annotations.emplace_back("backends_tried",
-                                    std::to_string(job.tried.size()));
-      response.spans.push_back(std::move(root));
-      response.spans.insert(response.spans.end(), job.spans.begin(),
-                            job.spans.end());
+      hop = {{"key", job.key},
+             {"outcome", outcome},
+             {"backends_tried", std::to_string(job.tried.size())}};
     }
-    if (slowlog_.enabled()) {
-      SlowQueryEvent event;
-      event.process = "router";
-      event.trace_id = job.trace_hex;
-      event.id = job.request.id;
-      event.op = job.request.op;
-      event.key = job.key;
-      event.status = response.status.ok()
-                         ? "OK"
-                         : StatusCodeToString(response.status.code());
-      event.total_ms = total_s * 1000.0;
-      event.spans = response.spans;
-      slowlog_.MaybeLog(event, now);
-    }
-    Respond(job.conn_id, response);
+    Finish(job, response, std::move(hop));
   }
 
   void OnCallAnswered(RouteJob& job, bool is_hedge, QueryResponse response,
@@ -1091,8 +666,7 @@ class RouteDaemon {
     CloseCall(&loser);
     CloseCall(&winner);
     response.id = job.request.id;
-    FinishRoutedJob(job, response, now,
-                    hedge_won ? "hedge_won" : "primary_won");
+    FinishRoutedJob(job, response, hedge_won ? "hedge_won" : "primary_won");
   }
 
   /// The failover decision itself, as an instant span: a connected trace
@@ -1103,13 +677,9 @@ class RouteDaemon {
   void AppendFailoverSpan(RouteJob& job, const std::string& from_backend,
                           bool is_hedge, const char* reason) {
     if (!job.ctx.valid()) return;
-    WireSpan failover;
-    failover.name = "router.failover";
-    failover.process = "router";
-    failover.pid = static_cast<int64_t>(::getpid());
-    failover.span_id = NewSpanId();
-    failover.parent_span_id = job.request_span_id;
-    failover.start_unix_us = UnixMicrosNow();
+    const int64_t now_us = UnixMicrosNow();
+    WireSpan failover = MakeWireSpan("router.failover", "router", NewSpanId(),
+                                     job.request_span_id, now_us, now_us);
     failover.annotations.emplace_back("from_backend", from_backend);
     failover.annotations.emplace_back("reason", reason);
     failover.annotations.emplace_back("hedge", is_hedge ? "true" : "false");
@@ -1162,7 +732,7 @@ class RouteDaemon {
       response.retry_after_s = CurrentRetryAfterS();
       metrics_.unroutable_queries->Increment();
     }
-    FinishRoutedJob(job, response, MonotonicSeconds(), "unroutable");
+    FinishRoutedJob(job, response, "unroutable");
   }
 
   void ExpireJobs(double now) {
@@ -1184,139 +754,16 @@ class RouteDaemon {
       response.id = job.request.id;
       response.status =
           Status::DeadlineExceeded("deadline expired in router");
-      FinishRoutedJob(job, response, now, "deadline");
+      FinishRoutedJob(job, response, "deadline");
       jobs_.erase(it);
-    }
-  }
-
-  // ------------------------------------------------------------ outbound --
-
-  void Respond(uint64_t conn_id, const QueryResponse& response) {
-    if (response.status.ok()) {
-      metrics_.queries_ok->Increment();
-    } else if (!response.status.IsUnavailable()) {
-      // Sheds are retryable and expected under load; only a definite
-      // error counts as a failed query.
-      metrics_.failed_queries->Increment();
-    }
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) {
-      metrics_.responses_dropped->Increment();
-      return;
-    }
-    it->second.outbuf.append(EncodeServeMessage(
-        kFrameQueryResponse, SerializeQueryResponse(response)));
-    FlushConn(it->second);
-  }
-
-  void FlushConn(FrontConnection& conn) {
-    const uint64_t conn_id = conn.id;
-    while (conn.has_pending_out()) {
-      ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.out_sent,
-                          conn.outbuf.size() - conn.out_sent);
-      if (n > 0) {
-        conn.out_sent += static_cast<size_t>(n);
-        conn.last_activity_s = MonotonicSeconds();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-      return;
-    }
-    if (!conn.has_pending_out()) {
-      conn.outbuf.clear();
-      conn.out_sent = 0;
-    }
-  }
-
-  void CloseSlowClients(double now) {
-    std::vector<uint64_t> slow;
-    for (auto& [id, conn] : conns_) {
-      const bool mid_frame = conn.decoder.buffered() > 0;
-      const bool undelivered = conn.has_pending_out();
-      if (!mid_frame && !undelivered) continue;
-      if (now - conn.last_activity_s > options_.io_timeout_s) {
-        slow.push_back(id);
-      }
-    }
-    for (uint64_t id : slow) {
-      metrics_.slow_client_closes->Increment();
-      FAIREM_LOG(WARN) << "closing slow client" << LogKv("conn", id);
-      CloseConn(id);
-    }
-  }
-
-  // --------------------------------------------------------------- drain --
-
-  void BeginDrain() {
-    draining_ = true;
-    FAIREM_LOG(WARN) << "drain requested"
-                     << LogKv("signal", ShutdownGuard::signal_number())
-                     << LogKv("inflight", jobs_.size())
-                     << LogKv("connections", conns_.size());
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    ::unlink(options_.socket_path.c_str());
-    // In-flight routed queries finish, fail over, or deadline out — the
-    // loop keeps pumping them; only new arrivals are shed.
-  }
-
-  bool DrainComplete() const {
-    if (!jobs_.empty()) return false;
-    for (const auto& [id, conn] : conns_) {
-      if (conn.has_pending_out()) return false;
-    }
-    return true;
-  }
-
-  void FinishDrain() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
-    conns_.clear();
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0) ::close(backend.fd);
-      backend.fd = -1;
-    }
-    UpdateGauges(MonotonicSeconds());
-    metrics_.shutdowns->Increment();
-    if (!options_.metrics_path.empty()) {
-      Status st = WriteFileDurable(
-          options_.metrics_path,
-          MetricsSnapshotToJson(MetricsRegistry::Global().Snapshot()));
-      if (!st.ok()) {
-        FAIREM_LOG(WARN) << "drain metrics flush failed"
-                         << LogKv("status", st.ToString());
-      }
-    }
-    FAIREM_LOG(INFO) << "drain complete"
-                     << LogKv("queries", metrics_.queries_total->value());
-  }
-
-  void UpdateGauges(double now) {
-    metrics_.backends->Set(static_cast<double>(backends_.size()));
-    metrics_.backends_usable->Set(
-        static_cast<double>(UsableBackendCount(now)));
-    metrics_.inflight_jobs->Set(static_cast<double>(jobs_.size()));
-    metrics_.connections->Set(static_cast<double>(conns_.size()));
-    for (auto& [path, backend] : backends_) {
-      backend.state_gauge->Set(
-          static_cast<double>(backend.breaker.state(now)));
     }
   }
 
   RouteOptions options_;
   RouteMetrics metrics_;
-  SlowQueryLogger slowlog_;
   Rng rng_;
-  int listen_fd_ = -1;
-  uint64_t next_conn_id_ = 0;
   uint64_t route_sequence_ = 0;
   uint64_t probe_sequence_ = 0;
-  bool draining_ = false;
-  std::map<uint64_t, FrontConnection> conns_;
   std::map<std::string, Backend> backends_;
   std::map<uint64_t, RouteJob> jobs_;
 };
@@ -1369,14 +816,9 @@ Status RunRouteDaemon(const RouteOptions& options) {
   if (normalized.health_period_s <= 0.0) normalized.health_period_s = 0.5;
   if (normalized.health_timeout_s <= 0.0) normalized.health_timeout_s = 2.0;
   if (normalized.poll_interval_s <= 0.0) normalized.poll_interval_s = 0.01;
-  if (normalized.hedge_quantile <= 0.0 || normalized.hedge_quantile > 1.0) {
-    normalized.hedge_quantile = 0.95;
-  }
-  if (normalized.hedge_delay_factor <= 0.0) {
-    normalized.hedge_delay_factor = 1.0;
-  }
   RouteDaemon daemon(normalized);
-  return daemon.Run();
+  FAIREM_RETURN_NOT_OK(daemon.LoadBackends());
+  return daemon.Serve();
 }
 
 }  // namespace fairem

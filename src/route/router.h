@@ -41,9 +41,9 @@ namespace fairem {
 //     adds/removes in place; surviving backends keep their breaker and
 //     probe state.
 //
-// Same architecture as the daemon (DESIGN.md §14): one poll() loop, no
-// threads, bounded admission, end-to-end deadlines, cooperative
-// SIGTERM/SIGINT drain, durable final metrics. Metrics land under
+// Runs on the daemon's event-loop core (src/serve/daemon_core.h, DESIGN.md
+// §14); backend connects are nonblocking, so a backend that stops
+// accepting costs a failover, never a stalled loop. Metrics land under
 // fairem.route.*.
 
 struct RouteOptions {
@@ -66,13 +66,10 @@ struct RouteOptions {
   double breaker_cooldown_s = 1.0;
   /// Hedged second requests (off leaves only failover re-dispatch).
   bool hedge = true;
-  /// Floor for the hedge delay; also used before enough calls have been
-  /// observed to estimate a p95.
+  /// Floor for the hedge delay, which otherwise tracks the observed
+  /// backend-call p95; also used before enough calls have been observed
+  /// to estimate it.
   double hedge_min_delay_s = 0.05;
-  /// Backend-call latency quantile the hedge delay tracks.
-  double hedge_quantile = 0.95;
-  /// Multiplier on the quantile estimate.
-  double hedge_delay_factor = 1.0;
   /// Routed queries in flight at once; past this, arrivals are shed with a
   /// retryable kUnavailable and a load-aware retry_after_s hint.
   int max_inflight_jobs = 64;
@@ -86,7 +83,6 @@ struct RouteOptions {
   /// When non-empty, the final metrics snapshot is written here durably as
   /// the last step of the drain.
   std::string metrics_path;
-  int listen_backlog = 64;
   /// Slow-query log (DESIGN.md §16): routed queries slower than
   /// slow_query_ms end-to-end get one wide-event JSON line (trace id, op,
   /// key, status, span breakdown) appended to slow_query_log, rate-limited.

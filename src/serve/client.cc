@@ -1,62 +1,24 @@
 #include "src/serve/client.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
+#include "src/serve/daemon_core.h"
 #include "src/util/io_util.h"
 
 namespace fairem {
-namespace {
-
-Result<int> ConnectOnce(const std::string& socket_path) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("client: socket path empty or too long: '" +
-                                   socket_path + "'");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("client: socket failed: ") +
-                           std::strerror(errno));
-  }
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    int saved = errno;
-    ::close(fd);
-    // ENOENT (socket not bound yet) and ECONNREFUSED (bound, not yet
-    // listening, or a dead daemon's stale file) both mean "not up (yet)".
-    if (saved == ENOENT || saved == ECONNREFUSED || saved == EAGAIN) {
-      return Status::Unavailable(std::string("daemon not up: ") +
-                                 std::strerror(saved));
-    }
-    return Status::IOError("client: connect('" + socket_path +
-                           "') failed: " + std::strerror(saved));
-  }
-  return fd;
-}
-
-}  // namespace
 
 Result<ServeClient> ServeClient::Connect(const std::string& socket_path,
                                          const ServeClientOptions& options) {
-  const double start = retry_internal::MonotonicSeconds();
-  Result<int> fd = ConnectOnce(socket_path);
+  // Unavailable covers a daemon still starting up (socket file absent,
+  // not yet listening) and one whose accept queue is full.
+  const double start = MonotonicSeconds();
+  Result<int> fd = ConnectUnix(socket_path);
   while (!fd.ok() && fd.status().IsUnavailable() &&
-         retry_internal::MonotonicSeconds() - start <
-             options.connect_timeout_s) {
+         MonotonicSeconds() - start < options.connect_timeout_s) {
     retry_internal::SleepSeconds(0.01);
-    fd = ConnectOnce(socket_path);
+    fd = ConnectUnix(socket_path);
   }
   FAIREM_RETURN_NOT_OK(fd.status());
   ServeClient client;
@@ -108,20 +70,15 @@ Result<QueryResponse> ServeClient::Call(const QueryRequest& request) {
   TraceContext ctx = NewTraceContext();
   last_trace_ = ctx;
   last_spans_.clear();
-  WireSpan root;
-  root.name = "client.query";
-  root.process = "client";
-  root.pid = ::getpid();
-  root.span_id = NewSpanId();
-  root.start_unix_us = UnixMicrosNow();
-  root.annotations.emplace_back("op", request.op);
-  ctx.parent_span_id = root.span_id;
+  const int64_t start_us = UnixMicrosNow();
+  ctx.parent_span_id = NewSpanId();
   Result<QueryResponse> outcome = CallAttempt(request, ctx, 0);
-  root.duration_us = UnixMicrosNow() - root.start_unix_us;
   const Status& status =
       outcome.ok() ? outcome->status : outcome.status();
-  root.annotations.emplace_back(
-      "status", status.ok() ? "OK" : StatusCodeToString(status.code()));
+  WireSpan root = MakeWireSpan("client.query", "client", ctx.parent_span_id,
+                               0, start_us, UnixMicrosNow());
+  root.annotations = {{"op", request.op},
+                      {"status", StatusCodeToString(status.code())}};
   last_spans_.push_back(std::move(root));
   return outcome;
 }
@@ -132,28 +89,23 @@ Result<QueryResponse> ServeClient::CallAttempt(const QueryRequest& request,
   if (fd_ < 0) return Status::Unavailable("client: not connected");
   QueryRequest sent = request;
   sent.id = ++next_id_;
-  WireSpan span;
   const bool traced = ctx.valid();
+  const int64_t start_us = traced ? UnixMicrosNow() : 0;
   if (traced) {
     // The attempt span is the parent of everything the server records for
     // this round trip, so its (pre-minted) id rides the QREQ.
-    span.name = "client.attempt";
-    span.process = "client";
-    span.pid = ::getpid();
-    span.span_id = NewSpanId();
-    span.parent_span_id = ctx.parent_span_id;
-    span.start_unix_us = UnixMicrosNow();
-    if (attempt > 0) {
-      span.annotations.emplace_back("attempt", std::to_string(attempt));
-    }
     sent.trace = ctx;
-    sent.trace.parent_span_id = span.span_id;
+    sent.trace.parent_span_id = NewSpanId();
   }
   auto finish_span = [&](const Status& status) {
     if (!traced) return;
-    span.duration_us = UnixMicrosNow() - span.start_unix_us;
-    span.annotations.emplace_back(
-        "status", status.ok() ? "OK" : StatusCodeToString(status.code()));
+    WireSpan span =
+        MakeWireSpan("client.attempt", "client", sent.trace.parent_span_id,
+                     ctx.parent_span_id, start_us, UnixMicrosNow());
+    if (attempt > 0) {
+      span.annotations.emplace_back("attempt", std::to_string(attempt));
+    }
+    span.annotations.emplace_back("status", StatusCodeToString(status.code()));
     last_spans_.push_back(std::move(span));
   };
   Status wrote = WriteServeMessage(fd_, kFrameQueryRequest,
@@ -219,32 +171,28 @@ Result<QueryResponse> ServeClient::CallWithRetry(const QueryRequest& request,
                                                  const RetryPolicy& policy,
                                                  uint64_t seed) {
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  const double start = retry_internal::MonotonicSeconds();
+  const double start = MonotonicSeconds();
   // One query root span covers every attempt and backoff; each attempt
   // parents its own round trip under it.
   QueryRequest traced_request = request;
-  WireSpan root;
   const bool traced = options_.trace && !request.trace.valid();
+  const int64_t start_us = traced ? UnixMicrosNow() : 0;
   if (traced) {
     TraceContext ctx = NewTraceContext();
     last_trace_ = ctx;
     last_spans_.clear();
-    root.name = "client.query";
-    root.process = "client";
-    root.pid = ::getpid();
-    root.span_id = NewSpanId();
-    root.start_unix_us = UnixMicrosNow();
-    root.annotations.emplace_back("op", request.op);
-    ctx.parent_span_id = root.span_id;
+    ctx.parent_span_id = NewSpanId();
     traced_request.trace = ctx;
   }
+  const uint64_t root_id = traced_request.trace.parent_span_id;
   auto finish_root = [&](const Status& status, int attempts) {
     if (!traced) return;
-    root.duration_us = UnixMicrosNow() - root.start_unix_us;
-    root.annotations.emplace_back(
-        "status", status.ok() ? "OK" : StatusCodeToString(status.code()));
-    root.annotations.emplace_back("attempts", std::to_string(attempts));
-    last_spans_.push_back(root);
+    WireSpan root = MakeWireSpan("client.query", "client", root_id, 0,
+                                 start_us, UnixMicrosNow());
+    root.annotations = {{"op", request.op},
+                        {"status", StatusCodeToString(status.code())},
+                        {"attempts", std::to_string(attempts)}};
+    last_spans_.push_back(std::move(root));
   };
   // The effective wall-clock budget is the tighter of the policy deadline
   // and the query's own deadline: backoff sleeps (including a server's
@@ -262,8 +210,8 @@ Result<QueryResponse> ServeClient::CallWithRetry(const QueryRequest& request,
       // immediate attempt).
       ServeClientOptions reconnect = options_;
       if (budget > 0.0) {
-        reconnect.connect_timeout_s = std::max(
-            0.0, budget - (retry_internal::MonotonicSeconds() - start));
+        reconnect.connect_timeout_s =
+            std::max(0.0, budget - (MonotonicSeconds() - start));
       }
       Result<ServeClient> fresh = Connect(socket_path_, reconnect);
       if (fresh.ok()) {
@@ -297,8 +245,7 @@ Result<QueryResponse> ServeClient::CallWithRetry(const QueryRequest& request,
       backoff = outcome->retry_after_s;
     }
     if (budget > 0.0) {
-      const double remaining =
-          budget - (retry_internal::MonotonicSeconds() - start);
+      const double remaining = budget - (MonotonicSeconds() - start);
       if (remaining <= 0.0 || backoff >= remaining) {
         // Sleeping would overshoot the deadline; the honest answer is a
         // prompt kDeadlineExceeded naming the error we were retrying, not
@@ -314,23 +261,16 @@ Result<QueryResponse> ServeClient::CallWithRetry(const QueryRequest& request,
       }
     }
     retry_internal::CountRetry(status);
+    const int64_t sleep_start_us = traced ? UnixMicrosNow() : 0;
+    retry_internal::SleepSeconds(backoff);
     if (traced) {
-      WireSpan sleep_span;
-      sleep_span.name = "client.backoff";
-      sleep_span.process = "client";
-      sleep_span.pid = ::getpid();
-      sleep_span.span_id = NewSpanId();
-      sleep_span.parent_span_id = root.span_id;
-      sleep_span.start_unix_us = UnixMicrosNow();
-      sleep_span.annotations.emplace_back("attempt",
-                                          std::to_string(attempt));
-      sleep_span.annotations.emplace_back("last_error",
-                                          StatusCodeToString(status.code()));
-      retry_internal::SleepSeconds(backoff);
-      sleep_span.duration_us = UnixMicrosNow() - sleep_span.start_unix_us;
+      WireSpan sleep_span = MakeWireSpan("client.backoff", "client",
+                                         NewSpanId(), root_id,
+                                         sleep_start_us, UnixMicrosNow());
+      sleep_span.annotations = {
+          {"attempt", std::to_string(attempt)},
+          {"last_error", StatusCodeToString(status.code())}};
       last_spans_.push_back(std::move(sleep_span));
-    } else {
-      retry_internal::SleepSeconds(backoff);
     }
     ++attempt;
   }

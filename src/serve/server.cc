@@ -1,40 +1,24 @@
 #include "src/serve/server.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
+#include <sys/wait.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <deque>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/slowlog.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
 #include "src/robust/supervisor.h"
 #include "src/robust/worker_process.h"
+#include "src/serve/daemon_core.h"
 #include "src/serve/protocol.h"
-#include "src/util/durable_file.h"
 #include "src/util/io_util.h"
-#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-double Since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
 
 Result<MatcherKind> MatcherForName(const std::string& name) {
   for (MatcherKind kind : AllMatcherKinds()) {
@@ -44,14 +28,6 @@ Result<MatcherKind> MatcherForName(const std::string& name) {
 }
 
 struct ServeMetrics {
-  Counter* accepted;
-  Counter* closed;
-  Counter* client_disconnects;
-  Counter* slow_client_closes;
-  Counter* malformed_frames;
-  Counter* requests_total;
-  Counter* requests_ok;
-  Counter* requests_failed;
   Counter* shed_queue_full;
   Counter* shed_draining;
   Counter* deadline_expired;
@@ -59,14 +35,10 @@ struct ServeMetrics {
   Counter* worker_respawns;
   Counter* cache_hits;
   Counter* cells_computed;
-  Counter* responses_dropped;
   Counter* health_probes;
-  Counter* shutdowns;
   Counter* progress_frames;
   Gauge* queue_depth;
   Gauge* inflight;
-  Gauge* connections;
-  Histogram* request_seconds;
   /// Finished cell compute durations — shared with ProgressReporter's ETA
   /// metric so batch runs and the daemon pool one duration model.
   Histogram* cell_seconds;
@@ -74,14 +46,6 @@ struct ServeMetrics {
   static ServeMetrics Make() {
     MetricsRegistry& reg = MetricsRegistry::Global();
     ServeMetrics m;
-    m.accepted = reg.GetCounter("fairem.serve.connections_accepted");
-    m.closed = reg.GetCounter("fairem.serve.connections_closed");
-    m.client_disconnects = reg.GetCounter("fairem.serve.client_disconnects");
-    m.slow_client_closes = reg.GetCounter("fairem.serve.slow_client_closes");
-    m.malformed_frames = reg.GetCounter("fairem.serve.malformed_frames");
-    m.requests_total = reg.GetCounter("fairem.serve.requests_total");
-    m.requests_ok = reg.GetCounter("fairem.serve.requests_ok");
-    m.requests_failed = reg.GetCounter("fairem.serve.requests_failed");
     m.shed_queue_full = reg.GetCounter("fairem.serve.shed_queue_full");
     m.shed_draining = reg.GetCounter("fairem.serve.shed_draining");
     m.deadline_expired = reg.GetCounter("fairem.serve.deadline_expired");
@@ -89,317 +53,113 @@ struct ServeMetrics {
     m.worker_respawns = reg.GetCounter("fairem.serve.worker_respawns");
     m.cache_hits = reg.GetCounter("fairem.serve.cell_cache_hits");
     m.cells_computed = reg.GetCounter("fairem.serve.cells_computed");
-    m.responses_dropped = reg.GetCounter("fairem.serve.responses_dropped");
     m.health_probes = reg.GetCounter("fairem.serve.health_probes");
-    m.shutdowns = reg.GetCounter("fairem.serve.shutdowns");
     m.progress_frames = reg.GetCounter("fairem.serve.progress_frames");
     m.queue_depth = reg.GetGauge("fairem.serve.queue_depth");
     m.inflight = reg.GetGauge("fairem.serve.inflight");
-    m.connections = reg.GetGauge("fairem.serve.connections");
-    m.request_seconds = reg.GetHistogram("fairem.serve.request_seconds");
     m.cell_seconds = reg.GetHistogram("fairem.progress.cell_seconds");
     return m;
   }
 };
 
-struct Connection {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
-  SteadyClock::time_point last_activity;
-  bool close_after_flush = false;
-
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
-};
-
-struct QueryJob {
-  uint64_t conn_id = 0;
-  QueryRequest request;
-  std::string key;
+struct QueryJob : AdmittedQuery {
   MatcherKind matcher = MatcherKind::kDT;
   bool pairwise = false;
   const EMDataset* dataset = nullptr;
-  SteadyClock::time_point admitted;
-  SteadyClock::time_point deadline;
   int attempts = 0;
   bool timed_out = false;
-  WorkerProcess proc;  // valid while in flight
-  // Tracing state (DESIGN.md §16). ctx is invalid for untraced queries and
-  // every field below stays inert then — zero extra bytes on the wire.
-  TraceContext ctx;
-  std::string trace_hex;         // cached ctx.TraceIdHex()
-  uint64_t request_span_id = 0;  // "daemon.request"; daemon/worker spans
-                                 // parent under it
-  int64_t admitted_unix_us = 0;
+  WorkerProcess proc;            // valid while in flight
   pid_t worker_pid = 0;          // survives the reap (proc.pid() is -1 then)
   double last_progress_s = 0.0;  // monotonic; rate-limits PROG frames
-  std::vector<WireSpan> spans;   // completed spans, shipped on the QRSP
 };
 
-class ServeDaemon {
- public:
-  ServeDaemon(const ServeOptions& options)
-      : options_(options),
-        metrics_(ServeMetrics::Make()),
-        slowlog_(options.slow_query_log, options.slow_query_ms),
-        epoch_(SteadyClock::now()) {}
+constexpr FrontIdentity kServeIdentity = {
+    "daemon",       "fairem.serve",    "requests_total",
+    "requests_ok",  "requests_failed", /*sheds_are_failures=*/true};
 
-  ~ServeDaemon() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
+class ServeDaemon : public DaemonFront {
+ public:
+  explicit ServeDaemon(const ServeOptions& options)
+      : DaemonFront(kServeIdentity, FrontSettings::From(options)),
+        options_(options),
+        metrics_(ServeMetrics::Make()) {}
+
+  ~ServeDaemon() override {
     for (QueryJob& job : inflight_) job.proc.KillAndReap();
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (!options_.socket_path.empty()) {
-      ::unlink(options_.socket_path.c_str());
-    }
   }
 
-  Status Run() {
-    // Bind + listen FIRST: clients arriving during the (potentially long)
-    // warmup queue in the kernel backlog instead of getting ECONNREFUSED.
-    FAIREM_RETURN_NOT_OK(Listen());
+ private:
+  // --------------------------------------------------- front-end hooks --
+
+  Status Warm() override {
     FAIREM_ASSIGN_OR_RETURN(warm_, WarmState::Warm(options_.warm));
     FAIREM_LOG(INFO) << "fairem serve ready"
                      << LogKv("socket", options_.socket_path)
                      << LogKv("datasets", warm_.num_datasets())
                      << LogKv("cells_preloaded", warm_.num_cached_cells());
-    while (true) {
-      if (ShutdownGuard::requested() && !draining_) BeginDrain();
-      ExpireQueuedJobs();
-      Dispatch();
-      if (draining_ && DrainComplete()) break;
-      PollOnce();
-      AcceptPending();
-      PumpConnections();
-      PumpWorkers();
-      EmitProgress();
-      CloseSlowClients();
-      UpdateGauges();
-    }
-    FinishDrain();
     return Status::OK();
   }
 
- private:
-  Status Listen() {
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (options_.socket_path.empty() ||
-        options_.socket_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("serve: socket path empty or too long: '" +
-                                     options_.socket_path + "'");
-    }
-    std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-                options_.socket_path.size() + 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      return Status::IOError(std::string("serve: socket failed: ") +
-                             std::strerror(errno));
-    }
-    // A stale path from a dead daemon would fail the bind; a live daemon
-    // accepts connections, so probing would be racy — replacing is the
-    // conventional single-instance-per-path policy.
-    ::unlink(options_.socket_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return Status::IOError("serve: bind failed for '" +
-                             options_.socket_path +
-                             "': " + std::strerror(errno));
-    }
-    if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-      return Status::IOError(std::string("serve: listen failed: ") +
-                             std::strerror(errno));
-    }
-    SetNonblocking(listen_fd_);
-    return Status::OK();
+  void BeforePoll(double now) override {
+    ExpireQueuedJobs(now);
+    Dispatch();
   }
 
-  static void SetNonblocking(int fd) {
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-
-  void PollOnce() {
-    std::vector<pollfd> fds;
-    fds.reserve(1 + conns_.size() + inflight_.size());
-    if (!draining_ && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-    }
-    for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.has_pending_out()) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
-    }
+  void AddPollFds(std::vector<pollfd>* fds) override {
     for (QueryJob& job : inflight_) {
       if (job.proc.pipe_fd() >= 0) {
-        fds.push_back({job.proc.pipe_fd(), POLLIN, 0});
+        fds->push_back({job.proc.pipe_fd(), POLLIN, 0});
       }
     }
-    int timeout_ms =
-        static_cast<int>(options_.poll_interval_s * 1000.0);
-    if (timeout_ms < 1) timeout_ms = 1;
-    // EINTR (a drain signal landing) just re-enters the loop, which checks
-    // ShutdownGuard at the top.
-    (void)::poll(fds.empty() ? nullptr : fds.data(),
-                 static_cast<nfds_t>(fds.size()), timeout_ms);
   }
 
-  void AcceptPending() {
-    if (draining_ || listen_fd_ < 0) return;
-    for (;;) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient accept error: retry next loop
-      }
-      SetNonblocking(fd);
-      Connection conn;
-      conn.fd = fd;
-      conn.id = ++next_conn_id_;
-      conn.last_activity = SteadyClock::now();
-      metrics_.accepted->Increment();
-      conns_.emplace(conn.id, std::move(conn));
-    }
+  void AfterPoll() override {
+    PumpWorkers();
+    EmitProgress();
   }
 
-  void CloseConn(uint64_t conn_id) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    ::close(it->second.fd);
-    conns_.erase(it);
-    metrics_.closed->Increment();
-  }
-
-  // ------------------------------------------------------------- inbound --
-
-  void PumpConnections() {
-    // Snapshot ids: handlers can close connections while we iterate.
-    std::vector<uint64_t> ids;
-    ids.reserve(conns_.size());
-    for (auto& [id, conn] : conns_) ids.push_back(id);
-    for (uint64_t id : ids) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ReadConn(it->second);
-      it = conns_.find(id);
-      if (it != conns_.end()) FlushConn(it->second);
-    }
-  }
-
-  void ReadConn(Connection& conn) {
-    char buf[65536];
-    bool closed_by_peer = false;
-    for (;;) {
-      ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-      if (n > 0) {
-        conn.last_activity = SteadyClock::now();
-        conn.decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed_by_peer = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed_by_peer = true;  // ECONNRESET and friends
-      break;
-    }
-    const uint64_t conn_id = conn.id;
-    for (;;) {
-      ServeMessage message;
-      Result<FrameDecoder::Next> next = conn.decoder.TryNext(&message);
-      if (!next.ok()) {
-        // A corrupt length-prefixed stream cannot be resynchronized; all
-        // we owe the peer is a prompt close instead of a hang.
-        metrics_.malformed_frames->Increment();
-        FAIREM_LOG(WARN) << "closing connection on malformed frame"
-                         << LogKv("conn", conn_id)
-                         << LogKv("status", next.status().ToString());
-        CloseConn(conn_id);
-        return;
-      }
-      if (*next == FrameDecoder::Next::kNeedMore) break;
-      HandleMessage(conn_id, message);
-      if (conns_.find(conn_id) == conns_.end()) return;
-    }
-    if (closed_by_peer) {
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-    }
-  }
-
-  void HandleMessage(uint64_t conn_id, const ServeMessage& message) {
-    if (message.type == kFrameHealth) {
-      // Health probes bypass admission entirely and do not count as
-      // requests: a router needs an honest liveness/load answer precisely
-      // when the queue is full, and a probe must never occupy a slot a
-      // query could use (nor skew the request accounting).
-      HandleHealthProbe(conn_id, message);
-      return;
-    }
-    if (message.type == kFrameProgress) {
-      // PROG is advisory and flows toward clients; one arriving here is a
-      // confused-but-harmless peer. Ignore it — closing would turn a
-      // best-effort frame into a query failure.
-      return;
-    }
-    metrics_.requests_total->Increment();
-    if (message.type != kFrameQueryRequest) {
-      // A response frame sent at a server is a confused peer; drop it.
-      metrics_.malformed_frames->Increment();
-      CloseConn(conn_id);
-      return;
-    }
-    Result<QueryRequest> request = ParseQueryRequest(message.bytes);
-    if (!request.ok()) {
-      QueryResponse response;
-      response.status = request.status();
-      Respond(conn_id, response);
-      return;
-    }
-    QueryResponse response;
-    response.id = request->id;
-    if (request->op == "ping") {
-      response.payload = "pong";
-      Respond(conn_id, response);
-      return;
-    }
-    if (request->op == "stats") {
-      UpdateGauges();
-      response.payload =
-          MetricsSnapshotToJson(MetricsRegistry::Global().Snapshot());
-      Respond(conn_id, response);
-      return;
-    }
-    if (request->op != "cell") {
-      response.status =
-          Status::InvalidArgument("unknown op '" + request->op + "'");
-      Respond(conn_id, response);
-      return;
-    }
-    AdmitCellQuery(conn_id, *request);
-  }
-
-  void HandleHealthProbe(uint64_t conn_id, const ServeMessage& message) {
+  void FillHealth(HealthReport* reply) override {
     metrics_.health_probes->Increment();
-    // A malformed probe body still gets a reply (id 0): the prober wants
-    // liveness, and the reply itself proves that.
-    Result<HealthReport> probe = ParseHealthReport(message.bytes);
-    HealthReport reply;
-    if (probe.ok()) reply.id = probe->id;
-    reply.serving = !draining_;
-    reply.queue_depth = static_cast<double>(queue_.size());
-    reply.inflight = static_cast<double>(inflight_.size());
-    reply.retry_after_s = CurrentRetryAfterS();
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.outbuf.append(
-        EncodeServeMessage(kFrameHealth, SerializeHealthReport(reply)));
-    FlushConn(it->second);
+    reply->serving = !draining();
+    reply->queue_depth = static_cast<double>(queue_.size());
+    reply->inflight = static_cast<double>(inflight_.size());
+    reply->retry_after_s = CurrentRetryAfterS();
   }
+
+  void HandleQuery(uint64_t conn_id, const QueryRequest& request) override {
+    if (request.op != "cell") {
+      QueryResponse response;
+      response.id = request.id;
+      response.status =
+          Status::InvalidArgument("unknown op '" + request.op + "'");
+      Respond(conn_id, response);
+      return;
+    }
+    AdmitCellQuery(conn_id, request);
+  }
+
+  /// Queued-but-unstarted work is shed: retryable, the honest signal to go
+  /// elsewhere. In-flight work finishes or deadlines out.
+  void OnDrain() override {
+    for (QueryJob& job : queue_) {
+      metrics_.shed_draining->Increment();
+      QueryResponse response;
+      response.id = job.request.id;
+      response.status = Status::Unavailable("draining; retry elsewhere");
+      response.retry_after_s = options_.retry_after_s;
+      FinishJob(job, response);
+    }
+    queue_.clear();
+  }
+
+  bool Busy() const override { return !inflight_.empty(); }
+
+  void UpdateGauges() override {
+    metrics_.queue_depth->Set(static_cast<double>(queue_.size()));
+    metrics_.inflight->Set(static_cast<double>(inflight_.size()));
+  }
+
+  // ----------------------------------------------------------- admission --
 
   double CurrentRetryAfterS() const {
     return LoadAwareRetryAfterS(
@@ -408,36 +168,16 @@ class ServeDaemon {
         options_.max_inflight);
   }
 
-  /// A one-shot daemon-side span for queries answered without a QueryJob
-  /// (sheds, cache hits): even a refused query shows up in the client's
-  /// merged trace with the hop that refused it.
-  static void AttachAdHocSpan(const QueryRequest& request,
-                              QueryResponse* response,
-                              int64_t start_unix_us, const char* outcome) {
-    if (!request.trace.valid()) return;
-    WireSpan span;
-    span.name = "daemon.request";
-    span.process = "daemon";
-    span.pid = static_cast<int64_t>(::getpid());
-    span.span_id = NewSpanId();
-    span.parent_span_id = request.trace.parent_span_id;
-    span.start_unix_us = start_unix_us;
-    const int64_t now_us = UnixMicrosNow();
-    span.duration_us = now_us > start_unix_us ? now_us - start_unix_us : 0;
-    span.annotations.emplace_back("outcome", outcome);
-    response->spans.push_back(std::move(span));
-  }
-
   void AdmitCellQuery(uint64_t conn_id, const QueryRequest& request) {
     const int64_t admit_unix_us =
         request.trace.valid() ? UnixMicrosNow() : 0;
     QueryResponse response;
     response.id = request.id;
-    if (draining_) {
+    if (draining()) {
       metrics_.shed_draining->Increment();
       response.status = Status::Unavailable("draining; retry elsewhere");
       response.retry_after_s = options_.retry_after_s;
-      AttachAdHocSpan(request, &response, admit_unix_us, "shed_draining");
+      AttachAdHocSpan(request, &response, "shed_draining", admit_unix_us);
       Respond(conn_id, response);
       return;
     }
@@ -459,11 +199,11 @@ class ServeDaemon {
       return;
     }
     const bool pairwise = request.mode == "pairwise";
-    const std::string key = AuditCellKey(request.dataset, *matcher, pairwise);
+    std::string key = AuditCellKey(request.dataset, *matcher, pairwise);
     if (const std::string* cached = warm_.CachedCell(key)) {
       metrics_.cache_hits->Increment();
       response.payload = *cached;
-      AttachAdHocSpan(request, &response, admit_unix_us, "cache_hit");
+      AttachAdHocSpan(request, &response, "cache_hit", admit_unix_us);
       Respond(conn_id, response);
       return;
     }
@@ -477,43 +217,25 @@ class ServeDaemon {
       // stay away, so router backpressure converges instead of retrying a
       // saturated daemon at the base period.
       response.retry_after_s = CurrentRetryAfterS();
-      AttachAdHocSpan(request, &response, admit_unix_us, "shed_queue_full");
+      AttachAdHocSpan(request, &response, "shed_queue_full", admit_unix_us);
       Respond(conn_id, response);
       return;
     }
-    double deadline_s = request.deadline_s > 0.0
-                            ? std::min(request.deadline_s,
-                                       options_.max_deadline_s)
-                            : options_.default_deadline_s;
     QueryJob job;
-    job.conn_id = conn_id;
-    job.request = request;
-    job.key = key;
+    Admit(&job, conn_id, request, std::move(key), admit_unix_us);
     job.matcher = *matcher;
     job.pairwise = pairwise;
     job.dataset = *dataset;
-    job.admitted = SteadyClock::now();
-    job.deadline =
-        job.admitted + std::chrono::duration_cast<SteadyClock::duration>(
-                           std::chrono::duration<double>(deadline_s));
-    if (request.trace.valid()) {
-      job.ctx = request.trace;
-      job.trace_hex = request.trace.TraceIdHex();
-      // Pre-mint the hop span id so children (queue wait, worker spans)
-      // can parent under it before the span itself finishes in FinishJob.
-      job.request_span_id = NewSpanId();
-      job.admitted_unix_us = admit_unix_us;
-      job.last_progress_s = NowS();  // first PROG after one full interval
-    }
+    // First PROG after one full interval.
+    if (job.ctx.valid()) job.last_progress_s = job.admitted_s;
     queue_.push_back(std::move(job));
   }
 
   // ---------------------------------------------------------- scheduling --
 
-  void ExpireQueuedJobs() {
-    auto now = SteadyClock::now();
+  void ExpireQueuedJobs(double now) {
     for (auto it = queue_.begin(); it != queue_.end();) {
-      if (now < it->deadline) {
+      if (now < it->deadline_s) {
         ++it;
         continue;
       }
@@ -532,15 +254,17 @@ class ServeDaemon {
   /// is now.
   static WireSpan DaemonSpan(const QueryJob& job, const char* name,
                              int64_t start_unix_us) {
-    WireSpan span;
-    span.name = name;
-    span.process = "daemon";
-    span.pid = static_cast<int64_t>(::getpid());
-    span.span_id = NewSpanId();
-    span.parent_span_id = job.request_span_id;
-    span.start_unix_us = start_unix_us;
-    const int64_t now_us = UnixMicrosNow();
-    span.duration_us = now_us > start_unix_us ? now_us - start_unix_us : 0;
+    return MakeWireSpan(name, "daemon", NewSpanId(), job.request_span_id,
+                        start_unix_us, UnixMicrosNow());
+  }
+
+  /// DaemonSpan on the worker's track, annotated with the attempt.
+  static WireSpan WorkerSpan(const QueryJob& job, const char* name,
+                             int64_t start_unix_us) {
+    WireSpan span = DaemonSpan(job, name, start_unix_us);
+    span.process = "worker";
+    span.pid = static_cast<int64_t>(job.worker_pid);
+    span.annotations.emplace_back("attempt", std::to_string(job.attempts));
     return span;
   }
 
@@ -579,8 +303,10 @@ class ServeDaemon {
     // workers and respawns must not replay the parent's exact draws.
     spawn.failpoint_reseed = ++spawn_sequence_;
     spawn.ship_failpoint = "serve_ship";
-    spawn.close_in_child.push_back(listen_fd_);
-    for (auto& [id, conn] : conns_) spawn.close_in_child.push_back(conn.fd);
+    spawn.close_in_child.push_back(listen_fd());
+    for (const auto& [id, conn] : conns()) {
+      spawn.close_in_child.push_back(conn.fd);
+    }
     for (QueryJob& other : inflight_) {
       if (other.proc.pipe_fd() >= 0) {
         spawn.close_in_child.push_back(other.proc.pipe_fd());
@@ -605,12 +331,7 @@ class ServeDaemon {
             spawn));
     job->worker_pid = job->proc.pid();
     if (job->ctx.valid()) {
-      WireSpan fork_span = DaemonSpan(*job, "worker.fork", fork_start_us);
-      fork_span.process = "worker";
-      fork_span.pid = static_cast<int64_t>(job->worker_pid);
-      fork_span.annotations.emplace_back("attempt",
-                                         std::to_string(job->attempts));
-      job->spans.push_back(std::move(fork_span));
+      job->spans.push_back(WorkerSpan(*job, "worker.fork", fork_start_us));
     }
     FAIREM_LOG(DEBUG) << "query worker spawned" << LogKv("key", job->key)
                       << LogKv("pid", job->proc.pid())
@@ -619,7 +340,7 @@ class ServeDaemon {
   }
 
   void PumpWorkers() {
-    auto now = SteadyClock::now();
+    const double now = MonotonicSeconds();
     for (size_t i = 0; i < inflight_.size();) {
       QueryJob& job = inflight_[i];
       job.proc.Drain();
@@ -631,7 +352,7 @@ class ServeDaemon {
         SettleWorker(std::move(finished), status);
         continue;
       }
-      if (!job.timed_out && now >= job.deadline) {
+      if (!job.timed_out && now >= job.deadline_s) {
         // The deadline is end-to-end: however long the query waited in the
         // queue counts against the compute budget too.
         job.timed_out = true;
@@ -655,24 +376,21 @@ class ServeDaemon {
     }
     const bool exited_ok =
         WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitOk;
+    const bool task_error =
+        WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitTaskError;
     if (exited_ok && !job.timed_out) {
       // Feed the ETA model for everyone's PROG frames, traced or not.
       metrics_.cell_seconds->Observe(job.proc.AgeSeconds());
     }
     if (job.ctx.valid() && job.proc.spawn_unix_us() > 0) {
       WireSpan compute =
-          DaemonSpan(job, "worker.compute", job.proc.spawn_unix_us());
-      compute.process = "worker";
-      compute.pid = static_cast<int64_t>(job.worker_pid);
-      compute.annotations.emplace_back("attempt",
-                                       std::to_string(job.attempts));
+          WorkerSpan(job, "worker.compute", job.proc.spawn_unix_us());
       const char* exit_kind = "crash";
       if (job.timed_out) {
         exit_kind = "killed_deadline";
       } else if (exited_ok) {
         exit_kind = "ok";
-      } else if (WIFEXITED(status) &&
-                 WEXITSTATUS(status) == kWorkerExitTaskError) {
+      } else if (task_error) {
         exit_kind = "task_error";
       }
       compute.annotations.emplace_back("exit", exit_kind);
@@ -686,27 +404,23 @@ class ServeDaemon {
       FinishJob(job, response);
       return;
     }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitOk) {
+    if (exited_ok) {
       // Defensive parse: only a well-formed cell is cached and served.
       Result<GridCellCheckpoint> cell = GridCellFromJson(split.payload);
       if (cell.ok()) {
         metrics_.cells_computed->Increment();
         warm_.StoreCell(job.key, split.payload);
         response.payload = split.payload;
-        FinishJob(job, response);
-        return;
+      } else {
+        response.status = Status::Internal(
+            "worker shipped unparseable cell: " + cell.status().ToString());
       }
-      response.status = Status::Internal("worker shipped unparseable cell: " +
-                                         cell.status().ToString());
       FinishJob(job, response);
       return;
     }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitTaskError) {
+    if (task_error) {
       Status shipped = ParseShippedStatus(split.payload);
-      if (RespawnOrFail(std::move(job), shipped,
-                        IsRetryableStatus(shipped))) {
-        return;
-      }
+      RespawnOrFail(std::move(job), shipped, IsRetryableStatus(shipped));
       return;
     }
     // Crash: signal death, _Exit under a failpoint, OOM under RLIMIT_AS,
@@ -720,14 +434,14 @@ class ServeDaemon {
                                              : 0);
     Status crash = Status::Internal("query worker crashed (" + detail +
                                     ") for '" + job.key + "'");
-    (void)RespawnOrFail(std::move(job), crash, /*retryable=*/true);
+    RespawnOrFail(std::move(job), crash, /*retryable=*/true);
   }
 
   /// Respawns the job when budget and deadline allow; otherwise finishes it
-  /// with `failure`. Returns true either way (for symmetry at call sites).
-  bool RespawnOrFail(QueryJob job, const Status& failure, bool retryable) {
+  /// with `failure`.
+  void RespawnOrFail(QueryJob job, const Status& failure, bool retryable) {
     if (retryable && job.attempts < options_.max_attempts &&
-        SteadyClock::now() < job.deadline && !draining_) {
+        MonotonicSeconds() < job.deadline_s && !draining()) {
       metrics_.worker_respawns->Increment();
       FAIREM_LOG(WARN) << "respawning query worker" << LogKv("key", job.key)
                        << LogKv("next_attempt", job.attempts + 1)
@@ -735,61 +449,26 @@ class ServeDaemon {
       Status started = StartJob(&job);
       if (started.ok()) {
         inflight_.push_back(std::move(job));
-        return true;
+        return;
       }
     }
     QueryResponse response;
     response.id = job.request.id;
     response.status = failure;
     FinishJob(job, response);
-    return true;
   }
 
   // ------------------------------------------------------------ outbound --
 
   void FinishJob(const QueryJob& job, QueryResponse& response) {
-    const double total_s = Since(job.admitted);
-    metrics_.request_seconds->ObserveWithExemplar(total_s, job.trace_hex);
+    std::vector<std::pair<std::string, std::string>> hop;
     if (job.ctx.valid()) {
-      // The hop span last: it closes now, covering admit -> respond.
-      WireSpan root;
-      root.name = "daemon.request";
-      root.process = "daemon";
-      root.pid = static_cast<int64_t>(::getpid());
-      root.span_id = job.request_span_id;
-      root.parent_span_id = job.ctx.parent_span_id;
-      root.start_unix_us = job.admitted_unix_us;
-      const int64_t now_us = UnixMicrosNow();
-      root.duration_us = now_us > job.admitted_unix_us
-                             ? now_us - job.admitted_unix_us
-                             : 0;
-      root.annotations.emplace_back("op", job.request.op);
-      root.annotations.emplace_back("key", job.key);
-      root.annotations.emplace_back(
-          "status", response.status.ok()
-                        ? "OK"
-                        : StatusCodeToString(response.status.code()));
-      root.annotations.emplace_back("attempts",
-                                    std::to_string(job.attempts));
-      response.spans.push_back(std::move(root));
-      response.spans.insert(response.spans.end(), job.spans.begin(),
-                            job.spans.end());
+      hop = {{"op", job.request.op},
+             {"key", job.key},
+             {"status", StatusCodeToString(response.status.code())},
+             {"attempts", std::to_string(job.attempts)}};
     }
-    if (slowlog_.enabled()) {
-      SlowQueryEvent event;
-      event.process = "daemon";
-      event.trace_id = job.trace_hex;
-      event.id = job.request.id;
-      event.op = job.request.op;
-      event.key = job.key;
-      event.status = response.status.ok()
-                         ? "OK"
-                         : StatusCodeToString(response.status.code());
-      event.total_ms = total_s * 1000.0;
-      event.spans = response.spans;
-      slowlog_.MaybeLog(event, NowS());
-    }
-    Respond(job.conn_id, response);
+    Finish(job, response, std::move(hop));
   }
 
   /// Streams advisory PROG frames (progress fraction + ETA) to the clients
@@ -798,33 +477,33 @@ class ServeDaemon {
   /// cell duration; with no history yet, fraction 0 / eta -1 ("unknown").
   void EmitProgress() {
     if (options_.progress_interval_s <= 0.0) return;
-    const double now_s = NowS();
+    const double now_s = MonotonicSeconds();
     const uint64_t finished = metrics_.cell_seconds->count();
     const double mean_s =
         finished > 0
             ? metrics_.cell_seconds->sum() / static_cast<double>(finished)
             : -1.0;
+    auto due = [&](const QueryJob& job) {
+      return job.ctx.valid() &&
+             now_s - job.last_progress_s >= options_.progress_interval_s;
+    };
     auto emit = [&](QueryJob& job, const char* stage, double fraction,
                     double eta_s) {
-      auto it = conns_.find(job.conn_id);
-      if (it == conns_.end()) return;
       ProgressUpdate update;
       update.id = job.request.id;
       update.fraction = fraction;
       update.eta_s = eta_s;
       update.stage = stage;
       update.trace_id = job.trace_hex;
-      it->second.outbuf.append(EncodeServeMessage(
-          kFrameProgress, SerializeProgressUpdate(update)));
-      FlushConn(it->second);
+      if (!Send(job.conn_id, kFrameProgress,
+                SerializeProgressUpdate(update))) {
+        return;
+      }
       metrics_.progress_frames->Increment();
       job.last_progress_s = now_s;
     };
     for (QueryJob& job : inflight_) {
-      if (!job.ctx.valid()) continue;
-      if (now_s - job.last_progress_s < options_.progress_interval_s) {
-        continue;
-      }
+      if (!due(job)) continue;
       double fraction = 0.0;
       double eta_s = -1.0;
       if (mean_s > 0.0) {
@@ -837,151 +516,14 @@ class ServeDaemon {
       emit(job, "compute", fraction, eta_s);
     }
     for (QueryJob& job : queue_) {
-      if (!job.ctx.valid()) continue;
-      if (now_s - job.last_progress_s < options_.progress_interval_s) {
-        continue;
-      }
-      emit(job, "queued", 0.0, mean_s > 0.0 ? mean_s : -1.0);
+      if (due(job)) emit(job, "queued", 0.0, mean_s > 0.0 ? mean_s : -1.0);
     }
   }
-
-  void Respond(uint64_t conn_id, const QueryResponse& response) {
-    if (response.status.ok()) {
-      metrics_.requests_ok->Increment();
-    } else {
-      metrics_.requests_failed->Increment();
-    }
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) {
-      // The client hung up while its query ran. The work was not wasted —
-      // a computed cell is already cached — but the bytes have nowhere
-      // to go.
-      metrics_.responses_dropped->Increment();
-      return;
-    }
-    it->second.outbuf.append(EncodeServeMessage(
-        kFrameQueryResponse, SerializeQueryResponse(response)));
-    FlushConn(it->second);
-  }
-
-  void FlushConn(Connection& conn) {
-    const uint64_t conn_id = conn.id;
-    while (conn.has_pending_out()) {
-      ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.out_sent,
-                          conn.outbuf.size() - conn.out_sent);
-      if (n > 0) {
-        conn.out_sent += static_cast<size_t>(n);
-        conn.last_activity = SteadyClock::now();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      // EPIPE/ECONNRESET: the client went away — a clean disconnect, not
-      // a daemon error (SIGPIPE is ignored process-wide).
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-      return;
-    }
-    if (!conn.has_pending_out()) {
-      conn.outbuf.clear();
-      conn.out_sent = 0;
-      if (conn.close_after_flush) CloseConn(conn_id);
-    }
-  }
-
-  void CloseSlowClients() {
-    std::vector<uint64_t> slow;
-    auto now = SteadyClock::now();
-    for (auto& [id, conn] : conns_) {
-      const bool mid_frame = conn.decoder.buffered() > 0;
-      const bool undelivered = conn.has_pending_out();
-      if (!mid_frame && !undelivered) continue;
-      if (std::chrono::duration<double>(now - conn.last_activity).count() >
-          options_.io_timeout_s) {
-        slow.push_back(id);
-      }
-    }
-    for (uint64_t id : slow) {
-      metrics_.slow_client_closes->Increment();
-      FAIREM_LOG(WARN) << "closing slow client" << LogKv("conn", id);
-      CloseConn(id);
-    }
-  }
-
-  // --------------------------------------------------------------- drain --
-
-  void BeginDrain() {
-    draining_ = true;
-    FAIREM_LOG(WARN) << "drain requested"
-                     << LogKv("signal", ShutdownGuard::signal_number())
-                     << LogKv("queued", queue_.size())
-                     << LogKv("inflight", inflight_.size())
-                     << LogKv("connections", conns_.size());
-    // Stop accepting: close AND unlink, so new clients get a fast
-    // ECONNREFUSED/ENOENT instead of queueing behind a dying daemon.
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    ::unlink(options_.socket_path.c_str());
-    // Queued-but-unstarted work is shed: retryable, the honest signal to
-    // go elsewhere. In-flight work finishes or deadlines out.
-    for (QueryJob& job : queue_) {
-      metrics_.shed_draining->Increment();
-      QueryResponse response;
-      response.id = job.request.id;
-      response.status = Status::Unavailable("draining; retry elsewhere");
-      response.retry_after_s = options_.retry_after_s;
-      FinishJob(job, response);
-    }
-    queue_.clear();
-  }
-
-  bool DrainComplete() const {
-    if (!inflight_.empty()) return false;
-    for (const auto& [id, conn] : conns_) {
-      if (conn.has_pending_out()) return false;
-    }
-    return true;
-  }
-
-  void FinishDrain() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
-    conns_.clear();
-    UpdateGauges();
-    metrics_.shutdowns->Increment();
-    if (!options_.metrics_path.empty()) {
-      Status st = WriteFileDurable(
-          options_.metrics_path,
-          MetricsSnapshotToJson(MetricsRegistry::Global().Snapshot()));
-      if (!st.ok()) {
-        FAIREM_LOG(WARN) << "drain metrics flush failed"
-                         << LogKv("status", st.ToString());
-      }
-    }
-    FAIREM_LOG(INFO) << "drain complete"
-                     << LogKv("requests",
-                              metrics_.requests_total->value());
-  }
-
-  void UpdateGauges() {
-    metrics_.queue_depth->Set(static_cast<double>(queue_.size()));
-    metrics_.inflight->Set(static_cast<double>(inflight_.size()));
-    metrics_.connections->Set(static_cast<double>(conns_.size()));
-  }
-
-  double NowS() const { return Since(epoch_); }
 
   ServeOptions options_;
   ServeMetrics metrics_;
-  SlowQueryLogger slowlog_;
-  SteadyClock::time_point epoch_;
   WarmState warm_;
-  int listen_fd_ = -1;
-  uint64_t next_conn_id_ = 0;
   uint64_t spawn_sequence_ = 0;
-  bool draining_ = false;
-  std::map<uint64_t, Connection> conns_;
   std::deque<QueryJob> queue_;
   std::vector<QueryJob> inflight_;
 };
@@ -1014,7 +556,7 @@ Status RunServeDaemon(const ServeOptions& options) {
   if (normalized.max_attempts < 1) normalized.max_attempts = 1;
   if (normalized.poll_interval_s <= 0.0) normalized.poll_interval_s = 0.01;
   ServeDaemon daemon(normalized);
-  return daemon.Run();
+  return daemon.Serve();
 }
 
 }  // namespace fairem

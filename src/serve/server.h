@@ -34,8 +34,9 @@ namespace fairem {
 //     metrics snapshot to `metrics_path` and returns OK.
 //
 // The daemon loop is single-threaded (one poll() over the listener, every
-// connection, and every worker pipe); concurrency comes from the forked
-// workers, never from threads.
+// connection, and every worker pipe; the shared core in
+// src/serve/daemon_core.h); concurrency comes from the forked workers,
+// never from threads.
 
 struct ServeOptions {
   /// UNIX-domain socket path. A stale file from a dead daemon is replaced.
@@ -61,7 +62,6 @@ struct ServeOptions {
   /// When non-empty, the final metrics snapshot is written here durably
   /// (temp + rename + fsync) as the last step of the drain.
   std::string metrics_path;
-  int listen_backlog = 64;
   /// Slow-query log (DESIGN.md §16): queries that take longer than
   /// slow_query_ms end-to-end get one wide-event JSON line (trace id, op,
   /// key, status, span breakdown) appended to slow_query_log, rate-limited.

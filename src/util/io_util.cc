@@ -12,12 +12,6 @@
 namespace fairem {
 namespace {
 
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 Status ErrnoStatus(const char* op, int err) {
   std::string msg = std::string(op) + " failed: " + ::strerror(err);
   if (err == EPIPE || err == ECONNRESET) {
@@ -27,6 +21,12 @@ Status ErrnoStatus(const char* op, int err) {
 }
 
 }  // namespace
+
+double MonotonicSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 Status ReadFull(int fd, void* buf, size_t n) {
   char* p = static_cast<char*>(buf);

@@ -22,6 +22,10 @@ namespace fairem {
 //   * a deadline expiring mid-transfer         -> kDeadlineExceeded
 //   * anything else                            -> kIOError
 
+/// Seconds on the monotonic clock since an arbitrary epoch: the one clock
+/// behind every deadline, timeout, and latency in the daemons and retries.
+double MonotonicSeconds();
+
 /// Reads exactly `n` bytes into `buf`, looping over EINTR and partial
 /// reads. Blocking fds only (an EAGAIN on a nonblocking fd is kIOError).
 Status ReadFull(int fd, void* buf, size_t n);

@@ -12,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -149,6 +153,28 @@ class RouterHandle {
     ::waitpid(pid_, &status, 0);
     pid_ = -1;
     return status;
+  }
+
+  /// SIGTERM, then a bounded WNOHANG wait; a router still running after
+  /// `timeout_s` is SIGKILLed and -1 is returned, so a wedged router fails
+  /// the test promptly instead of hanging it.
+  int StopWithin(double timeout_s) {
+    if (pid_ <= 0) return -1;
+    ::kill(pid_, SIGTERM);
+    const int rounds = static_cast<int>(timeout_s / 0.01) + 1;
+    for (int i = 0; i < rounds; ++i) {
+      int status = 0;
+      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
+        pid_ = -1;
+        return status;
+      }
+      ::usleep(10 * 1000);
+    }
+    ::kill(pid_, SIGKILL);
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+    return -1;
   }
 
   void Sighup() {
@@ -568,6 +594,107 @@ TEST(RouteTest, SighupReloadAddsAndRemovesBackends) {
   EXPECT_EQ(WEXITSTATUS(a.Stop()), 0);
   EXPECT_EQ(WEXITSTATUS(b.Stop()), 0);
   ::unlink(fleet_file.c_str());
+}
+
+/// A backend that listens but never accepts: backlog 0 plus one pending
+/// connection leaves its accept queue full, so every further connect to it
+/// would block until the listener accepts — which it never does.
+class StalledListener {
+ public:
+  explicit StalledListener(const std::string& path) : path_(path) {
+    sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 0) != 0) {
+      return;
+    }
+    pending_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ok_ = ::connect(pending_fd_, reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)) == 0;
+  }
+
+  ~StalledListener() {
+    if (pending_fd_ >= 0) ::close(pending_fd_);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+
+  bool ok() const { return ok_; }
+
+ private:
+  std::string path_;
+  int listen_fd_ = -1;
+  int pending_fd_ = -1;
+  bool ok_ = false;
+};
+
+TEST(RouteTest, StalledBackendDoesNotFreezeRouter) {
+  IgnoreSigpipe();
+  const std::string live = FreshSocketPath("route_stall_live");
+  const std::string stalled = FreshSocketPath("route_stall_dead");
+  const std::string front = FreshSocketPath("route_stall_front");
+  StalledListener stall(stalled);
+  ASSERT_TRUE(stall.ok());
+  BackendHandle a(SmallServeOptions(live), "");
+  RouterHandle router(SmallRouteOptions(front, {live, stalled}));
+
+  // Short IO budget: a router wedged in a connect() to the stalled backend
+  // fails this test in seconds instead of at the ctest timeout.
+  ServeClientOptions options;
+  options.connect_timeout_s = 60.0;
+  options.io_timeout_s = 3.0;
+  Result<ServeClient> client = ServeClient::Connect(front, options);
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  QueryRequest ping;
+  ping.op = "ping";
+  const auto ping_start = std::chrono::steady_clock::now();
+  Result<QueryResponse> pong = client->Call(ping);
+  const double ping_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - ping_start)
+                            .count();
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_TRUE(pong->status.ok()) << pong->status;
+  EXPECT_LT(ping_s, 1.0);
+
+  // Cells whose rendezvous winner is the stalled backend must fail over to
+  // the live one and answer exactly what the live daemon answers directly.
+  Result<ServeClient> patient = ConnectPatient(front);
+  ASSERT_TRUE(patient.ok()) << patient.status();
+  Result<ServeClient> direct = ConnectPatient(live);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  int stalled_winners = 0;
+  for (const char* matcher : {"DTMatcher", "NBMatcher", "SVMMatcher",
+                              "LogRegMatcher", "RFMatcher", "LinRegMatcher",
+                              "BooleanRuleMatcher", "Dedupe"}) {
+    for (const char* mode : {"single", "pairwise"}) {
+      const std::string key =
+          std::string("Cricket.") + mode + "." + matcher;
+      if (RendezvousRank(key, stalled) <= RendezvousRank(key, live)) continue;
+      QueryRequest request = CellRequest(matcher);
+      request.mode = mode;
+      Result<QueryResponse> routed = patient->Call(request);
+      ASSERT_TRUE(routed.ok()) << key << ": " << routed.status();
+      ASSERT_TRUE(routed->status.ok()) << key << ": " << routed->status;
+      Result<QueryResponse> mine = direct->Call(request);
+      ASSERT_TRUE(mine.ok()) << key << ": " << mine.status();
+      ASSERT_TRUE(mine->status.ok()) << key << ": " << mine->status;
+      EXPECT_EQ(routed->payload, mine->payload) << key;
+      if (++stalled_winners == 2) break;
+    }
+    if (stalled_winners == 2) break;
+  }
+  EXPECT_GT(stalled_winners, 0) << "no key ranked the stalled backend first";
+
+  int status = router.StopWithin(10.0);
+  ASSERT_NE(status, -1) << "router did not drain after SIGTERM";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(WEXITSTATUS(a.Stop()), 0);
 }
 
 // ---------------------------------------------------------------------------

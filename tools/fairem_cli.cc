@@ -597,6 +597,20 @@ int BenchDiff(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// The --compare gate shared by proftop and tracetop: every drift line on
+/// stderr as "<kind> DRIFT: ..." and exit 2, else one agreement line and 0.
+int DriftGate(const std::vector<std::string>& drift, const char* kind,
+              const std::string& what, const std::string& a,
+              const std::string& b, double tolerance) {
+  for (const std::string& line : drift) {
+    std::cerr << kind << " DRIFT: " << line << "\n";
+  }
+  if (!drift.empty()) return 2;
+  std::cout << what << " of '" << a << "' and '" << b << "' agree within "
+            << FormatDouble(tolerance, 2) << "\n";
+  return 0;
+}
+
 /// Summarize (and optionally compare) folded profiles from --profile_out.
 /// Exit: 0 clean, 2 when --compare finds stage-share drift, 1 on errors.
 int ProfTop(const std::vector<std::string>& args) {
@@ -652,18 +666,9 @@ int ProfTop(const std::vector<std::string>& args) {
       std::cerr << other.status() << "\n";
       return 1;
     }
-    std::vector<std::string> drift =
-        CompareStageShares(*profile, *other, tolerance, min_share);
-    if (!drift.empty()) {
-      for (const std::string& line : drift) {
-        std::cerr << "STAGE DRIFT: " << line << "\n";
-      }
-      return 2;
-    }
-    std::cout << "proftop: stage shares of '" << args[0] << "' and '"
-              << compare_path << "' agree within "
-              << FormatDouble(tolerance, 2) << "\n";
-    return 0;
+    return DriftGate(
+        CompareStageShares(*profile, *other, tolerance, min_share), "STAGE",
+        "proftop: stage shares", args[0], compare_path, tolerance);
   }
   std::cout << (by == "stage" ? RenderProfTopByStage(*profile)
                               : RenderProfTopByStack(*profile, top_n));
@@ -980,18 +985,9 @@ int TraceTop(const std::vector<std::string>& args) {
       std::cerr << other.status() << "\n";
       return 1;
     }
-    std::vector<std::string> drift =
-        CompareHopShares(*summary, *other, tolerance, min_share);
-    if (!drift.empty()) {
-      for (const std::string& line : drift) {
-        std::cerr << "HOP DRIFT: " << line << "\n";
-      }
-      return 2;
-    }
-    std::cout << "tracetop: hop shares of '" << args[0] << "' and '"
-              << compare_path << "' agree within "
-              << FormatDouble(tolerance, 2) << "\n";
-    return 0;
+    return DriftGate(
+        CompareHopShares(*summary, *other, tolerance, min_share), "HOP",
+        "tracetop: hop shares", args[0], compare_path, tolerance);
   }
   std::cout << RenderHopShares(*summary);
   if (!summary->slowest_spans.empty()) {
