@@ -4,8 +4,9 @@
 # contain. When GRID_BIN is also given, two drills run on that grid bench:
 #
 #  * kill/resume: a crash failpoint kills it mid-grid, a second run resumes
-#    from --checkpoint_dir, and the resumed stdout must be byte-identical
-#    to an uninterrupted run;
+#    from --checkpoint_dir (re-auditing one deleted cell from the cached
+#    test scores), and the resumed stdout must be byte-identical to an
+#    uninterrupted run;
 #  * parallel hang-and-recover: a --jobs run must reproduce the sequential
 #    report byte for byte, a hang failpoint under --cell_timeout_s must be
 #    contained by the watchdog as an error entry (exit 0), and after
@@ -113,6 +114,18 @@ if(survivor_count EQUAL 0)
       "stderr:\n${crash_stderr}")
 endif()
 
+# Delete the first cell's file (BooleanRuleMatcher, supported everywhere)
+# but not its cached scores: the resume must re-audit that cell from the
+# scores the killed run saved, without a refit, and still reproduce the
+# report byte for byte.
+file(GLOB reaudited_cell "${ckpt_dir}/*.single.BooleanRuleMatcher.json")
+list(LENGTH reaudited_cell reaudited_count)
+if(NOT reaudited_count EQUAL 1 OR survivor_count LESS 2)
+  message(FATAL_ERROR
+      "killed run did not checkpoint its first two cells: ${survivors}")
+endif()
+file(REMOVE "${reaudited_cell}")
+
 # Resume from the surviving checkpoints.
 set(resume_metrics "${WORK_DIR}/bench_smoke_resume_metrics.json")
 file(REMOVE "${resume_metrics}")
@@ -142,10 +155,14 @@ if(NOT resume_snapshot MATCHES
   message(FATAL_ERROR
       "resumed run shows no checkpoint hits:\n${resume_snapshot}")
 endif()
+if(NOT resume_snapshot MATCHES "\"fairem.harness.score_cache_hits\": [1-9]")
+  message(FATAL_ERROR
+      "resumed run audited no cell from cached scores:\n${resume_snapshot}")
+endif()
 
 message(STATUS
     "bench_smoke OK: resume reproduced the report from ${survivor_count} "
-    "surviving checkpoints")
+    "surviving checkpoints, one cell re-audited from cached scores")
 
 # --- parallel hang-and-recover drill ----------------------------------------
 

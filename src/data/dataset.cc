@@ -1,8 +1,62 @@
 #include "src/data/dataset.h"
 
 #include <cmath>
+#include <cstring>
+#include <string_view>
 
 namespace fairem {
+namespace {
+
+/// FNV-1a over a length-prefixed field stream.
+class FingerprintHasher {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void U64(uint64_t v) {
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    Bytes(bytes, sizeof(bytes));
+  }
+  void Str(std::string_view s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  void Table(const fairem::Table& table) {
+    Str(table.name());
+    U64(table.schema().num_attributes());
+    for (const std::string& attr : table.schema().names()) Str(attr);
+    U64(table.num_rows());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      const Record& record = table.row(r);
+      U64(static_cast<uint64_t>(record.entity_id));
+      U64(record.cells.size());
+      for (const Cell& cell : record.cells) {
+        U64(cell.has_value() ? 1 : 0);
+        if (cell.has_value()) Str(*cell);
+      }
+    }
+  }
+  void Pairs(const std::vector<LabeledPair>& pairs) {
+    U64(pairs.size());
+    for (const LabeledPair& p : pairs) {
+      U64(p.left);
+      U64(p.right);
+      U64(p.is_match ? 1 : 0);
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+}  // namespace
 
 const char* SensitiveAttrKindName(SensitiveAttrKind kind) {
   switch (kind) {
@@ -26,6 +80,27 @@ double EMDataset::PositiveRate() const {
     }
   }
   return static_cast<double>(positives) / static_cast<double>(total);
+}
+
+uint64_t DatasetFingerprint(const EMDataset& dataset) {
+  FingerprintHasher h;
+  h.Str(dataset.name);
+  h.Table(dataset.table_a);
+  h.Table(dataset.table_b);
+  h.Pairs(dataset.train);
+  h.Pairs(dataset.valid);
+  h.Pairs(dataset.test);
+  h.U64(dataset.matching_attrs.size());
+  for (const std::string& attr : dataset.matching_attrs) h.Str(attr);
+  h.Str(dataset.sensitive_attr);
+  h.U64(static_cast<uint64_t>(dataset.sensitive_kind));
+  h.U64(static_cast<unsigned char>(dataset.setwise_separator));
+  uint64_t threshold_bits = 0;
+  std::memcpy(&threshold_bits, &dataset.default_threshold,
+              sizeof(threshold_bits));
+  h.U64(threshold_bits);
+  h.U64(dataset.simulated_full_scale_pairs);
+  return h.value();
 }
 
 std::vector<LabeledPair> EMDataset::AllPairs() const {

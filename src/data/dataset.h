@@ -1,6 +1,7 @@
 #ifndef FAIREM_DATA_DATASET_H_
 #define FAIREM_DATA_DATASET_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,15 @@ struct EMDataset {
   /// contain the sensitive attribute.
   Status Validate() const;
 };
+
+/// A 64-bit FNV-1a digest of everything a matcher's test scores can depend
+/// on: the name, both tables (names, schemas, and every row's entity id and
+/// cells, nulls marked apart from ""), the train/valid/test pairs, the
+/// matching and sensitive attributes, the threshold, and
+/// simulated_full_scale_pairs. Fields are length-prefixed, so no two
+/// datasets differ only in where one field ends and the next begins. The
+/// score cache (DESIGN.md §18) keys its entries on it.
+uint64_t DatasetFingerprint(const EMDataset& dataset);
 
 /// Shuffles `pairs` and splits into train/valid/test with the given
 /// fractions (test gets the remainder). Fractions must be in [0,1] and sum

@@ -25,7 +25,9 @@ namespace fairem {
 ///   --failpoints SPEC   arm deterministic fault injection, e.g.
 ///                       "matcher_fit=error(0.05);grid_cell=crash(1,5)"
 ///                       (also: FAIREM_FAILPOINTS env)
-///   --checkpoint_dir D  persist each grid cell to D and resume from it
+///   --checkpoint_dir D  persist each grid cell to D and resume from it;
+///                       fitted matchers' test scores are cached in
+///                       D/scores, so the other audit mode skips the refit
 ///   --retry_attempts N  per-cell attempts for transient failures (default 3)
 ///   --jobs N            parallel worker processes for grid sweeps; > 1 (or
 ///                       either knob below) switches to the supervised

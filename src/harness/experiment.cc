@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
@@ -16,9 +17,106 @@
 #include "src/util/thread_pool.h"
 
 namespace fairem {
+namespace {
 
-Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
-                              uint64_t seed) {
+/// One report's view of the score cache (DESIGN.md §18): each supported
+/// matcher's test scores under `<checkpoint_dir>/scores/`, keyed by
+/// (dataset, matcher) and valid only for the same matcher seed and
+/// DatasetFingerprint. Disabled without a checkpoint dir. The fingerprint
+/// is computed on the first lookup, so a report replayed entirely from cell
+/// checkpoints never pays for it.
+class ScoreCache {
+ public:
+  ScoreCache(const EMDataset& dataset, const GridRunOptions& options)
+      : dataset_(dataset),
+        seed_(options.seed),
+        store_(options.checkpoint_dir.empty()
+                   ? ""
+                   : options.checkpoint_dir + "/scores") {}
+
+  bool enabled() const { return store_.enabled(); }
+
+  uint64_t fingerprint() {
+    if (!fingerprint_) fingerprint_ = DatasetFingerprint(dataset_);
+    return *fingerprint_;
+  }
+
+  /// The cached test scores of `matcher`, or nullopt on a miss: no entry,
+  /// or one that is corrupt, of the wrong length, or computed under another
+  /// seed or dataset (stale).
+  std::optional<std::vector<double>> Load(const std::string& matcher) {
+    static Counter* hits = MetricsRegistry::Global().GetCounter(
+        "fairem.harness.score_cache_hits");
+    static Counter* misses = MetricsRegistry::Global().GetCounter(
+        "fairem.harness.score_cache_misses");
+    static Counter* stale = MetricsRegistry::Global().GetCounter(
+        "fairem.harness.score_cache_stale");
+    if (!enabled()) return std::nullopt;
+    const std::string key = dataset_.name + "." + matcher;
+    Result<std::string> payload = store_.Load(key);
+    if (!payload.ok()) {
+      misses->Increment();
+      if (!payload.status().IsNotFound()) {
+        FAIREM_LOG(WARN) << "score cache load failed, refitting"
+                         << LogKv("key", key)
+                         << LogKv("status", payload.status().ToString());
+      }
+      return std::nullopt;
+    }
+    Result<ScoreCacheEntry> entry = ScoreEntryFromJson(*payload);
+    if (const char* reason = StaleReason(entry, matcher)) {
+      misses->Increment();
+      stale->Increment();
+      FAIREM_LOG(INFO) << "stale score cache entry, refitting"
+                       << LogKv("key", key)
+                       << LogKv("reason", entry.ok()
+                                              ? std::string(reason)
+                                              : entry.status().ToString());
+      return std::nullopt;
+    }
+    hits->Increment();
+    return std::move(entry->scores);
+  }
+
+  /// Durably saves a fitted run's scores. A failed save only WARNs: it
+  /// costs the next report a refit, never this cell.
+  void Save(const std::string& matcher, const std::vector<double>& scores) {
+    if (!enabled()) return;
+    const std::string key = dataset_.name + "." + matcher;
+    ScoreCacheEntry entry{dataset_.name, matcher, seed_, fingerprint(),
+                          scores};
+    if (Status st = store_.Save(key, ScoreEntryToJson(entry)); !st.ok()) {
+      FAIREM_LOG(WARN) << "score cache save failed" << LogKv("key", key)
+                       << LogKv("status", st.ToString());
+    }
+  }
+
+ private:
+  /// Why `entry` cannot stand in for a fit of `matcher`; nullptr if it can.
+  const char* StaleReason(const Result<ScoreCacheEntry>& entry,
+                          const std::string& matcher) {
+    if (!entry.ok()) return "corrupt";
+    if (entry->dataset != dataset_.name || entry->matcher != matcher) {
+      return "wrong key";
+    }
+    if (entry->seed != seed_) return "seed changed";
+    if (entry->fingerprint != fingerprint()) return "dataset changed";
+    if (entry->scores.size() != dataset_.test.size()) return "wrong length";
+    return nullptr;
+  }
+
+  const EMDataset& dataset_;
+  uint64_t seed_;
+  CheckpointStore store_;
+  std::optional<uint64_t> fingerprint_;
+};
+
+/// RunMatcher behind the score cache: a valid cached entry stands in for
+/// Fit + PredictScores (no fit span, no matcher_fit/matcher_predict
+/// failpoint, no matcher_runs increment); a miss fits and then saves.
+Result<MatcherRun> RunMatcherCached(const EMDataset& dataset,
+                                    MatcherKind kind, uint64_t seed,
+                                    ScoreCache* cache) {
   static Counter* runs =
       MetricsRegistry::Global().GetCounter("fairem.harness.matcher_runs");
   static Counter* unsupported = MetricsRegistry::Global().GetCounter(
@@ -40,46 +138,72 @@ Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
     unsupported->Increment();
     return run;
   }
-  runs->Increment();
-  Rng rng(seed ^ (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL));
-  // Generic and per-matcher injection sites, so fault-injection runs can
-  // target "all fits" (matcher_fit=error(0.05)) or a single system
-  // (matcher_fit.Ditto=crash(1)).
-  FAIREM_FAILPOINT("matcher_fit");
-  FAIREM_FAILPOINT("matcher_fit." + run.matcher_name);
-  {
-    // fit_seconds comes from the span's own monotonic clock, so the
-    // harness-reported number and the trace event can never disagree.
-    Span span("fairem.matcher.fit", &run.fit_seconds);
-    span.AddArg("matcher", run.matcher_name);
-    span.AddArg("dataset", dataset.name);
-    FAIREM_RETURN_NOT_OK(matcher->Fit(dataset, &rng));
+  std::optional<std::vector<double>> cached =
+      cache == nullptr ? std::nullopt : cache->Load(run.matcher_name);
+  if (cached) {
+    run.test_scores = std::move(*cached);
+  } else {
+    runs->Increment();
+    Rng rng(seed ^ (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL));
+    // Generic and per-matcher injection sites, so fault-injection runs can
+    // target "all fits" (matcher_fit=error(0.05)) or a single system
+    // (matcher_fit.Ditto=crash(1)).
+    FAIREM_FAILPOINT("matcher_fit");
+    FAIREM_FAILPOINT("matcher_fit." + run.matcher_name);
+    {
+      // fit_seconds comes from the span's own monotonic clock, so the
+      // harness-reported number and the trace event can never disagree.
+      Span span("fairem.matcher.fit", &run.fit_seconds);
+      span.AddArg("matcher", run.matcher_name);
+      span.AddArg("dataset", dataset.name);
+      FAIREM_RETURN_NOT_OK(matcher->Fit(dataset, &rng));
+    }
+    fit_hist->Observe(run.fit_seconds);
+    MetricsRegistry::Global()
+        .GetHistogram("fairem.matcher." + run.matcher_name + ".fit_seconds")
+        ->Observe(run.fit_seconds);
+    FAIREM_FAILPOINT("matcher_predict");
+    FAIREM_FAILPOINT("matcher_predict." + run.matcher_name);
+    {
+      Span span("fairem.matcher.predict", &run.predict_seconds);
+      span.AddArg("matcher", run.matcher_name);
+      span.AddArg("dataset", dataset.name);
+      span.AddArg("pairs", std::to_string(dataset.test.size()));
+      FAIREM_ASSIGN_OR_RETURN(run.test_scores,
+                              matcher->PredictScores(dataset, dataset.test));
+    }
+    predict_hist->Observe(run.predict_seconds);
+    MetricsRegistry::Global()
+        .GetHistogram("fairem.matcher." + run.matcher_name +
+                      ".predict_seconds")
+        ->Observe(run.predict_seconds);
   }
-  fit_hist->Observe(run.fit_seconds);
-  FAIREM_FAILPOINT("matcher_predict");
-  FAIREM_FAILPOINT("matcher_predict." + run.matcher_name);
-  {
-    Span span("fairem.matcher.predict", &run.predict_seconds);
-    span.AddArg("matcher", run.matcher_name);
-    span.AddArg("dataset", dataset.name);
-    span.AddArg("pairs", std::to_string(dataset.test.size()));
-    FAIREM_ASSIGN_OR_RETURN(run.test_scores,
-                            matcher->PredictScores(dataset, dataset.test));
-  }
-  predict_hist->Observe(run.predict_seconds);
   FAIREM_ASSIGN_OR_RETURN(std::vector<PairOutcome> outcomes,
                           MakeOutcomes(dataset.test, run.test_scores,
                                        dataset.default_threshold));
   run.counts = OverallCounts(outcomes);
   run.accuracy = Accuracy(run.counts).value_or(0.0);
   run.f1 = F1Score(run.counts).value_or(0.0);
+  // Only a fresh run that MakeOutcomes accepted (every score finite) is
+  // saved, before the caller audits it.
+  if (!cached && cache != nullptr) {
+    cache->Save(run.matcher_name, run.test_scores);
+  }
   FAIREM_LOG(DEBUG) << "matcher run complete"
                     << LogKv("matcher", run.matcher_name)
                     << LogKv("dataset", dataset.name)
+                    << LogKv("cached", cached ? "true" : "false")
                     << LogKv("fit_s", FormatDouble(run.fit_seconds, 4))
                     << LogKv("predict_s", FormatDouble(run.predict_seconds, 4))
                     << LogKv("f1", FormatDouble(run.f1, 3));
   return run;
+}
+
+}  // namespace
+
+Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
+                              uint64_t seed) {
+  return RunMatcherCached(dataset, kind, seed, /*cache=*/nullptr);
 }
 
 Result<FairnessAuditor> MakeAuditor(const EMDataset& dataset) {
@@ -164,16 +288,18 @@ Status ApplyCellToGrid(const GridCellCheckpoint& cell, UnfairnessGrid* grid) {
   return Status::OK();
 }
 
-/// One grid cell end to end: train + audit, converted to the checkpointable
-/// representation. Failures propagate as Status for the retry wrapper.
+/// One grid cell end to end: train (or read the scores from `scores`) +
+/// audit, converted to the checkpointable representation. Failures
+/// propagate as Status for the retry wrapper.
 Result<GridCellCheckpoint> RunGridCell(const EMDataset& dataset,
                                        MatcherKind kind, bool pairwise,
-                                       const GridRunOptions& options) {
+                                       const GridRunOptions& options,
+                                       ScoreCache* scores) {
   FAIREM_FAILPOINT("grid_cell");
   GridCellCheckpoint cell;
   cell.matcher = MatcherKindName(kind);
-  FAIREM_ASSIGN_OR_RETURN(MatcherRun run,
-                          RunMatcher(dataset, kind, options.seed));
+  FAIREM_ASSIGN_OR_RETURN(
+      MatcherRun run, RunMatcherCached(dataset, kind, options.seed, scores));
   cell.marker = MatcherMarker(run.matcher_name);
   cell.supported = run.supported;
   if (!run.supported) return cell;
@@ -223,7 +349,8 @@ GridCellCheckpoint MakeErrorCell(MatcherKind kind, const Status& status) {
 Result<GridCellCheckpoint> RunAuditCell(const EMDataset& dataset,
                                         MatcherKind kind, bool pairwise,
                                         const GridRunOptions& options) {
-  return RunGridCell(dataset, kind, pairwise, options);
+  ScoreCache scores(dataset, options);
+  return RunGridCell(dataset, kind, pairwise, options, &scores);
 }
 
 std::string AuditCellKey(const std::string& dataset_name, MatcherKind kind,
@@ -249,6 +376,7 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
   SetIntraJobs(options.intra_jobs);
   const char* mode = pairwise ? "pairwise" : "single";
   CheckpointStore store(options.checkpoint_dir);
+  ScoreCache scores(dataset, options);
   // SIGINT/SIGTERM now request a cooperative stop: workers are reaped,
   // completed state stays on disk, and the report returns Cancelled.
   ShutdownGuard shutdown_guard;
@@ -329,7 +457,7 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
       task.run = [&, i]() -> Result<std::string> {
         FAIREM_ASSIGN_OR_RETURN(
             GridCellCheckpoint cell,
-            RunGridCell(dataset, slots[i].kind, pairwise, options));
+            RunGridCell(dataset, slots[i].kind, pairwise, options, &scores));
         std::string json = GridCellToJson(cell);
         // The worker persists its own cell (the supervisor also gets the
         // payload over the pipe, so a broken store degrades resumability
@@ -345,6 +473,9 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
       };
       tasks.push_back(std::move(task));
     }
+    // Fingerprint the dataset once, before forking, rather than once per
+    // worker.
+    if (scores.enabled() && !todo.empty()) scores.fingerprint();
     SupervisorOptions sup;
     sup.jobs = options.jobs;
     sup.cell_timeout_s = options.cell_timeout_s;
@@ -419,7 +550,7 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
         return RetryCall(options.retry,
                          [&]() {
                            return RunGridCell(dataset, slot.kind, pairwise,
-                                              options);
+                                              options, &scores);
                          },
                          options.seed ^ (static_cast<uint64_t>(slot.kind) + 1) *
                                             0x9e3779b97f4a7c15ULL);

@@ -71,7 +71,11 @@ struct GridRunOptions {
   /// When non-empty, each completed cell is persisted here atomically
   /// (temp + rename JSON) and an interrupted run resumes by replaying the
   /// persisted cells instead of re-running them. Cells that failed after
-  /// retries are persisted too — delete a cell's file to force a re-run.
+  /// retries are persisted too. Each fitted matcher's test scores are also
+  /// cached under `scores/` (DESIGN.md §18), so the other audit mode, or a
+  /// cell whose file was deleted, re-audits without a refit. Delete a
+  /// cell's file to re-audit it from the cached scores; to force a refit,
+  /// also delete `scores/<dataset>.<matcher>.json`.
   std::string checkpoint_dir;
   /// Seed forwarded to RunMatcher and the retry jitter.
   uint64_t seed = 1234;
@@ -111,7 +115,9 @@ struct GridRunOptions {
 /// under the grid instead of failing the whole report, and — with a
 /// checkpoint_dir — every finished cell is persisted so a killed run
 /// resumes where it stopped (checkpoint hits are counted in
-/// fairem.robust.checkpoint_cells_loaded).
+/// fairem.robust.checkpoint_cells_loaded), and every fitted matcher's test
+/// scores are cached, so the report of the other mode into the same dir
+/// audits without refitting (fairem.harness.score_cache_{hits,misses,stale}).
 ///
 /// With `options.jobs` > 1 (or a cell timeout / rlimit set) the sweep runs
 /// under the process-isolated supervisor: cells execute in forked workers,
@@ -131,10 +137,11 @@ Result<std::string> UnfairnessGridReport(
     const AuditOptions& options = {},
     const std::vector<MatcherKind>& skip = {});
 
-/// One audit grid cell end to end — train `kind`, audit, and convert to the
-/// checkpointable representation (the exact bytes the grid sweep persists,
-/// so serve-daemon cell responses and grid checkpoints interoperate).
-/// Failures propagate as Status for retry wrappers.
+/// One audit grid cell end to end — train `kind` (or, with a checkpoint_dir,
+/// read its cached test scores), audit, and convert to the checkpointable
+/// representation (the exact bytes the grid sweep persists, so serve-daemon
+/// cell responses and grid checkpoints interoperate). Failures propagate as
+/// Status for retry wrappers.
 Result<GridCellCheckpoint> RunAuditCell(const EMDataset& dataset,
                                         MatcherKind kind, bool pairwise,
                                         const GridRunOptions& options = {});

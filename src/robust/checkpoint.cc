@@ -1,5 +1,6 @@
 #include "src/robust/checkpoint.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "src/robust/failpoint.h"
@@ -222,6 +223,58 @@ Result<GridCellCheckpoint> GridCellFromJson(const std::string& json) {
     return Status::InvalidArgument("checkpoint JSON: missing matcher");
   }
   return cell;
+}
+
+std::string ScoreEntryToJson(const ScoreCacheEntry& entry) {
+  std::string out = "{\"dataset\":" + JsonQuote(entry.dataset) +
+                    ",\"matcher\":" + JsonQuote(entry.matcher) +
+                    ",\"seed\":" + std::to_string(entry.seed) +
+                    ",\"fingerprint\":" + std::to_string(entry.fingerprint) +
+                    ",\"scores\":[";
+  out.reserve(out.size() + 25 * entry.scores.size() + 3);
+  char buf[32];
+  for (size_t i = 0; i < entry.scores.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    // 32 bytes hold any double's shortest form (at most 24 characters).
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), entry.scores[i]);
+    out.append(buf, r.ptr);
+  }
+  out += "]}\n";
+  return out;
+}
+
+Result<ScoreCacheEntry> ScoreEntryFromJson(const std::string& json) {
+  FAIREM_ASSIGN_OR_RETURN(JsonValue root, JsonParse(json));
+  auto field = [&](const char* name) -> Result<const JsonValue*> {
+    const JsonValue* v = JsonFind(root, name);
+    if (v == nullptr) {
+      return Status::InvalidArgument(std::string("score entry: missing ") +
+                                     name);
+    }
+    return v;
+  };
+  ScoreCacheEntry entry;
+  FAIREM_ASSIGN_OR_RETURN(const JsonValue* dataset, field("dataset"));
+  FAIREM_ASSIGN_OR_RETURN(entry.dataset, JsonAsString(*dataset, "dataset"));
+  FAIREM_ASSIGN_OR_RETURN(const JsonValue* matcher, field("matcher"));
+  FAIREM_ASSIGN_OR_RETURN(entry.matcher, JsonAsString(*matcher, "matcher"));
+  FAIREM_ASSIGN_OR_RETURN(const JsonValue* seed, field("seed"));
+  FAIREM_ASSIGN_OR_RETURN(entry.seed, JsonAsU64(*seed, "seed"));
+  FAIREM_ASSIGN_OR_RETURN(const JsonValue* fingerprint, field("fingerprint"));
+  FAIREM_ASSIGN_OR_RETURN(entry.fingerprint,
+                          JsonAsU64(*fingerprint, "fingerprint"));
+  FAIREM_ASSIGN_OR_RETURN(const JsonValue* scores, field("scores"));
+  if (scores->kind != JsonValue::kArray) {
+    return Status::InvalidArgument("score entry: scores is not an array");
+  }
+  entry.scores.reserve(scores->items.size());
+  for (const JsonValue& score : scores->items) {
+    // JsonAsDouble rejects non-finite values (e.g. an overflowing 1e999).
+    FAIREM_ASSIGN_OR_RETURN(double value, JsonAsDouble(score, "score"));
+    entry.scores.push_back(value);
+  }
+  return entry;
 }
 
 }  // namespace fairem

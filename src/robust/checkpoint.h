@@ -1,6 +1,7 @@
 #ifndef FAIREM_ROBUST_CHECKPOINT_H_
 #define FAIREM_ROBUST_CHECKPOINT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,29 @@ std::string GridCellToJson(const GridCellCheckpoint& cell);
 /// Parses GridCellToJson output. Tolerates only that exact shape; anything
 /// else is InvalidArgument (callers treat a corrupt checkpoint as a miss).
 Result<GridCellCheckpoint> GridCellFromJson(const std::string& json);
+
+/// One matcher's test scores on one dataset, as the score cache persists
+/// them under `<checkpoint_dir>/scores/<dataset>.<matcher>.json`
+/// (DESIGN.md §18). The entry is valid only for the matcher seed and the
+/// DatasetFingerprint it was computed under.
+struct ScoreCacheEntry {
+  std::string dataset;
+  std::string matcher;  // display name, e.g. "DTMatcher"
+  uint64_t seed = 0;
+  uint64_t fingerprint = 0;
+  std::vector<double> scores;  // one per test pair, in test order
+};
+
+/// Serializes an entry as a single JSON object. Each score is written in
+/// the shortest form that parses back to the same double (std::to_chars),
+/// so every finite value round-trips bit for bit, -0.0 and subnormals
+/// included.
+std::string ScoreEntryToJson(const ScoreCacheEntry& entry);
+
+/// Parses ScoreEntryToJson output. Truncated or malformed JSON, a missing
+/// field, and a non-finite score are InvalidArgument (callers treat them as
+/// a cache miss).
+Result<ScoreCacheEntry> ScoreEntryFromJson(const std::string& json);
 
 }  // namespace fairem
 

@@ -210,7 +210,14 @@ class ServeDaemon : public DaemonFront {
     // Overload shedding: the queue is the bounded resource. Past the
     // bound the honest answer is an immediate retryable refusal, not an
     // ever-growing latency tail.
-    if (static_cast<int>(queue_.size()) >= options_.max_queue) {
+    //
+    // Jobs admitted earlier in this loop pass start at the next dispatch
+    // while a compute slot is free, so they are not waiting: only queued
+    // jobs beyond the free slots count against max_queue. Otherwise a
+    // burst read in one pass would be shed while a slot sits idle.
+    const int free_slots = std::max(
+        0, options_.max_inflight - static_cast<int>(inflight_.size()));
+    if (static_cast<int>(queue_.size()) - free_slots >= options_.max_queue) {
       metrics_.shed_queue_full->Increment();
       response.status = Status::Unavailable("admission queue full");
       // Load-aware hint: the fuller the daemon, the longer clients should

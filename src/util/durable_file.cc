@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -19,7 +20,12 @@ Status WriteFileDurable(const std::string& path, const std::string& contents) {
     return Status::IOError("cannot create directory '" + dir.string() +
                            "': " + ec.message());
   }
-  const std::string tmp = path + ".tmp";
+  // Each call writes its own temp file: two writers of one path (hedged
+  // computes of one cell, backends sharing a checkpoint dir) must never
+  // share an inode, or one's writes land in the file the other publishes.
+  static std::atomic<uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
   // POSIX fds rather than fstream: temp+rename only survives power loss if
   // the temp file's data is fsynced before the rename and the directory
   // entry is fsynced after it.

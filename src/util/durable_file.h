@@ -8,10 +8,12 @@
 namespace fairem {
 
 /// Atomically and durably replaces the file at `path` with `contents`:
-/// writes `<path>.tmp`, fsyncs it, renames it over `path`, and fsyncs the
-/// containing directory so the rename itself survives power loss. Missing
-/// parent directories are created. A crash — even SIGKILL — at any point
-/// leaves either the old file or the new one, never a truncated mix.
+/// writes a temp file private to this call (`<path>.tmp.<pid>.<n>`),
+/// fsyncs it, renames it over `path`, and fsyncs the containing directory
+/// so the rename itself survives power loss. Missing parent directories are
+/// created. A crash — even SIGKILL — at any point leaves either the old file
+/// or the new one, never a truncated mix; concurrent writers of one path
+/// each publish a whole file, and the last rename wins.
 ///
 /// This is the write path shared by checkpoint publication
 /// (src/robust/checkpoint.cc) and metrics snapshots

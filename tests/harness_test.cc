@@ -2,15 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/datagen/benchmark_suite.h"
+#include "src/obs/metrics.h"
 
 namespace fairem {
 namespace {
 
+std::vector<uint64_t> HistogramCounts(const std::vector<std::string>& names) {
+  std::vector<uint64_t> counts;
+  for (const std::string& name : names) {
+    counts.push_back(MetricsRegistry::Global().GetHistogram(name)->count());
+  }
+  return counts;
+}
+
 TEST(HarnessTest, RunMatcherPopulatesEverything) {
   EMDataset ds =
       std::move(GenerateDataset(DatasetKind::kDblpAcm, 0.35)).value();
+  // Each fit and predict is observed in the aggregate histogram (old
+  // snapshots still diff) and in the matcher's own.
+  const std::vector<std::string> histograms = {
+      "fairem.matcher.fit_seconds", "fairem.matcher.predict_seconds",
+      "fairem.matcher.DTMatcher.fit_seconds",
+      "fairem.matcher.DTMatcher.predict_seconds"};
+  std::vector<uint64_t> observed = HistogramCounts(histograms);
   MatcherRun run = std::move(RunMatcher(ds, MatcherKind::kDT)).value();
+  std::vector<uint64_t> after = HistogramCounts(histograms);
+  for (size_t i = 0; i < observed.size(); ++i) {
+    observed[i] = after[i] - observed[i];
+  }
+  EXPECT_EQ(observed, std::vector<uint64_t>(histograms.size(), 1u));
   EXPECT_TRUE(run.supported);
   EXPECT_EQ(run.kind, MatcherKind::kDT);
   EXPECT_EQ(run.matcher_name, "DTMatcher");

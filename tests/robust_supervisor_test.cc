@@ -269,8 +269,13 @@ TEST(CheckpointDurabilityTest, SaveCreatesMissingNestedDirsAndFsyncs) {
   EXPECT_EQ(std::move(store.Load("cell")).value(), "payload-v1");
   ASSERT_TRUE(store.Save("cell", "payload-v2").ok());
   EXPECT_EQ(std::move(store.Load("cell")).value(), "payload-v2");
-  // The temp file was renamed away, not left behind.
-  EXPECT_FALSE(std::filesystem::exists(store.PathFor("cell") + ".tmp"));
+  // The temp file was renamed away, not left behind: the directory holds
+  // only the published file.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(store.dir())) {
+    files.push_back(entry.path().filename());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"cell.json"});
 }
 
 // ---------------------------------------------------------------------------

@@ -312,8 +312,12 @@ TEST(CheckpointStoreTest, SaveLoadRoundTrip) {
   EXPECT_EQ(std::move(store.Load("cell")).value(), "v1");
   ASSERT_TRUE(store.Save("cell", "v2").ok());  // overwrite
   EXPECT_EQ(std::move(store.Load("cell")).value(), "v2");
-  // Atomic publish: no temp file left behind.
-  EXPECT_FALSE(std::filesystem::exists(store.PathFor("cell") + ".tmp"));
+  // Atomic publish: the directory holds the published file and no temp.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(store.dir())) {
+    files.push_back(entry.path().filename());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"cell.json"});
 }
 
 TEST(CheckpointStoreTest, SanitizeKeyKeepsFilenamesSafe) {

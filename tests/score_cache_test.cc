@@ -1,0 +1,410 @@
+// The checkpointed test-score cache (DESIGN.md §18): the entry codec, the
+// invalidation rules, and byte-identity of cached reports against uncached
+// ones, sequentially and under the supervised executor.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/data/dataset.h"
+#include "src/datagen/benchmark_suite.h"
+#include "src/harness/experiment.h"
+#include "src/obs/metrics.h"
+#include "src/robust/checkpoint.h"
+#include "src/robust/failpoint.h"
+#include "src/robust/retry.h"
+
+namespace fairem {
+namespace {
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+/// Counter deltas over a scope, for the score-cache and fit counters.
+class CacheCounters {
+ public:
+  CacheCounters()
+      : hits_(CounterValue("fairem.harness.score_cache_hits")),
+        misses_(CounterValue("fairem.harness.score_cache_misses")),
+        stale_(CounterValue("fairem.harness.score_cache_stale")),
+        fits_(CounterValue("fairem.harness.matcher_runs")) {}
+  uint64_t hits() const {
+    return CounterValue("fairem.harness.score_cache_hits") - hits_;
+  }
+  uint64_t misses() const {
+    return CounterValue("fairem.harness.score_cache_misses") - misses_;
+  }
+  uint64_t stale() const {
+    return CounterValue("fairem.harness.score_cache_stale") - stale_;
+  }
+  uint64_t fits() const {
+    return CounterValue("fairem.harness.matcher_runs") - fits_;
+  }
+
+ private:
+  uint64_t hits_, misses_, stale_, fits_;
+};
+
+/// Disarms failpoints and restores the real retry sleep when a test exits,
+/// even on assertion failure — both are process-global.
+class RobustGuard {
+ public:
+  RobustGuard() {
+    FailpointRegistry::Global().Clear();
+    SetRetrySleepFnForTest([](double) {});
+  }
+  ~RobustGuard() {
+    FailpointRegistry::Global().Clear();
+    SetRetrySleepFnForTest(nullptr);
+  }
+};
+
+/// A checkpoint dir private to this process (the FAIREM_SIMD=off lane runs
+/// this binary concurrently with the default one), removed on scope exit.
+class TempCheckpointDir {
+ public:
+  explicit TempCheckpointDir(const std::string& leaf)
+      : path_(::testing::TempDir() + leaf + "." +
+              std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempCheckpointDir() { std::filesystem::remove_all(path_); }
+  TempCheckpointDir(const TempCheckpointDir&) = delete;
+  TempCheckpointDir& operator=(const TempCheckpointDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Names of the regular files directly in `dir`, sorted.
+std::set<std::string> FilesIn(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) names.insert(entry.path().filename());
+  }
+  return names;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+std::vector<MatcherKind> SkipAllExcept(const std::vector<MatcherKind>& keep) {
+  std::vector<MatcherKind> skip;
+  for (MatcherKind kind : AllMatcherKinds()) {
+    if (std::find(keep.begin(), keep.end(), kind) == keep.end()) {
+      skip.push_back(kind);
+    }
+  }
+  return skip;
+}
+
+/// The robust tests' small matcher subset.
+GridRunOptions SmallGridOptions() {
+  GridRunOptions options;
+  options.audit.reference = AuditReference::kComplement;
+  options.skip = SkipAllExcept(
+      {MatcherKind::kDT, MatcherKind::kLogReg, MatcherKind::kNB,
+       MatcherKind::kBooleanRule});
+  return options;
+}
+
+EMDataset Faculty(uint64_t seed_offset = 0) {
+  return std::move(
+             GenerateDataset(DatasetKind::kFacultyMatch, 0.3, seed_offset))
+      .value();
+}
+
+std::string Report(const EMDataset& ds, bool pairwise,
+                   const GridRunOptions& options) {
+  return std::move(UnfairnessGridReport(ds, pairwise, options)).value();
+}
+
+/// Uncached reference: the same options without a checkpoint dir.
+std::string Uncached(const EMDataset& ds, bool pairwise,
+                     GridRunOptions options) {
+  options.checkpoint_dir.clear();
+  options.jobs = 1;
+  return Report(ds, pairwise, options);
+}
+
+std::string ScorePath(const GridRunOptions& options, const EMDataset& ds,
+                      const std::string& matcher) {
+  return options.checkpoint_dir + "/scores/" + ds.name + "." + matcher +
+         ".json";
+}
+
+// ---------------------------------------------------------------------------
+// Entry codec
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(ScoreCodecTest, RoundTripsEveryBitPattern) {
+  const double inf = std::numeric_limits<double>::infinity();
+  ScoreCacheEntry entry;
+  entry.dataset = "Odd \"name\"\\x";
+  entry.matcher = "DTMatcher";
+  entry.seed = std::numeric_limits<uint64_t>::max();
+  entry.fingerprint = 0x8000000000000001ULL;
+  entry.scores = {0.0,
+                  -0.0,
+                  std::numeric_limits<double>::denorm_min(),
+                  -std::numeric_limits<double>::denorm_min(),
+                  DBL_MIN,
+                  DBL_MAX,
+                  -DBL_MAX,
+                  std::nextafter(0.5, -inf),
+                  0.5,
+                  std::nextafter(0.5, inf),
+                  std::nextafter(0.9, -inf),
+                  0.9,
+                  std::nextafter(0.9, inf),
+                  1.0,
+                  0.1,
+                  1.0 / 3.0};
+  ScoreCacheEntry back =
+      std::move(ScoreEntryFromJson(ScoreEntryToJson(entry))).value();
+  EXPECT_EQ(back.dataset, entry.dataset);
+  EXPECT_EQ(back.matcher, entry.matcher);
+  EXPECT_EQ(back.seed, entry.seed);
+  EXPECT_EQ(back.fingerprint, entry.fingerprint);
+  ASSERT_EQ(back.scores.size(), entry.scores.size());
+  for (size_t i = 0; i < entry.scores.size(); ++i) {
+    EXPECT_EQ(Bits(back.scores[i]), Bits(entry.scores[i])) << "index " << i;
+  }
+}
+
+TEST(ScoreCodecTest, RejectsTruncatedMalformedAndNonFinite) {
+  ScoreCacheEntry entry;
+  entry.dataset = "FacultyMatch";
+  entry.matcher = "NBMatcher";
+  entry.seed = 1234;
+  entry.fingerprint = 42;
+  entry.scores = {0.25, 0.75};
+  const std::string json = ScoreEntryToJson(entry);
+  ASSERT_TRUE(ScoreEntryFromJson(json).ok());
+  EXPECT_FALSE(ScoreEntryFromJson("").ok());
+  EXPECT_FALSE(ScoreEntryFromJson(json.substr(0, json.size() / 2)).ok());
+  EXPECT_FALSE(ScoreEntryFromJson("{\"dataset\":\"FacultyMatch\"}").ok());
+  std::string overflow = json;
+  overflow.replace(overflow.find("0.25"), 4, "1e999");
+  EXPECT_FALSE(ScoreEntryFromJson(overflow).ok());
+  std::string not_array = json;
+  not_array.replace(not_array.find("[0.25,0.75]"), 11, "0.25");
+  EXPECT_FALSE(ScoreEntryFromJson(not_array).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Grid reports over the cache
+
+// The headline property: after a single-mode report, a pairwise report into
+// the same dir fits nothing — a certain fit failure is armed, and the
+// report still matches an uncached pairwise run byte for byte.
+TEST(ScoreCacheTest, PairwiseAfterSingleAuditsWithoutFitting) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = SmallGridOptions();
+  TempCheckpointDir dir("fairem_scores_modes");
+  options.checkpoint_dir = dir.path();
+  const std::string single_expected = Uncached(ds, false, options);
+  const std::string pairwise_expected = Uncached(ds, true, options);
+
+  CacheCounters single_run;
+  EXPECT_EQ(Report(ds, false, options), single_expected);
+  EXPECT_EQ(single_run.misses(), 4u);
+  EXPECT_EQ(single_run.hits(), 0u);
+  EXPECT_EQ(single_run.fits(), 4u);
+
+  CacheCounters pairwise_run;
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Configure("matcher_fit=error(1)").ok());
+  EXPECT_EQ(Report(ds, true, options), pairwise_expected);
+  FailpointRegistry::Global().Clear();
+  EXPECT_EQ(pairwise_run.hits(), 4u);
+  EXPECT_EQ(pairwise_run.misses(), 0u);
+  EXPECT_EQ(pairwise_run.fits(), 0u);
+
+  // The root keeps exactly one .json per cell (resume drills count them);
+  // the scores live one level down, and no temp file is left anywhere.
+  EXPECT_EQ(FilesIn(options.checkpoint_dir),
+            (std::set<std::string>{
+                "FacultyMatch.pairwise.BooleanRuleMatcher.json",
+                "FacultyMatch.pairwise.DTMatcher.json",
+                "FacultyMatch.pairwise.LogRegMatcher.json",
+                "FacultyMatch.pairwise.NBMatcher.json",
+                "FacultyMatch.single.BooleanRuleMatcher.json",
+                "FacultyMatch.single.DTMatcher.json",
+                "FacultyMatch.single.LogRegMatcher.json",
+                "FacultyMatch.single.NBMatcher.json"}));
+  EXPECT_EQ(FilesIn(options.checkpoint_dir + "/scores"),
+            (std::set<std::string>{"FacultyMatch.BooleanRuleMatcher.json",
+                                   "FacultyMatch.DTMatcher.json",
+                                   "FacultyMatch.LogRegMatcher.json",
+                                   "FacultyMatch.NBMatcher.json"}));
+
+  // A deleted cell file re-audits from the cached scores, still fitting
+  // nothing.
+  ASSERT_TRUE(std::filesystem::remove(options.checkpoint_dir +
+                                      "/FacultyMatch.single.DTMatcher.json"));
+  CacheCounters reaudit;
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Configure("matcher_fit=error(1)").ok());
+  EXPECT_EQ(Report(ds, false, options), single_expected);
+  FailpointRegistry::Global().Clear();
+  EXPECT_EQ(reaudit.hits(), 1u);
+  EXPECT_EQ(reaudit.fits(), 0u);
+}
+
+// Every way an entry can go bad is a stale miss: the cell refits, the
+// report is unchanged, and the refit overwrites the entry with a valid one.
+TEST(ScoreCacheTest, DamagedEntryIsAStaleMissThatRefitsAndRepairs) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = SmallGridOptions();
+  TempCheckpointDir dir("fairem_scores_damaged");
+  options.checkpoint_dir = dir.path();
+  const std::string pairwise_expected = Uncached(ds, true, options);
+  Report(ds, false, options);
+  const std::string entry_path = ScorePath(options, ds, "DTMatcher");
+  const std::string cell_path =
+      options.checkpoint_dir + "/FacultyMatch.pairwise.DTMatcher.json";
+  const std::string good = ReadFile(entry_path);
+  const ScoreCacheEntry entry = std::move(ScoreEntryFromJson(good)).value();
+  ASSERT_EQ(entry.scores.size(), ds.test.size());
+  EXPECT_EQ(entry.seed, options.seed);
+  EXPECT_EQ(entry.fingerprint, DatasetFingerprint(ds));
+
+  auto reencoded = [&](auto mutate) {
+    ScoreCacheEntry damaged = entry;
+    mutate(&damaged);
+    return ScoreEntryToJson(damaged);
+  };
+  std::string non_finite = good;
+  const size_t first_score = non_finite.find("\"scores\":[") + 10;
+  non_finite.replace(first_score,
+                     non_finite.find(',', first_score) - first_score, "1e999");
+  const std::vector<std::pair<const char*, std::string>> damage = {
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"wrong length",
+       reencoded([](ScoreCacheEntry* e) { e->scores.pop_back(); })},
+      {"non-finite", non_finite},
+      {"wrong seed", reencoded([](ScoreCacheEntry* e) { e->seed += 1; })},
+      {"wrong fingerprint",
+       reencoded([](ScoreCacheEntry* e) { e->fingerprint ^= 1; })},
+  };
+  for (const auto& [what, bytes] : damage) {
+    SCOPED_TRACE(what);
+    WriteFile(entry_path, bytes);
+    // Without its cell file the pairwise DT cell has to consult the cache.
+    std::filesystem::remove(cell_path);
+    CacheCounters run;
+    EXPECT_EQ(Report(ds, true, options), pairwise_expected);
+    EXPECT_EQ(run.stale(), 1u);
+    EXPECT_EQ(run.misses(), 1u);
+    EXPECT_EQ(run.fits(), 1u);
+    EXPECT_EQ(ReadFile(entry_path), good);
+  }
+}
+
+TEST(ScoreCacheTest, AnotherDrawUnderTheSameNameRefits) {
+  RobustGuard guard;
+  EMDataset first = Faculty(0);
+  EMDataset second = Faculty(1);
+  ASSERT_EQ(first.name, second.name);
+  ASSERT_NE(DatasetFingerprint(first), DatasetFingerprint(second));
+  GridRunOptions options = SmallGridOptions();
+  TempCheckpointDir dir("fairem_scores_redraw");
+  options.checkpoint_dir = dir.path();
+  Report(first, false, options);
+
+  // The pairwise cells are new, so they consult the cache; every entry is
+  // the first draw's and must not be reused.
+  const std::string expected = Uncached(second, true, options);
+  CacheCounters run;
+  EXPECT_EQ(Report(second, true, options), expected);
+  EXPECT_EQ(run.stale(), 4u);
+  EXPECT_EQ(run.hits(), 0u);
+  EXPECT_EQ(run.fits(), 4u);
+  EXPECT_EQ(std::move(ScoreEntryFromJson(
+                          ReadFile(ScorePath(options, second, "NBMatcher"))))
+                .value()
+                .fingerprint,
+            DatasetFingerprint(second));
+}
+
+// Workers save entries from inside the forked cell; the counters they move
+// reach the parent's registry over the telemetry pipe.
+TEST(ScoreCacheTest, ParallelSingleFeedsSequentialPairwise) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = SmallGridOptions();
+  TempCheckpointDir dir("fairem_scores_parallel");
+  options.checkpoint_dir = dir.path();
+  const std::string single_expected = Uncached(ds, false, options);
+  const std::string pairwise_expected = Uncached(ds, true, options);
+
+  options.jobs = 4;
+  CacheCounters parallel;
+  EXPECT_EQ(Report(ds, false, options), single_expected);
+  EXPECT_EQ(parallel.misses(), 4u);
+  EXPECT_EQ(parallel.fits(), 4u);
+
+  options.jobs = 1;
+  CacheCounters sequential;
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Configure("matcher_fit=error(1)").ok());
+  EXPECT_EQ(Report(ds, true, options), pairwise_expected);
+  FailpointRegistry::Global().Clear();
+  EXPECT_EQ(sequential.hits(), 4u);
+  EXPECT_EQ(sequential.fits(), 0u);
+}
+
+TEST(ScoreCacheTest, ErrorAndUnsupportedCellsWriteNoEntry) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options;
+  options.audit.reference = AuditReference::kComplement;
+  // Dedupe does not support FacultyMatch (Table 9's "-").
+  options.skip = SkipAllExcept(
+      {MatcherKind::kDT, MatcherKind::kNB, MatcherKind::kDedupe});
+  options.retry.max_attempts = 1;
+  TempCheckpointDir dir("fairem_scores_errors");
+  options.checkpoint_dir = dir.path();
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .Configure("matcher_fit.NBMatcher=error(1)")
+                  .ok());
+  CacheCounters run;
+  const std::string report = Report(ds, false, options);
+  FailpointRegistry::Global().Clear();
+  EXPECT_NE(report.find("NBMatcher: Internal: injected failure"),
+            std::string::npos);
+  EXPECT_EQ(FilesIn(options.checkpoint_dir + "/scores"),
+            std::set<std::string>{"FacultyMatch.DTMatcher.json"});
+  // The unsupported cell never consults the cache.
+  EXPECT_EQ(run.misses(), 2u);
+}
+
+}  // namespace
+}  // namespace fairem

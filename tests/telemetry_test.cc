@@ -1,4 +1,6 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -505,7 +507,33 @@ TEST(DurableFileTest, CreatesParentsWritesContentLeavesNoTemp) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "version-two");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // No temp file is left behind: the directory holds only the published
+  // file.
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root + "/nested/deeper")) {
+    files.push_back(entry.path().filename());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"out.json"});
+}
+
+// Two writers of one path must not share a temp inode: when they did (a
+// fixed `<path>.tmp`), a second writer still holding the temp file open
+// wrote into the file the first had just published.
+TEST(DurableFileTest, HeldTempFileCannotTearThePublishedFile) {
+  std::string root = FreshTempDir("fairem_durable_torn");
+  std::filesystem::create_directories(root);
+  std::string path = root + "/cell.json";
+  int held = ::open((path + ".tmp").c_str(),
+                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  ASSERT_GE(held, 0);
+  ASSERT_TRUE(WriteFileDurable(path, "AAAA").ok());
+  ASSERT_EQ(::pwrite(held, "ZZ", 2, 0), 2);
+  ::close(held);
+  std::ifstream in(path, std::ios::binary);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, "AAAA");
 }
 
 TEST(DurableFileTest, MetricsWriteFileHonoursFormat) {

@@ -19,7 +19,8 @@
 //       The batch audit of Algorithm 1 for one dataset: all matchers,
 //       rendered as the unfairness grid. Fault tolerant: cells retry on
 //       transient failures, failed cells degrade to error entries, and with
-//       --checkpoint_dir an interrupted run resumes from completed cells.
+//       --checkpoint_dir an interrupted run resumes from completed cells and
+//       the other mode's grid reuses the cached matcher scores (no refit).
 //       --jobs > 1 (or a cell timeout / rlimit) runs the sweep under the
 //       process-isolated supervisor: each cell in a forked worker, hangs
 //       SIGKILLed at --cell_timeout_s, address space capped at
