@@ -67,12 +67,12 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/profiler.h"
-#include "src/robust/checkpoint.h"
 #include "src/route/router.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 #include "src/util/io_util.h"
 #include "src/util/json.h"
+#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
@@ -219,7 +219,8 @@ int RawFrameDrill() {
     ::close(fd);
     return 1;
   }
-  Result<ServeMessage> reply = ReadServeMessage(fd, 10.0);
+  FrameDecoder decoder;
+  Result<ServeMessage> reply = ReadServeMessage(fd, &decoder, 10.0);
   ::close(fd);
   if (!reply.ok() || reply->type != kFrameQueryResponse) {
     std::cerr << "raw drill: no response past an unknown frame type\n";
@@ -236,7 +237,7 @@ int RawFrameDrill() {
   const char garbage[] = "this is not FEMTEL1 at all\n";
   (void)WriteFullDeadline(fd, garbage, sizeof(garbage) - 1, 10.0);
   char byte = 0;
-  Status eof = ReadFullDeadline(fd, &byte, 1, 10.0);
+  Status eof = ReadSomeBefore(fd, &byte, 1, MonotonicSeconds() + 10.0).status();
   ::close(fd);
   if (!eof.IsUnavailable()) {
     std::cerr << "raw drill: daemon did not close a corrupt connection: "
@@ -476,7 +477,7 @@ int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
     }
     const std::string state_gauge =
         "fairem.route.backend." +
-        CheckpointStore::SanitizeKey(BackendSocket(0)) + ".state";
+        SanitizeForFilename(BackendSocket(0)) + ".state";
     if (!WaitForGauge(state_gauge, 0.0, 30.0)) {
       std::cerr << "FAIL: killed backend never rejoined the router\n";
       exit_code = 1;

@@ -410,36 +410,6 @@ message(STATUS
     "bench_smoke OK: --jobs 2 telemetry matched sequential counters and the "
     "benchdiff gate tripped as expected")
 
-# --- intra_jobs speedup gate (multi-core hosts only) ------------------------
-
-# The feature-table build must get at least 1.5x faster at --intra_jobs 4
-# (mean build seconds ratio below 1/1.5 ~= 0.67). Only meaningful with
-# enough cores to actually run 4 threads; single-core CI still ran the
-# byte-equality and pool-metrics checks above.
-cmake_host_system_information(RESULT core_count QUERY NUMBER_OF_LOGICAL_CORES)
-if(core_count GREATER_EQUAL 4)
-  execute_process(
-    COMMAND "${CLI_BIN}" benchdiff "${intra1_metrics}" "${intra4_metrics}"
-            --fail_on "fairem.feature.build_table_seconds.mean>0.67x"
-    WORKING_DIRECTORY "${WORK_DIR}"
-    RESULT_VARIABLE exit_code
-    OUTPUT_VARIABLE speedup_stdout
-    ERROR_VARIABLE speedup_stderr)
-  if(NOT exit_code EQUAL 0)
-    message(FATAL_ERROR
-        "--intra_jobs 4 did not reach 1.5x on the feature-table build "
-        "(${core_count} cores)\n"
-        "stdout:\n${speedup_stdout}\nstderr:\n${speedup_stderr}")
-  endif()
-  message(STATUS
-      "bench_smoke OK: --intra_jobs 4 cleared the 1.5x feature-build gate "
-      "on ${core_count} cores")
-else()
-  message(STATUS
-      "bench_smoke: ${core_count} core(s); skipping the intra_jobs speedup "
-      "gate (byte-equality still verified)")
-endif()
-
 # --- sampling profiler drill ------------------------------------------------
 
 # Profile the same grid sweep sequentially and under --jobs 2 (PROF_BIN is a
@@ -987,4 +957,34 @@ else()
   message(STATUS
       "bench_smoke: dispatch level ${dispatch_level} (< SSE4.2); SIMD "
       "byte-identity verified, speedup gates skipped")
+endif()
+
+# --- intra_jobs speedup gate (multi-core hosts only) ------------------------
+
+# The feature-table build must get at least 1.5x faster at --intra_jobs 4
+# (mean build seconds ratio below 1/1.5 ~= 0.67). Only meaningful with
+# enough cores to actually run 4 threads; single-core CI still ran the
+# byte-equality and pool-metrics checks above.
+cmake_host_system_information(RESULT core_count QUERY NUMBER_OF_LOGICAL_CORES)
+if(core_count GREATER_EQUAL 4)
+  execute_process(
+    COMMAND "${CLI_BIN}" benchdiff "${intra1_metrics}" "${intra4_metrics}"
+            --fail_on "fairem.feature.build_table_seconds.mean>0.67x"
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE exit_code
+    OUTPUT_VARIABLE speedup_stdout
+    ERROR_VARIABLE speedup_stderr)
+  if(NOT exit_code EQUAL 0)
+    message(FATAL_ERROR
+        "--intra_jobs 4 did not reach 1.5x on the feature-table build "
+        "(${core_count} cores)\n"
+        "stdout:\n${speedup_stdout}\nstderr:\n${speedup_stderr}")
+  endif()
+  message(STATUS
+      "bench_smoke OK: --intra_jobs 4 cleared the 1.5x feature-build gate "
+      "on ${core_count} cores")
+else()
+  message(STATUS
+      "bench_smoke: ${core_count} core(s); skipping the intra_jobs speedup "
+      "gate (byte-equality still verified)")
 endif()

@@ -332,7 +332,7 @@ struct CellSlot {
 /// path; anything else needs process isolation.
 bool UseSupervisedExecutor(const GridRunOptions& options) {
   return options.jobs > 1 || options.cell_timeout_s > 0.0 ||
-         options.cell_max_rss_mb > 0 || options.cell_max_cpu_s > 0;
+         options.cell_max_rss_mb > 0;
 }
 
 GridCellCheckpoint MakeErrorCell(MatcherKind kind, const Status& status) {
@@ -480,7 +480,6 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
     sup.jobs = options.jobs;
     sup.cell_timeout_s = options.cell_timeout_s;
     sup.cell_max_rss_mb = options.cell_max_rss_mb;
-    sup.cell_max_cpu_s = options.cell_max_cpu_s;
     sup.max_attempts = options.retry.max_attempts;
     // The supervisor reports its own task universe; shift it by the cells
     // already replayed from checkpoints so the line reads against the full

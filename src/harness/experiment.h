@@ -97,8 +97,6 @@ struct GridRunOptions {
   double cell_timeout_s = 0.0;
   /// RLIMIT_AS cap per cell worker in MiB (supervised executor only).
   int cell_max_rss_mb = 0;
-  /// RLIMIT_CPU cap per cell worker in seconds (supervised executor only).
-  int cell_max_cpu_s = 0;
   /// Emit the live progress line on stderr (rate-limited; sequential and
   /// supervised sweeps alike). The fairem.progress.* gauges and the ETA
   /// histogram update whether or not this is set.

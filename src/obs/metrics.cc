@@ -2,47 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "src/obs/log.h"
 #include "src/util/durable_file.h"
+#include "src/util/json.h"
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
-
-/// JSON string escaping for metric names (quotes/backslashes/control bytes).
-void AppendJsonString(std::ostringstream* os, const std::string& s) {
-  *os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *os << "\\\"";
-        break;
-      case '\\':
-        *os << "\\\\";
-        break;
-      case '\n':
-        *os << "\\n";
-        break;
-      case '\t':
-        *os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *os << buf;
-        } else {
-          *os << c;
-        }
-    }
-  }
-  *os << '"';
-}
 
 /// Doubles must stay valid JSON: non-finite values serialise as 0.
 void AppendJsonDouble(std::ostringstream* os, double v) {

@@ -11,50 +11,33 @@
 namespace fairem {
 namespace {
 
-// JSON plumbing lives in src/util/json; thin local aliases keep the parsing
-// code below readable.
-
-Result<uint64_t> AsU64(const JsonValue& v, const std::string& what) {
-  return JsonAsU64(v, what);
-}
-
-Result<int64_t> AsI64(const JsonValue& v, const std::string& what) {
-  return JsonAsI64(v, what);
-}
-
-Result<double> AsDouble(const JsonValue& v, const std::string& what) {
-  return JsonAsDouble(v, what);
-}
-
-const JsonValue* Find(const JsonValue& obj, const std::string& key) {
-  return JsonFind(obj, key);
-}
-
 Result<MetricsSnapshot> SnapshotFromJsonValue(const JsonValue& root) {
   if (root.kind != JsonValue::kObject) {
     return Status::InvalidArgument("telemetry JSON: snapshot is not an object");
   }
   MetricsSnapshot snap;
-  if (const JsonValue* counters = Find(root, "counters")) {
+  if (const JsonValue* counters = JsonFind(root, "counters")) {
     for (const auto& [name, v] : counters->members) {
-      FAIREM_ASSIGN_OR_RETURN(snap.counters[name], AsU64(v, "counter " + name));
+      FAIREM_ASSIGN_OR_RETURN(snap.counters[name],
+                              JsonAsU64(v, "counter " + name));
     }
   }
-  if (const JsonValue* gauges = Find(root, "gauges")) {
+  if (const JsonValue* gauges = JsonFind(root, "gauges")) {
     for (const auto& [name, v] : gauges->members) {
-      FAIREM_ASSIGN_OR_RETURN(snap.gauges[name], AsDouble(v, "gauge " + name));
+      FAIREM_ASSIGN_OR_RETURN(snap.gauges[name],
+                              JsonAsDouble(v, "gauge " + name));
     }
   }
-  if (const JsonValue* histograms = Find(root, "histograms")) {
+  if (const JsonValue* histograms = JsonFind(root, "histograms")) {
     for (const auto& [name, v] : histograms->members) {
       if (v.kind != JsonValue::kObject) {
         return Status::InvalidArgument("telemetry JSON: histogram " + name +
                                        " is not an object");
       }
-      const JsonValue* bounds = Find(v, "bounds");
-      const JsonValue* buckets = Find(v, "bucket_counts");
-      const JsonValue* count = Find(v, "count");
-      const JsonValue* sum = Find(v, "sum");
+      const JsonValue* bounds = JsonFind(v, "bounds");
+      const JsonValue* buckets = JsonFind(v, "bucket_counts");
+      const JsonValue* count = JsonFind(v, "count");
+      const JsonValue* sum = JsonFind(v, "sum");
       if (bounds == nullptr || buckets == nullptr || count == nullptr ||
           sum == nullptr) {
         return Status::InvalidArgument("telemetry JSON: histogram " + name +
@@ -63,30 +46,30 @@ Result<MetricsSnapshot> SnapshotFromJsonValue(const JsonValue& root) {
       MetricsSnapshot::HistogramData h;
       for (const JsonValue& b : bounds->items) {
         double bound = 0.0;
-        FAIREM_ASSIGN_OR_RETURN(bound, AsDouble(b, name + ".bounds"));
+        FAIREM_ASSIGN_OR_RETURN(bound, JsonAsDouble(b, name + ".bounds"));
         h.bounds.push_back(bound);
       }
       for (const JsonValue& b : buckets->items) {
         uint64_t n = 0;
-        FAIREM_ASSIGN_OR_RETURN(n, AsU64(b, name + ".bucket_counts"));
+        FAIREM_ASSIGN_OR_RETURN(n, JsonAsU64(b, name + ".bucket_counts"));
         h.bucket_counts.push_back(n);
       }
-      FAIREM_ASSIGN_OR_RETURN(h.count, AsU64(*count, name + ".count"));
-      FAIREM_ASSIGN_OR_RETURN(h.sum, AsDouble(*sum, name + ".sum"));
+      FAIREM_ASSIGN_OR_RETURN(h.count, JsonAsU64(*count, name + ".count"));
+      FAIREM_ASSIGN_OR_RETURN(h.sum, JsonAsDouble(*sum, name + ".sum"));
       // Optional exemplars ({"bucket","value","trace_id"} entries); parsed
       // tolerantly — a malformed entry is dropped, never an error, since
       // exemplars are advisory debugging links.
-      if (const JsonValue* exemplars = Find(v, "exemplars")) {
+      if (const JsonValue* exemplars = JsonFind(v, "exemplars")) {
         for (const JsonValue& e : exemplars->items) {
           if (e.kind != JsonValue::kObject) continue;
-          const JsonValue* bucket = Find(e, "bucket");
-          const JsonValue* value = Find(e, "value");
-          const JsonValue* trace_id = Find(e, "trace_id");
+          const JsonValue* bucket = JsonFind(e, "bucket");
+          const JsonValue* value = JsonFind(e, "value");
+          const JsonValue* trace_id = JsonFind(e, "trace_id");
           if (bucket == nullptr || value == nullptr || trace_id == nullptr) {
             continue;
           }
           Result<uint64_t> b = JsonAsU64(*bucket, "exemplar bucket");
-          Result<double> val = AsDouble(*value, "exemplar value");
+          Result<double> val = JsonAsDouble(*value, "exemplar value");
           if (!b.ok() || !val.ok() || trace_id->kind != JsonValue::kString ||
               trace_id->scalar.empty() || *b >= h.bucket_counts.size()) {
             continue;
@@ -101,17 +84,6 @@ Result<MetricsSnapshot> SnapshotFromJsonValue(const JsonValue& root) {
     }
   }
   return snap;
-}
-
-std::string SanitizeKeyForFilename(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  for (char c : key) {
-    bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '_';
-    out.push_back(keep ? c : '_');
-  }
-  return out;
 }
 
 }  // namespace
@@ -212,60 +184,63 @@ Result<WorkerTelemetry> ParseWorkerTelemetry(const std::string& json) {
         "telemetry JSON: telemetry is not an object");
   }
   WorkerTelemetry t;
-  if (const JsonValue* version = Find(root, "version")) {
+  if (const JsonValue* version = JsonFind(root, "version")) {
     int64_t v = 0;
-    FAIREM_ASSIGN_OR_RETURN(v, AsI64(*version, "version"));
+    FAIREM_ASSIGN_OR_RETURN(v, JsonAsI64(*version, "version"));
     t.version = static_cast<int>(v);
   }
   if (t.version != 1) {
     return Status::InvalidArgument("telemetry JSON: unsupported version " +
                                    std::to_string(t.version));
   }
-  if (const JsonValue* key = Find(root, "task_key")) t.task_key = key->scalar;
-  if (const JsonValue* attempt = Find(root, "attempt")) {
+  if (const JsonValue* key = JsonFind(root, "task_key")) {
+    t.task_key = key->scalar;
+  }
+  if (const JsonValue* attempt = JsonFind(root, "attempt")) {
     int64_t v = 0;
-    FAIREM_ASSIGN_OR_RETURN(v, AsI64(*attempt, "attempt"));
+    FAIREM_ASSIGN_OR_RETURN(v, JsonAsI64(*attempt, "attempt"));
     t.attempt = static_cast<int>(v);
   }
-  if (const JsonValue* pid = Find(root, "pid")) {
-    FAIREM_ASSIGN_OR_RETURN(t.pid, AsI64(*pid, "pid"));
+  if (const JsonValue* pid = JsonFind(root, "pid")) {
+    FAIREM_ASSIGN_OR_RETURN(t.pid, JsonAsI64(*pid, "pid"));
   }
-  const JsonValue* metrics = Find(root, "metrics");
+  const JsonValue* metrics = JsonFind(root, "metrics");
   if (metrics == nullptr) {
     return Status::InvalidArgument("telemetry JSON: missing metrics");
   }
   FAIREM_ASSIGN_OR_RETURN(t.metrics, SnapshotFromJsonValue(*metrics));
-  if (const JsonValue* spans = Find(root, "spans")) {
+  if (const JsonValue* spans = JsonFind(root, "spans")) {
     for (const JsonValue& s : spans->items) {
       if (s.kind != JsonValue::kObject) {
         return Status::InvalidArgument("telemetry JSON: span not an object");
       }
       TraceEvent e;
-      if (const JsonValue* v = Find(s, "id")) {
-        FAIREM_ASSIGN_OR_RETURN(e.id, AsU64(*v, "span id"));
+      if (const JsonValue* v = JsonFind(s, "id")) {
+        FAIREM_ASSIGN_OR_RETURN(e.id, JsonAsU64(*v, "span id"));
       }
-      if (const JsonValue* v = Find(s, "parent_id")) {
-        FAIREM_ASSIGN_OR_RETURN(e.parent_id, AsU64(*v, "span parent_id"));
+      if (const JsonValue* v = JsonFind(s, "parent_id")) {
+        FAIREM_ASSIGN_OR_RETURN(e.parent_id, JsonAsU64(*v, "span parent_id"));
       }
-      if (const JsonValue* v = Find(s, "depth")) {
+      if (const JsonValue* v = JsonFind(s, "depth")) {
         int64_t depth = 0;
-        FAIREM_ASSIGN_OR_RETURN(depth, AsI64(*v, "span depth"));
+        FAIREM_ASSIGN_OR_RETURN(depth, JsonAsI64(*v, "span depth"));
         e.depth = static_cast<int>(depth);
       }
-      if (const JsonValue* v = Find(s, "name")) e.name = v->scalar;
-      if (const JsonValue* v = Find(s, "start_ns")) {
-        FAIREM_ASSIGN_OR_RETURN(e.start_ns, AsU64(*v, "span start_ns"));
+      if (const JsonValue* v = JsonFind(s, "name")) e.name = v->scalar;
+      if (const JsonValue* v = JsonFind(s, "start_ns")) {
+        FAIREM_ASSIGN_OR_RETURN(e.start_ns, JsonAsU64(*v, "span start_ns"));
       }
-      if (const JsonValue* v = Find(s, "duration_ns")) {
-        FAIREM_ASSIGN_OR_RETURN(e.duration_ns, AsU64(*v, "span duration_ns"));
+      if (const JsonValue* v = JsonFind(s, "duration_ns")) {
+        FAIREM_ASSIGN_OR_RETURN(e.duration_ns,
+                                JsonAsU64(*v, "span duration_ns"));
       }
-      if (const JsonValue* v = Find(s, "thread_id")) {
-        FAIREM_ASSIGN_OR_RETURN(e.thread_id, AsU64(*v, "span thread_id"));
+      if (const JsonValue* v = JsonFind(s, "thread_id")) {
+        FAIREM_ASSIGN_OR_RETURN(e.thread_id, JsonAsU64(*v, "span thread_id"));
       }
-      if (const JsonValue* v = Find(s, "track_id")) {
-        FAIREM_ASSIGN_OR_RETURN(e.track_id, AsU64(*v, "span track_id"));
+      if (const JsonValue* v = JsonFind(s, "track_id")) {
+        FAIREM_ASSIGN_OR_RETURN(e.track_id, JsonAsU64(*v, "span track_id"));
       }
-      if (const JsonValue* v = Find(s, "args")) {
+      if (const JsonValue* v = JsonFind(s, "args")) {
         for (const JsonValue& pair : v->items) {
           if (pair.items.size() != 2) {
             return Status::InvalidArgument("telemetry JSON: span arg shape");
@@ -281,80 +256,72 @@ Result<WorkerTelemetry> ParseWorkerTelemetry(const std::string& json) {
 
 // ---------------------------------------------------------------- framing --
 
-namespace {
-
-constexpr size_t kMagicLen = 8;
-constexpr size_t kFrameTypeLen = 4;
-constexpr size_t kFrameHeaderLen = kFrameTypeLen + 16 + 1;
-
 void AppendFrame(std::string* wire, const std::string& type,
                  const std::string& bytes) {
   char length[32];
   std::snprintf(length, sizeof(length), "%016zx", bytes.size());
-  // Frame types are exactly 4 bytes on the wire; pad a short caller value
-  // rather than read past it.
-  char type4[kFrameTypeLen];
-  for (size_t i = 0; i < kFrameTypeLen; ++i) {
-    type4[i] = i < type.size() ? type[i] : '_';
+  for (size_t i = 0; i < 4; ++i) {
+    wire->push_back(i < type.size() ? type[i] : '_');
   }
-  wire->append(type4, kFrameTypeLen);
   wire->append(length, 16);
   wire->push_back('\n');
   wire->append(bytes);
 }
 
-/// Parses a frame header at `pos`. Returns false on malformed bytes (bad
-/// length digits, missing '\n', type not 4 printable chars).
-bool ParseFrameHeader(const std::string& wire, size_t pos, std::string* type,
-                      uint64_t* length) {
-  if (pos + kFrameHeaderLen > wire.size()) return false;
-  for (size_t i = 0; i < kFrameTypeLen; ++i) {
-    char c = wire[pos + i];
-    if (c < 0x21 || c > 0x7e) return false;  // printable, non-space
+Status ParseFrameHeader(const char* header, std::string* type,
+                        uint64_t* length) {
+  for (size_t i = 0; i < 4; ++i) {
+    if (header[i] < 0x21 || header[i] > 0x7e) {
+      return Status::InvalidArgument("frame header: type is not printable");
+    }
   }
-  *type = wire.substr(pos, kFrameTypeLen);
   uint64_t out = 0;
-  for (size_t i = pos + kFrameTypeLen; i < pos + kFrameTypeLen + 16; ++i) {
-    char c = wire[i];
+  for (size_t i = 4; i < 4 + 16; ++i) {
+    const char c = header[i];
     out <<= 4;
     if (c >= '0' && c <= '9') {
       out |= static_cast<uint64_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
       out |= static_cast<uint64_t>(c - 'a' + 10);
     } else {
-      return false;
+      return Status::InvalidArgument("frame header: bad length digit");
     }
   }
-  if (wire[pos + kFrameHeaderLen - 1] != '\n') return false;
+  if (header[kFrameHeaderLen - 1] != '\n') {
+    return Status::InvalidArgument("frame header: missing terminator");
+  }
+  type->assign(header, 4);
   *length = out;
-  return true;
+  return Status::OK();
 }
 
-}  // namespace
+Counter* UnknownFramesCounter() {
+  static Counter* counter = MetricsRegistry::Global().GetCounter(
+      "fairem.telemetry.unknown_frames");
+  return counter;
+}
 
 std::string EncodeTelemetryWire(const std::vector<TelemetryFrame>& frames,
                                 const std::string& payload) {
-  size_t reserve = kMagicLen + (frames.size() + 1) * kFrameHeaderLen +
-                   payload.size();
+  size_t reserve = kTelemetryMagicLen +
+                   (frames.size() + 1) * kFrameHeaderLen + payload.size();
   for (const TelemetryFrame& f : frames) reserve += f.bytes.size();
   std::string wire;
   wire.reserve(reserve);
-  wire.append(kTelemetryMagic, kMagicLen);
+  wire.append(kTelemetryMagic, kTelemetryMagicLen);
   for (const TelemetryFrame& f : frames) AppendFrame(&wire, f.type, f.bytes);
   AppendFrame(&wire, kFramePayload, payload);
   return wire;
 }
 
 TelemetryWireParse ParseTelemetryWire(const std::string& wire) {
-  static Counter* unknown_frames = MetricsRegistry::Global().GetCounter(
-      "fairem.telemetry.unknown_frames");
+  Counter* unknown_frames = UnknownFramesCounter();
   TelemetryWireParse out;
-  if (wire.size() < kMagicLen ||
-      wire.compare(0, kMagicLen, kTelemetryMagic, kMagicLen) != 0) {
+  if (wire.compare(0, kTelemetryMagicLen, kTelemetryMagic) != 0) {
     out.payload = wire;
     return out;
   }
-  size_t pos = kMagicLen;
+  size_t pos = kTelemetryMagicLen;
   std::vector<TelemetryFrame> frames;
   std::string payload;
   bool saw_payload = false;
@@ -362,7 +329,8 @@ TelemetryWireParse ParseTelemetryWire(const std::string& wire) {
   while (pos < wire.size()) {
     std::string type;
     uint64_t length = 0;
-    if (!ParseFrameHeader(wire, pos, &type, &length)) {
+    if (wire.size() - pos < kFrameHeaderLen ||
+        !ParseFrameHeader(wire.data() + pos, &type, &length).ok()) {
       // Malformed header. Before any complete frame this means "not our
       // framing at all" and the wire passes through whole; after one it is
       // mid-wire corruption/truncation — keep what already parsed.
@@ -409,34 +377,11 @@ TelemetryWireParse ParseTelemetryWire(const std::string& wire) {
   return out;
 }
 
-std::string WrapPayloadWithTelemetry(const std::string& telemetry_json,
-                                     const std::string& payload) {
-  return EncodeTelemetryWire({{kFrameTelemetry, telemetry_json}}, payload);
-}
-
-TelemetrySplit SplitTelemetryPayload(const std::string& wire) {
-  TelemetryWireParse parsed = ParseTelemetryWire(wire);
-  TelemetrySplit out;
-  if (!parsed.framed) {
-    out.payload = wire;
-    return out;
-  }
-  for (const TelemetryFrame& f : parsed.frames) {
-    if (f.type == kFrameTelemetry) {
-      out.has_telemetry = true;
-      out.telemetry_json = f.bytes;
-      break;
-    }
-  }
-  out.payload = std::move(parsed.payload);
-  return out;
-}
-
 // ---------------------------------------------------------------- sidecars --
 
 std::string TelemetrySidecarPath(const std::string& dir,
                                  const std::string& task_key, int attempt) {
-  return dir + "/" + SanitizeKeyForFilename(task_key) + ".attempt" +
+  return dir + "/" + SanitizeForFilename(task_key) + ".attempt" +
          std::to_string(attempt) + ".telemetry.json";
 }
 
@@ -454,7 +399,7 @@ Result<WorkerTelemetry> LoadTelemetrySidecarFile(const std::string& path) {
 
 std::string ProfileSidecarPath(const std::string& dir,
                                const std::string& task_key, int attempt) {
-  return dir + "/" + SanitizeKeyForFilename(task_key) + ".attempt" +
+  return dir + "/" + SanitizeForFilename(task_key) + ".attempt" +
          std::to_string(attempt) + ".profile.folded";
 }
 

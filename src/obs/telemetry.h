@@ -49,25 +49,48 @@ std::string SerializeWorkerTelemetry(const WorkerTelemetry& telemetry);
 Result<WorkerTelemetry> ParseWorkerTelemetry(const std::string& json);
 
 // ---------------------------------------------------------------------------
-// Pipe framing: the FEMTEL1 typed-frame wire (DESIGN.md §13). After the
-// magic the wire is a sequence of frames:
+// The FEMTEL1 typed-frame wire (DESIGN.md §11/§13). After the magic the wire
+// is a sequence of frames:
 //
 //   "FEMTEL1\n" { <4-char type> <16 hex digits: byte length> "\n" <bytes> }*
 //
-// Known frame types: "TELE" (WorkerTelemetry JSON), "PROF" (folded profile
-// text), and "PAYL" (the task payload, always the final frame). A frame
-// whose type the receiver does not know is skipped — its length field still
-// delimits it — with a `fairem.telemetry.unknown_frames` counter bump, so
-// an older supervisor reading a newer worker degrades instead of treating
-// the wire as corrupt. A wire that does not start with the magic, or whose
-// first frame header is malformed, is an unframed payload from a worker
-// that crashed before (or never started) shipping telemetry. A wire
-// truncated mid-frame keeps the frames already parsed (payload empty).
+// One frame-header codec (AppendFrame / ParseFrameHeader) serves two
+// decoders with opposite failure policies: the lenient pipe decoder below
+// (ParseTelemetryWire — a worker killed mid-write degrades, never errors)
+// and the strict socket decoder (FrameDecoder in src/serve/protocol.h — a
+// corrupt stream closes the connection). Both skip a frame whose type they
+// do not know — its length field still delimits it — and count it in
+// UnknownFramesCounter(), so an older reader facing a newer writer degrades
+// instead of treating the wire as corrupt.
+//
+// Pipe frame types: "TELE" (WorkerTelemetry JSON), "PROF" (folded profile
+// text), and "PAYL" (the task payload, always the final frame). A pipe wire
+// that does not start with the magic, or whose first frame header is
+// malformed, is an unframed payload from a worker that crashed before (or
+// never started) shipping telemetry. A wire truncated mid-frame keeps the
+// frames already parsed (payload empty).
 
 inline constexpr char kTelemetryMagic[] = "FEMTEL1\n";
+inline constexpr size_t kTelemetryMagicLen = sizeof(kTelemetryMagic) - 1;
+/// 4 type bytes, 16 lowercase hex length digits, '\n'.
+inline constexpr size_t kFrameHeaderLen = 4 + 16 + 1;
 inline constexpr char kFrameTelemetry[] = "TELE";
 inline constexpr char kFrameProfile[] = "PROF";
 inline constexpr char kFramePayload[] = "PAYL";
+
+/// Appends one frame: header, then `bytes`. A type shorter than 4 bytes is
+/// padded with '_'; only the first 4 bytes of a longer one are used.
+void AppendFrame(std::string* wire, const std::string& type,
+                 const std::string& bytes);
+
+/// Parses the kFrameHeaderLen bytes at `header`. InvalidArgument when the
+/// type is not 4 printable non-space bytes, a length digit is not lowercase
+/// hex, or the terminating '\n' is missing.
+Status ParseFrameHeader(const char* header, std::string* type,
+                        uint64_t* length);
+
+/// fairem.telemetry.unknown_frames: frames either decoder stepped over.
+Counter* UnknownFramesCounter();
 
 struct TelemetryFrame {
   std::string type;  // exactly 4 bytes on the wire
@@ -80,6 +103,7 @@ struct TelemetryWireParse {
   /// Non-payload frames in wire order, unknown types included (callers
   /// dispatch on `type` and ignore what they do not understand).
   std::vector<TelemetryFrame> frames;
+  /// The PAYL frame's bytes; the whole wire when it is not framed.
   std::string payload;
 };
 
@@ -92,21 +116,6 @@ std::string EncodeTelemetryWire(const std::vector<TelemetryFrame>& frames,
 /// wire is the payload — the pre-framing degradation path. Unknown frame
 /// types are skipped with a counter bump, not an error.
 TelemetryWireParse ParseTelemetryWire(const std::string& wire);
-
-/// Legacy single-telemetry-frame convenience over EncodeTelemetryWire.
-std::string WrapPayloadWithTelemetry(const std::string& telemetry_json,
-                                     const std::string& payload);
-
-struct TelemetrySplit {
-  bool has_telemetry = false;
-  std::string telemetry_json;
-  std::string payload;
-};
-
-/// Never fails: a malformed wire is treated as "no telemetry" and becomes
-/// the payload wholesale, so a worker killed mid-write degrades to PR-3
-/// behaviour instead of erroring. The first TELE frame wins.
-TelemetrySplit SplitTelemetryPayload(const std::string& wire);
 
 // ---------------------------------------------------------------------------
 // Sidecar files: the crash path. Workers durably write
@@ -132,9 +141,9 @@ Result<std::string> LoadProfileSidecarFile(const std::string& path);
 
 /// Folds one worker attempt into this process: metrics delta merges into
 /// MetricsRegistry::Global() and each span is re-emitted on
-/// Tracer::Global() with track_id set to the worker pid. Callers own the
-/// (task_key, attempt) dedup; absorbing the same telemetry twice double
-/// counts.
+/// Tracer::Global() with track_id set to the worker pid. Absorbing the
+/// same telemetry twice double counts; WorkerProcess::TakeResult is the
+/// caller that keeps it to once per (task_key, attempt).
 void AbsorbWorkerTelemetry(const WorkerTelemetry& telemetry);
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "src/util/durable_file.h"
 #include "src/util/io_util.h"
 #include "src/util/json.h"
+#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
@@ -127,19 +128,8 @@ class JsonCursor {
 
 }  // namespace
 
-std::string CheckpointStore::SanitizeKey(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  for (char c : key) {
-    bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '_';
-    out.push_back(keep ? c : '_');
-  }
-  return out;
-}
-
 std::string CheckpointStore::PathFor(const std::string& key) const {
-  return dir_ + "/" + SanitizeKey(key) + ".json";
+  return dir_ + "/" + SanitizeForFilename(key) + ".json";
 }
 
 Result<std::string> CheckpointStore::Load(const std::string& key) const {

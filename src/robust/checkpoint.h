@@ -34,10 +34,6 @@ class CheckpointStore {
   /// Path of `key`'s checkpoint file (whether or not it exists).
   std::string PathFor(const std::string& key) const;
 
-  /// Keys map to filenames: alphanumerics, '.', '-' and '_' pass through,
-  /// every other byte becomes '_'.
-  static std::string SanitizeKey(const std::string& key);
-
  private:
   std::string dir_;
 };

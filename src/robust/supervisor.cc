@@ -9,13 +9,11 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <set>
 #include <thread>
 #include <utility>
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 #include "src/obs/telemetry.h"
 #include "src/robust/retry.h"
 #include "src/robust/worker_process.h"
@@ -91,7 +89,6 @@ int InterruptExitCode(int sig) { return 128 + (sig > 0 ? sig : SIGINT); }
 Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
   if (options_.jobs < 1) options_.jobs = 1;
   if (options_.max_attempts < 1) options_.max_attempts = 1;
-  if (options_.poll_interval_s <= 0.0) options_.poll_interval_s = 0.01;
 }
 
 Result<std::vector<TaskOutcome>> Supervisor::Run(
@@ -116,8 +113,6 @@ Result<std::vector<TaskOutcome>> Supervisor::Run(
       "fairem.supervisor.task_wall_seconds");
   static Gauge* max_rss = MetricsRegistry::Global().GetGauge(
       "fairem.supervisor.max_peak_rss_mb");
-  static Counter* sidecars_swept = MetricsRegistry::Global().GetCounter(
-      "fairem.telemetry.sidecars_swept");
 
   std::vector<TaskOutcome> outcomes(tasks.size());
   std::vector<int> attempts(tasks.size(), 0);
@@ -129,7 +124,7 @@ Result<std::vector<TaskOutcome>> Supervisor::Run(
   // auto-created one lives only for this Run.
   std::string telemetry_dir = options_.telemetry_dir;
   bool telemetry_dir_owned = false;
-  if (options_.ship_telemetry && telemetry_dir.empty()) {
+  if (telemetry_dir.empty()) {
     telemetry_dir = (std::filesystem::temp_directory_path() /
                      ("fairem-telemetry-" + std::to_string(::getpid())))
                         .string();
@@ -140,12 +135,6 @@ Result<std::vector<TaskOutcome>> Supervisor::Run(
     std::error_code ec;
     std::filesystem::remove_all(telemetry_dir, ec);
   };
-
-  // One merge per (task, attempt): a delta that arrives on both the pipe
-  // and a sidecar must not double count. Profiles dedup separately — a
-  // PROF frame can land without its TELE sibling and vice versa.
-  std::set<std::pair<size_t, int>> telemetry_merged;
-  std::set<std::pair<size_t, int>> profiles_merged_keys;
 
   size_t done_count = 0;
   size_t failed_count = 0;
@@ -177,9 +166,7 @@ Result<std::vector<TaskOutcome>> Supervisor::Run(
     spawn_options.task_key = tasks[index].key;
     spawn_options.attempt = attempt;
     spawn_options.max_rss_mb = options_.cell_max_rss_mb;
-    spawn_options.max_cpu_s = options_.cell_max_cpu_s;
-    spawn_options.ship_telemetry = options_.ship_telemetry;
-    spawn_options.telemetry_dir = options_.ship_telemetry ? telemetry_dir : "";
+    spawn_options.telemetry_dir = telemetry_dir;
     // Probabilistic failpoints draw fresh per respawn, so a transient
     // injected crash behaves like a transient real one. The first attempt
     // keeps the parent's streams for deterministic single-shot tests.
@@ -209,118 +196,33 @@ Result<std::vector<TaskOutcome>> Supervisor::Run(
                     double wall_seconds) {
     const size_t index = worker.task_index;
     const std::string& key = tasks[index].key;
-    const int attempt = attempts[index];
-    const std::string received = worker.proc.TakeReceived();
-    // Strip the telemetry frames (if any) off the wire; everything below
-    // interprets only the payload. A worker killed mid-ship leaves a
-    // truncated frame, which degrades to "no telemetry". Unknown frame
-    // types from a newer worker are skipped inside ParseTelemetryWire.
-    TelemetrySplit split;
-    bool profile_seen = false;
-    if (options_.ship_telemetry) {
-      TelemetryWireParse parsed = ParseTelemetryWire(received);
-      split.payload = parsed.framed ? parsed.payload : received;
-      for (TelemetryFrame& frame : parsed.frames) {
-        if (frame.type == kFrameTelemetry && !split.has_telemetry) {
-          split.has_telemetry = true;
-          split.telemetry_json = std::move(frame.bytes);
-        } else if (frame.type == kFrameProfile) {
-          profile_seen = true;
-          if (profiles_merged_keys.insert({index, attempt}).second) {
-            Profiler::Global().AbsorbFolded(frame.bytes);
-            // Registered lazily: a profiler-off run never ships a PROF
-            // frame and must not grow a fairem.profile.* metric.
-            MetricsRegistry::Global()
-                .GetCounter("fairem.profile.profiles_merged")
-                ->Increment();
-          }
-        }
-      }
-    } else {
-      split.payload = received;
-    }
-    bool telemetry_seen = false;
-    if (split.has_telemetry) {
-      Result<WorkerTelemetry> telemetry =
-          ParseWorkerTelemetry(split.telemetry_json);
-      if (telemetry.ok()) {
-        telemetry_seen = true;
-        if (telemetry_merged.insert({index, attempt}).second) {
-          AbsorbWorkerTelemetry(telemetry.value());
-        }
-      } else {
-        FAIREM_LOG(WARN) << "worker telemetry unparseable, trying sidecar"
-                         << LogKv("key", key)
-                         << LogKv("status", telemetry.status().ToString());
-      }
-    }
-    if (options_.ship_telemetry) {
-      const std::string sidecar =
-          TelemetrySidecarPath(telemetry_dir, key, attempt);
-      if (!telemetry_seen) {
-        // Crash/timeout path: the pipe copy never landed, sweep the file.
-        Result<WorkerTelemetry> telemetry = LoadTelemetrySidecarFile(sidecar);
-        if (telemetry.ok() &&
-            telemetry_merged.insert({index, attempt}).second) {
-          AbsorbWorkerTelemetry(telemetry.value());
-          sidecars_swept->Increment();
-        }
-      }
-      std::error_code ec;
-      std::filesystem::remove(sidecar, ec);
-      const std::string profile_sidecar =
-          ProfileSidecarPath(telemetry_dir, key, attempt);
-      if (!profile_seen) {
-        // Same sweep for the profile: only a worker that sampled writes
-        // one, so a missing file just means profiling was off or the
-        // worker died before its first flush.
-        Result<std::string> folded = LoadProfileSidecarFile(profile_sidecar);
-        if (folded.ok() && !folded.value().empty() &&
-            profiles_merged_keys.insert({index, attempt}).second) {
-          Profiler::Global().AbsorbFolded(folded.value());
-          MetricsRegistry::Global()
-              .GetCounter("fairem.profile.sidecars_swept")
-              ->Increment();
-        }
-      }
-      std::filesystem::remove(profile_sidecar, ec);
-    }
+    WorkerResult result = worker.proc.TakeResult(status);
     TaskOutcome out;
-    out.attempts = attempt;
+    out.attempts = attempts[index];
     out.exit_status = status;
     out.wall_seconds = wall_seconds;
     out.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
-    bool respawnable = false;
+    bool respawnable = true;
     if (worker.timed_out) {
       out.kind = TaskOutcome::Kind::kTimedOut;
       out.status = Status::Internal(
           "worker for '" + key + "' exceeded its " +
           FormatDouble(options_.cell_timeout_s, 1) +
           "s wall deadline and was killed by the watchdog");
-      respawnable = true;
-    } else if (WIFEXITED(status)) {
-      const int code = WEXITSTATUS(status);
-      if (code == kWorkerExitOk) {
-        out.kind = TaskOutcome::Kind::kOk;
-        out.payload = split.payload;
-      } else if (code == kWorkerExitTaskError) {
-        out.kind = TaskOutcome::Kind::kFailed;
-        out.status = ParseShippedStatus(split.payload);
-        respawnable = IsRetryableStatus(out.status);
-      } else {
-        out.kind = TaskOutcome::Kind::kCrashed;
-        out.status = Status::Internal("worker for '" + key +
-                                      "' exited with code " +
-                                      std::to_string(code));
-        respawnable = true;
-      }
+    } else if (result.kind == WorkerResult::Kind::kOk) {
+      out.kind = TaskOutcome::Kind::kOk;
+      out.payload = std::move(result.payload);
+    } else if (result.kind == WorkerResult::Kind::kTaskError) {
+      out.kind = TaskOutcome::Kind::kFailed;
+      out.status = result.status;
+      respawnable = IsRetryableStatus(out.status);
     } else {
-      const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
       out.kind = TaskOutcome::Kind::kCrashed;
-      out.status = Status::Internal("worker for '" + key +
-                                    "' was killed by signal " +
-                                    std::to_string(sig));
-      respawnable = true;
+      out.status = Status::Internal(
+          "worker for '" + key + "' " +
+          (result.exit_code >= 0
+               ? "exited with code " + std::to_string(result.exit_code)
+               : "was killed by signal " + std::to_string(result.signal)));
     }
     wall_hist->Observe(out.wall_seconds);
     if (out.peak_rss_mb > max_rss->value()) max_rss->Set(out.peak_rss_mb);
@@ -416,8 +318,7 @@ Result<std::vector<TaskOutcome>> Supervisor::Run(
       ++wi;
     }
     if (!progressed && !running.empty()) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(options_.poll_interval_s));
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
   cleanup_telemetry_dir();

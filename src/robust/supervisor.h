@@ -31,22 +31,16 @@ struct SupervisorOptions {
   /// for an RSS cap); an over-budget worker fails allocation and dies, which
   /// the supervisor contains like any crash. 0 disables.
   int cell_max_rss_mb = 0;
-  /// RLIMIT_CPU cap per worker in seconds (kernel-side backstop to the
-  /// watchdog for spin hangs). 0 disables.
-  int cell_max_cpu_s = 0;
   /// Spawn attempts per task including the first, mirroring
   /// RetryPolicy::max_attempts. Crashes and timeouts always respawn;
   /// task-level errors respawn only when IsRetryableStatus holds.
   int max_attempts = 3;
-  /// Supervision loop poll interval.
-  double poll_interval_s = 0.01;
-  /// Ship each worker's metrics delta and completed spans back to the
-  /// parent (telemetry section on the pipe, durable sidecar file for the
-  /// crash path — DESIGN.md §11). With this on, merged parent metrics for a
-  /// --jobs N run equal the sequential run's.
-  bool ship_telemetry = true;
-  /// Directory for telemetry sidecar files. Empty means a private directory
-  /// under the system temp dir, created for the run and removed afterwards.
+  /// Directory for the telemetry sidecar files that back up what each
+  /// worker ships on the pipe (its metrics delta, spans, and profile), so
+  /// merged parent metrics for a --jobs N run equal the sequential run's
+  /// even when a worker dies mid-ship (DESIGN.md §11). Empty means a
+  /// private directory under the system temp dir, created for the run and
+  /// removed afterwards.
   std::string telemetry_dir;
   /// Invoked from the poll loop (single-threaded, possibly many times per
   /// second) after every state change; wire a ProgressReporter here for the

@@ -11,8 +11,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
+#include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/telemetry.h"
@@ -71,64 +73,54 @@ bool ApplyWorkerLimits(const WorkerSpawnOptions& options) {
   }
   // The fork copied the parent's metric values and trace buffer; the
   // baseline lets the worker ship only what the body itself adds.
-  MetricsSnapshot telemetry_baseline;
-  size_t span_watermark = 0;
-  if (options.ship_telemetry) {
-    FlushSimdTelemetry();
-    telemetry_baseline = MetricsRegistry::Global().Snapshot();
-    span_watermark = Tracer::Global().EventCount();
-  }
+  FlushSimdTelemetry();
+  const MetricsSnapshot telemetry_baseline =
+      MetricsRegistry::Global().Snapshot();
+  const size_t span_watermark = Tracer::Global().EventCount();
   // noexcept barrier: an exception escaping the body (e.g. bad_alloc under
   // RLIMIT_AS) must terminate HERE as a contained crash — if it unwound
   // further it would re-enter the forked copy of the caller's stack (worst
   // case: a test harness's catch block resumes running the caller's code
   // in the child).
   Result<std::string> result = [&]() noexcept { return body(); }();
-  std::string wire;
-  int exit_code;
-  if (result.ok()) {
-    wire = std::move(result).value();
-    exit_code = kWorkerExitOk;
-  } else {
-    wire = EncodeShippedStatus(result.status());
-    exit_code = kWorkerExitTaskError;
+  const int exit_code = result.ok() ? kWorkerExitOk : kWorkerExitTaskError;
+  const std::string payload = result.ok()
+                                  ? std::move(result).value()
+                                  : EncodeShippedStatus(result.status());
+  // Samples must land in the metrics registry before the snapshot below
+  // diffs it, so the per-stage counters ship with the delta.
+  std::string folded;
+  if (profiling) {
+    (void)Profiler::Global().Stop();
+    Profiler::Global().ExportMetrics();
+    folded = Profiler::Global().Collect().ToText();
   }
-  if (options.ship_telemetry) {
-    // Samples must land in the metrics registry before the snapshot below
-    // diffs it, so the per-stage counters ship with the delta.
-    std::string folded;
-    if (profiling) {
-      (void)Profiler::Global().Stop();
-      Profiler::Global().ExportMetrics();
-      folded = Profiler::Global().Collect().ToText();
-    }
-    WorkerTelemetry telemetry;
-    telemetry.task_key = options.task_key;
-    telemetry.attempt = options.attempt;
-    telemetry.pid = static_cast<int64_t>(::getpid());
-    // Kernel tallies batched on this thread must fold in before the diff,
-    // or the tail of the batch would vanish with the worker.
-    FlushSimdTelemetry();
-    telemetry.metrics =
-        DiffSnapshots(telemetry_baseline, MetricsRegistry::Global().Snapshot());
-    telemetry.spans = Tracer::Global().EventsSince(span_watermark);
-    // Sidecars before the pipe: if the writes below never complete the
-    // parent can still sweep the files up. Best effort — a worker that
-    // cannot write them still ships on the pipe.
+  WorkerTelemetry telemetry;
+  telemetry.task_key = options.task_key;
+  telemetry.attempt = options.attempt;
+  telemetry.pid = static_cast<int64_t>(::getpid());
+  // Kernel tallies batched on this thread must fold in before the diff,
+  // or the tail of the batch would vanish with the worker.
+  FlushSimdTelemetry();
+  telemetry.metrics =
+      DiffSnapshots(telemetry_baseline, MetricsRegistry::Global().Snapshot());
+  telemetry.spans = Tracer::Global().EventsSince(span_watermark);
+  // Sidecars before the pipe: if the writes below never complete the
+  // parent can still sweep the files up. Best effort — a worker that
+  // cannot write them still ships on the pipe.
+  if (!options.telemetry_dir.empty()) {
+    (void)WriteTelemetrySidecar(options.telemetry_dir, telemetry);
+  }
+  std::vector<TelemetryFrame> frames;
+  frames.push_back({kFrameTelemetry, SerializeWorkerTelemetry(telemetry)});
+  if (!folded.empty()) {
     if (!options.telemetry_dir.empty()) {
-      (void)WriteTelemetrySidecar(options.telemetry_dir, telemetry);
+      (void)WriteProfileSidecar(options.telemetry_dir, options.task_key,
+                                options.attempt, folded);
     }
-    std::vector<TelemetryFrame> frames;
-    frames.push_back({kFrameTelemetry, SerializeWorkerTelemetry(telemetry)});
-    if (!folded.empty()) {
-      if (!options.telemetry_dir.empty()) {
-        (void)WriteProfileSidecar(options.telemetry_dir, options.task_key,
-                                  options.attempt, folded);
-      }
-      frames.push_back({kFrameProfile, std::move(folded)});
-    }
-    wire = EncodeTelemetryWire(frames, wire);
+    frames.push_back({kFrameProfile, std::move(folded)});
   }
+  const std::string wire = EncodeTelemetryWire(frames, payload);
   if (!WriteFull(write_fd, wire).ok()) std::_Exit(kWorkerExitProtocol);
   ::close(write_fd);
   // Injection site for shipped-then-crashed workers: with a crash action
@@ -162,12 +154,9 @@ Status ParseShippedStatus(const std::string& wire) {
                 wire.substr(nl + 1));
 }
 
-WorkerProcess::WorkerProcess(WorkerProcess&& other) noexcept
-    : pid_(std::exchange(other.pid_, -1)),
-      pipe_fd_(std::exchange(other.pipe_fd_, -1)),
-      received_(std::move(other.received_)),
-      start_(other.start_),
-      spawn_unix_us_(other.spawn_unix_us_) {}
+WorkerProcess::WorkerProcess(WorkerProcess&& other) noexcept {
+  *this = std::move(other);
+}
 
 WorkerProcess& WorkerProcess::operator=(WorkerProcess&& other) noexcept {
   if (this != &other) {
@@ -175,6 +164,7 @@ WorkerProcess& WorkerProcess::operator=(WorkerProcess&& other) noexcept {
     pid_ = std::exchange(other.pid_, -1);
     pipe_fd_ = std::exchange(other.pipe_fd_, -1);
     received_ = std::move(other.received_);
+    options_ = std::move(other.options_);
     start_ = other.start_;
     spawn_unix_us_ = other.spawn_unix_us_;
   }
@@ -209,6 +199,7 @@ Result<WorkerProcess> WorkerProcess::Spawn(
   WorkerProcess worker;
   worker.pid_ = pid;
   worker.pipe_fd_ = fds[0];
+  worker.options_ = options;
   worker.start_ = std::chrono::steady_clock::now();
   worker.spawn_unix_us_ = UnixMicrosNow();
   return worker;
@@ -240,6 +231,82 @@ bool WorkerProcess::TryReap(int* status, rusage* usage) {
   }
   pid_ = -1;
   return true;
+}
+
+WorkerResult WorkerProcess::TakeResult(int wait_status) {
+  // A worker killed mid-ship leaves a truncated frame, which degrades to
+  // "no telemetry"; ParseTelemetryWire skips frame types it does not know.
+  TelemetryWireParse wire = ParseTelemetryWire(received_);
+  received_.clear();
+  const TelemetryFrame* tele = nullptr;
+  const TelemetryFrame* prof = nullptr;
+  for (const TelemetryFrame& frame : wire.frames) {
+    if (frame.type == kFrameTelemetry && tele == nullptr) tele = &frame;
+    if (frame.type == kFrameProfile && prof == nullptr) prof = &frame;
+  }
+  bool telemetry_seen = false;
+  if (tele != nullptr) {
+    Result<WorkerTelemetry> telemetry = ParseWorkerTelemetry(tele->bytes);
+    if (telemetry.ok()) {
+      telemetry_seen = true;
+      AbsorbWorkerTelemetry(*telemetry);
+    } else {
+      FAIREM_LOG(WARN) << "worker telemetry unparseable, trying sidecar"
+                       << LogKv("key", options_.task_key)
+                       << LogKv("status", telemetry.status().ToString());
+    }
+  }
+  // fairem.profile.* counters register on first use: a profiler-off run
+  // ships no PROF frame and must not grow a profile metric.
+  auto absorb_profile = [](const std::string& folded, const char* counter) {
+    Profiler::Global().AbsorbFolded(folded);
+    MetricsRegistry::Global().GetCounter(counter)->Increment();
+  };
+  if (prof != nullptr) {
+    absorb_profile(prof->bytes, "fairem.profile.profiles_merged");
+  }
+  const std::string& dir = options_.telemetry_dir;
+  if (!dir.empty()) {
+    // The crash/timeout path: sweep up whichever copy the pipe never
+    // delivered, then delete both files.
+    static Counter* sidecars_swept = MetricsRegistry::Global().GetCounter(
+        "fairem.telemetry.sidecars_swept");
+    const std::string sidecar =
+        TelemetrySidecarPath(dir, options_.task_key, options_.attempt);
+    if (!telemetry_seen) {
+      Result<WorkerTelemetry> telemetry = LoadTelemetrySidecarFile(sidecar);
+      if (telemetry.ok()) {
+        AbsorbWorkerTelemetry(*telemetry);
+        sidecars_swept->Increment();
+      }
+    }
+    const std::string profile_sidecar =
+        ProfileSidecarPath(dir, options_.task_key, options_.attempt);
+    if (prof == nullptr) {
+      // Only a worker that sampled writes one, so a missing file just means
+      // profiling was off or the worker died before its first flush.
+      Result<std::string> folded = LoadProfileSidecarFile(profile_sidecar);
+      if (folded.ok() && !folded->empty()) {
+        absorb_profile(*folded, "fairem.profile.sidecars_swept");
+      }
+    }
+    std::error_code ec;
+    std::filesystem::remove(sidecar, ec);
+    std::filesystem::remove(profile_sidecar, ec);
+  }
+  WorkerResult result;
+  const int code = WIFEXITED(wait_status) ? WEXITSTATUS(wait_status) : -1;
+  if (code == kWorkerExitOk) {
+    result.kind = WorkerResult::Kind::kOk;
+    result.payload = std::move(wire.payload);
+  } else if (code == kWorkerExitTaskError) {
+    result.kind = WorkerResult::Kind::kTaskError;
+    result.status = ParseShippedStatus(wire.payload);
+  } else {
+    result.exit_code = code;
+    result.signal = WIFSIGNALED(wait_status) ? WTERMSIG(wait_status) : 0;
+  }
+  return result;
 }
 
 void WorkerProcess::Kill() {

@@ -17,10 +17,11 @@ namespace fairem {
 // One crash-isolated worker child and its parent-side handle. This is the
 // fork/pipe/rlimit/telemetry-ship machinery shared by the batch Supervisor
 // (grid sweeps) and the serve daemon (per-query workers): the child runs a
-// closure, ships its Result<std::string> back over a pipe — wrapped in
-// FEMTEL1 telemetry frames when requested — and exits through the
-// exit-code protocol below. The parent polls the handle without blocking,
-// so one loop can watch many workers plus unrelated fds (sockets, timers).
+// closure, ships its Result<std::string> back over a pipe behind FEMTEL1
+// telemetry frames, and exits through the exit-code protocol below. The
+// parent polls the handle without blocking, so one loop can watch many
+// workers plus unrelated fds (sockets, timers), and reads each reaped
+// worker back with TakeResult.
 
 /// Worker exit codes (the parent <-> worker protocol). Anything else —
 /// including a signal death — is treated as a crash.
@@ -51,10 +52,8 @@ struct WorkerSpawnOptions {
   int max_rss_mb = 0;
   /// RLIMIT_CPU cap in seconds (kernel backstop for spin hangs). 0 disables.
   int max_cpu_s = 0;
-  /// Ship the worker's metrics delta and completed spans back on the pipe
-  /// as FEMTEL1 frames ahead of the payload.
-  bool ship_telemetry = false;
-  /// Directory for durable telemetry sidecars (the crash path's copy).
+  /// Directory for durable telemetry sidecars (the crash path's copy of
+  /// the metrics delta, spans, and profile the worker ships on the pipe).
   /// Empty means pipe-only shipping, no sidecar files.
   std::string telemetry_dir;
   /// When nonzero, the child reseeds probabilistic failpoint streams with
@@ -66,6 +65,22 @@ struct WorkerSpawnOptions {
   /// Parent-owned fds the child must close (sibling pipes, listening
   /// sockets, client connections). The child also closes its own read end.
   std::vector<int> close_in_child;
+};
+
+/// A reaped worker's outcome, as WorkerProcess::TakeResult reads it.
+struct WorkerResult {
+  enum class Kind {
+    kOk,         // exited kWorkerExitOk: `payload` is what the body returned
+    kTaskError,  // exited kWorkerExitTaskError: `status` is the body's error
+    kCrash,      // any other exit, or a signal
+  };
+  Kind kind = Kind::kCrash;
+  std::string payload;
+  Status status = Status::OK();
+  /// kCrash: the exit code, or -1 when a signal ended the worker.
+  int exit_code = -1;
+  /// kCrash: the terminating signal, or 0.
+  int signal = 0;
 };
 
 class WorkerProcess {
@@ -90,13 +105,23 @@ class WorkerProcess {
       const std::function<Result<std::string>()>& body,
       const WorkerSpawnOptions& options);
 
-  /// Appends whatever the pipe currently holds to received(); never blocks.
+  /// Appends whatever the pipe currently holds to the received bytes;
+  /// never blocks.
   void Drain();
 
   /// wait4(WNOHANG). On reap: drains the final bytes, closes the pipe,
   /// fills *status / *usage, and returns true. The handle then reports
-  /// valid() == false for Kill/Drain purposes but keeps received().
+  /// valid() == false for Kill/Drain purposes but keeps what it received,
+  /// for TakeResult.
   bool TryReap(int* status, rusage* usage);
+
+  /// The parent-side mirror of the child's ship, called once after TryReap
+  /// with its `wait_status`: classifies the exit and strips the FEMTEL1
+  /// frames off the payload. It first absorbs the attempt's telemetry into
+  /// this process exactly once: the TELE frame or else the telemetry
+  /// sidecar (metrics and spans), the PROF frame or else the profile
+  /// sidecar (Profiler::AbsorbFolded). Both sidecars are then deleted.
+  WorkerResult TakeResult(int wait_status);
 
   /// SIGKILLs the worker's whole process group (and the worker itself, in
   /// case it died before its setpgid took effect).
@@ -118,13 +143,12 @@ class WorkerProcess {
   /// Parent's nonblocking read end; -1 once reaped. Poll it for readability
   /// as a cheap "worker wrote or exited" wakeup.
   int pipe_fd() const { return pipe_fd_; }
-  const std::string& received() const { return received_; }
-  std::string TakeReceived() { return std::move(received_); }
 
  private:
   pid_t pid_ = -1;
   int pipe_fd_ = -1;
   std::string received_;
+  WorkerSpawnOptions options_;  // names this attempt's sidecars
   std::chrono::steady_clock::time_point start_;
   int64_t spawn_unix_us_ = 0;
 };

@@ -253,8 +253,7 @@ class RouteDaemon : public DaemonFront {
       breaker.open_cooldown_s = options_.breaker_cooldown_s;
       backend.breaker = CircuitBreaker(breaker);
       backend.state_gauge = MetricsRegistry::Global().GetGauge(
-          "fairem.route.backend." + CheckpointStore::SanitizeKey(path) +
-          ".state");
+          "fairem.route.backend." + SanitizeForFilename(path) + ".state");
       next.emplace(path, std::move(backend));
     }
     // Whatever is left in backends_ was removed (its probe closes with it).

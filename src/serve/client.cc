@@ -32,6 +32,7 @@ ServeClient::ServeClient(ServeClient&& other) noexcept
     : socket_path_(std::move(other.socket_path_)),
       options_(std::move(other.options_)),
       fd_(other.fd_),
+      decoder_(std::move(other.decoder_)),
       next_id_(other.next_id_),
       last_trace_(other.last_trace_),
       last_spans_(std::move(other.last_spans_)) {
@@ -44,6 +45,7 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
     socket_path_ = std::move(other.socket_path_);
     options_ = std::move(other.options_);
     fd_ = other.fd_;
+    decoder_ = std::move(other.decoder_);
     next_id_ = other.next_id_;
     last_trace_ = other.last_trace_;
     last_spans_ = std::move(other.last_spans_);
@@ -59,6 +61,7 @@ void ServeClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  decoder_ = FrameDecoder();
 }
 
 Result<QueryResponse> ServeClient::Call(const QueryRequest& request) {
@@ -124,14 +127,15 @@ Result<QueryResponse> ServeClient::CallAttempt(const QueryRequest& request,
       (sent.deadline_s > 0.0 ? sent.deadline_s : 0.0);
   // Advisory PROG frames may precede the QRSP; each read gets the full
   // budget again — progress arriving proves the peer is alive.
-  Result<ServeMessage> message = ReadServeMessage(fd_, read_timeout);
+  Result<ServeMessage> message =
+      ReadServeMessage(fd_, &decoder_, read_timeout);
   while (message.ok() && message->type == kFrameProgress) {
     Result<ProgressUpdate> progress = ParseProgressUpdate(message->bytes);
     if (progress.ok() && options_.on_progress != nullptr &&
         progress->id == sent.id) {
       options_.on_progress(*progress);
     }
-    message = ReadServeMessage(fd_, read_timeout);
+    message = ReadServeMessage(fd_, &decoder_, read_timeout);
   }
   if (!message.ok()) {
     Close();

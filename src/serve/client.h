@@ -87,6 +87,8 @@ class ServeClient {
   std::string socket_path_;
   ServeClientOptions options_;
   int fd_ = -1;
+  /// Bytes read from fd_ past the last message returned; reset with it.
+  FrameDecoder decoder_;
   uint64_t next_id_ = 0;
   TraceContext last_trace_;
   std::vector<WireSpan> last_spans_;

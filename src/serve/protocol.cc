@@ -1,7 +1,5 @@
 #include "src/serve/protocol.h"
 
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "src/obs/metrics.h"
@@ -12,49 +10,6 @@
 
 namespace fairem {
 namespace {
-
-constexpr size_t kMagicLen = 8;
-constexpr size_t kFrameTypeLen = 4;
-constexpr size_t kFrameHeaderLen = kFrameTypeLen + 16 + 1;
-
-Counter* UnknownFramesCounter() {
-  static Counter* counter = MetricsRegistry::Global().GetCounter(
-      "fairem.telemetry.unknown_frames");
-  return counter;
-}
-
-/// Parses a frame header (same layout as the telemetry wire). Returns an
-/// error on malformed bytes — for a length-prefixed stream that is fatal.
-Status ParseHeader(const char* data, std::string* type, uint64_t* length) {
-  for (size_t i = 0; i < kFrameTypeLen; ++i) {
-    char c = data[i];
-    if (c < 0x21 || c > 0x7e) {
-      return Status::InvalidArgument("serve frame: type is not printable");
-    }
-  }
-  uint64_t out = 0;
-  for (size_t i = kFrameTypeLen; i < kFrameTypeLen + 16; ++i) {
-    char c = data[i];
-    out <<= 4;
-    if (c >= '0' && c <= '9') {
-      out |= static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      out |= static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return Status::InvalidArgument("serve frame: bad length digit");
-    }
-  }
-  if (data[kFrameHeaderLen - 1] != '\n') {
-    return Status::InvalidArgument("serve frame: missing header terminator");
-  }
-  if (out > kMaxServeFrameBytes) {
-    return Status::InvalidArgument("serve frame: declared length " +
-                                   std::to_string(out) + " exceeds cap");
-  }
-  *type = std::string(data, kFrameTypeLen);
-  *length = out;
-  return Status::OK();
-}
 
 bool KnownMessageType(const std::string& type) {
   return type == kFrameQueryRequest || type == kFrameQueryResponse ||
@@ -295,18 +250,9 @@ Result<ProgressUpdate> ParseProgressUpdate(const std::string& json) {
 std::string EncodeServeMessage(const std::string& type,
                                const std::string& bytes) {
   std::string wire;
-  wire.reserve(kMagicLen + kFrameHeaderLen + bytes.size());
-  wire.append(kTelemetryMagic, kMagicLen);
-  char type4[kFrameTypeLen];
-  for (size_t i = 0; i < kFrameTypeLen; ++i) {
-    type4[i] = i < type.size() ? type[i] : '_';
-  }
-  wire.append(type4, kFrameTypeLen);
-  char length[32];
-  std::snprintf(length, sizeof(length), "%016zx", bytes.size());
-  wire.append(length, 16);
-  wire.push_back('\n');
-  wire.append(bytes);
+  wire.reserve(kTelemetryMagicLen + kFrameHeaderLen + bytes.size());
+  wire.append(kTelemetryMagic, kTelemetryMagicLen);
+  AppendFrame(&wire, type, bytes);
   return wire;
 }
 
@@ -316,37 +262,19 @@ Status WriteServeMessage(int fd, const std::string& type,
   return WriteFullDeadline(fd, wire.data(), wire.size(), timeout_s);
 }
 
-Result<ServeMessage> ReadServeMessage(int fd, double timeout_s) {
-  char magic[kMagicLen];
-  FAIREM_RETURN_NOT_OK(ReadFullDeadline(fd, magic, sizeof(magic), timeout_s));
-  if (std::char_traits<char>::compare(magic, kTelemetryMagic, kMagicLen) !=
-      0) {
-    return Status::InvalidArgument("serve frame: bad magic");
-  }
-  // Skip unknown-typed frames until the known frame that completes the
-  // message, so a newer peer can prepend advisory frames without breaking
-  // us. A redundant magic at a frame boundary is tolerated too: a peer
-  // that encodes every frame as magic + frame produces that shape.
+Result<ServeMessage> ReadServeMessage(int fd, FrameDecoder* decoder,
+                                      double timeout_s) {
+  const double deadline =
+      timeout_s > 0.0 ? MonotonicSeconds() + timeout_s : 0.0;
   for (;;) {
-    char header[kFrameHeaderLen];
-    FAIREM_RETURN_NOT_OK(ReadFullDeadline(fd, header, sizeof(header),
-                                          timeout_s));
-    while (std::char_traits<char>::compare(header, kTelemetryMagic,
-                                           kMagicLen) == 0) {
-      std::memmove(header, header + kMagicLen, kFrameHeaderLen - kMagicLen);
-      FAIREM_RETURN_NOT_OK(ReadFullDeadline(
-          fd, header + kFrameHeaderLen - kMagicLen, kMagicLen, timeout_s));
-    }
-    std::string type;
-    uint64_t length = 0;
-    FAIREM_RETURN_NOT_OK(ParseHeader(header, &type, &length));
-    std::string body(length, '\0');
-    if (length > 0) {
-      FAIREM_RETURN_NOT_OK(
-          ReadFullDeadline(fd, body.data(), body.size(), timeout_s));
-    }
-    if (KnownMessageType(type)) return ServeMessage{type, std::move(body)};
-    UnknownFramesCounter()->Increment();
+    ServeMessage message;
+    FAIREM_ASSIGN_OR_RETURN(FrameDecoder::Next next,
+                            decoder->TryNext(&message));
+    if (next == FrameDecoder::Next::kMessage) return message;
+    char buf[16384];
+    FAIREM_ASSIGN_OR_RETURN(size_t n,
+                            ReadSomeBefore(fd, buf, sizeof(buf), deadline));
+    decoder->Feed(buf, n);
   }
 }
 
@@ -363,30 +291,31 @@ void FrameDecoder::Feed(const char* data, size_t n) {
 Result<FrameDecoder::Next> FrameDecoder::TryNext(ServeMessage* out) {
   for (;;) {
     if (!saw_magic_) {
-      if (buf_.size() - consumed_ < kMagicLen) return Next::kNeedMore;
-      if (buf_.compare(consumed_, kMagicLen, kTelemetryMagic, kMagicLen) !=
-          0) {
+      if (buffered() < kTelemetryMagicLen) return Next::kNeedMore;
+      if (buf_.compare(consumed_, kTelemetryMagicLen, kTelemetryMagic) != 0) {
         return Status::InvalidArgument("serve frame: bad magic");
       }
-      consumed_ += kMagicLen;
+      consumed_ += kTelemetryMagicLen;
       saw_magic_ = true;
     }
     // A redundant magic at a frame boundary (unknown frame followed by a
     // fresh magic+frame message) is consumed, not treated as a bad header.
-    if (buf_.size() - consumed_ >= kMagicLen &&
-        buf_.compare(consumed_, kMagicLen, kTelemetryMagic, kMagicLen) ==
-            0) {
-      consumed_ += kMagicLen;
+    if (buffered() >= kTelemetryMagicLen &&
+        buf_.compare(consumed_, kTelemetryMagicLen, kTelemetryMagic) == 0) {
+      consumed_ += kTelemetryMagicLen;
       continue;
     }
-    if (buf_.size() - consumed_ < kFrameHeaderLen) return Next::kNeedMore;
+    if (buffered() < kFrameHeaderLen) return Next::kNeedMore;
     std::string type;
     uint64_t length = 0;
-    FAIREM_RETURN_NOT_OK(ParseHeader(buf_.data() + consumed_, &type,
-                                     &length));
-    if (buf_.size() - consumed_ - kFrameHeaderLen < length) {
-      return Next::kNeedMore;
+    FAIREM_RETURN_NOT_OK(
+        ParseFrameHeader(buf_.data() + consumed_, &type, &length));
+    if (length > kMaxServeFrameBytes) {
+      return Status::InvalidArgument("serve frame: declared length " +
+                                     std::to_string(length) +
+                                     " exceeds cap");
     }
+    if (buffered() - kFrameHeaderLen < length) return Next::kNeedMore;
     consumed_ += kFrameHeaderLen;
     std::string body = buf_.substr(consumed_, length);
     consumed_ += length;

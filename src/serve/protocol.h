@@ -12,8 +12,9 @@
 namespace fairem {
 
 // Wire protocol for `fairem serve`: every message is the FEMTEL1 magic
-// followed by one typed frame (`<4-char type><16 hex length>\n<bytes>` —
-// the same framing the worker telemetry wire uses, see DESIGN.md §11/§14).
+// followed by one typed frame (`<4-char type><16 hex length>\n<bytes>`,
+// written and parsed by the frame-header codec in src/obs/telemetry.h that
+// the worker pipe wire uses too; DESIGN.md §11/§14).
 // Known types are QREQ (request JSON) and QRSP (response JSON); unknown
 // types are skipped and counted in fairem.telemetry.unknown_frames, and a
 // redundant magic at a frame boundary is consumed, so an older peer
@@ -124,17 +125,11 @@ struct ServeMessage {
 std::string EncodeServeMessage(const std::string& type,
                                const std::string& bytes);
 
-/// Blocking client-side helpers with per-IO deadlines (kDeadlineExceeded on
-/// expiry, kUnavailable on peer disconnect — see src/util/io_util.h).
-Status WriteServeMessage(int fd, const std::string& type,
-                         const std::string& bytes, double timeout_s);
-Result<ServeMessage> ReadServeMessage(int fd, double timeout_s);
-
-/// Incremental decoder for the server's nonblocking connections: feed
-/// whatever bytes arrived, pull out complete messages. Unknown frame types
-/// are skipped (and counted); a malformed or oversized stream returns an
-/// error, after which the connection must be closed — there is no way to
-/// resynchronize a length-prefixed stream with a corrupt header.
+/// Incremental decoder for one connection: feed whatever bytes arrived,
+/// pull out complete messages. Unknown frame types are skipped (and
+/// counted); a malformed or oversized stream returns an error, after which
+/// the connection must be closed — there is no way to resynchronize a
+/// length-prefixed stream with a corrupt header.
 class FrameDecoder {
  public:
   void Feed(const char* data, size_t n);
@@ -152,6 +147,17 @@ class FrameDecoder {
   size_t consumed_ = 0;    // parsed-and-discarded prefix of buf_
   bool saw_magic_ = false; // magic precedes every message
 };
+
+/// Blocking client-side helpers for a blocking or nonblocking fd (see
+/// src/util/io_util.h): kDeadlineExceeded when `timeout_s` passes first,
+/// kUnavailable on peer disconnect. ReadServeMessage decodes through the
+/// connection's own `decoder`, which keeps any bytes that arrived past the
+/// returned message for the next call; after an error the connection (and
+/// its decoder) must be discarded.
+Status WriteServeMessage(int fd, const std::string& type,
+                         const std::string& bytes, double timeout_s);
+Result<ServeMessage> ReadServeMessage(int fd, FrameDecoder* decoder,
+                                      double timeout_s);
 
 }  // namespace fairem
 

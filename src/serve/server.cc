@@ -1,7 +1,5 @@
 #include "src/serve/server.h"
 
-#include <sys/wait.h>
-
 #include <algorithm>
 #include <deque>
 #include <utility>
@@ -9,7 +7,6 @@
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
 #include "src/robust/supervisor.h"
 #include "src/robust/worker_process.h"
@@ -303,9 +300,9 @@ class ServeDaemon : public DaemonFront {
     spawn.attempt = job->attempts;
     spawn.max_rss_mb = options_.worker_max_rss_mb;
     spawn.max_cpu_s = options_.worker_max_cpu_s;
-    // Pipe-only telemetry: worker metric deltas merge into the daemon
-    // registry, so `stats` and the drain snapshot cover the whole fleet.
-    spawn.ship_telemetry = true;
+    // Pipe-only telemetry (no telemetry_dir): worker metric deltas and
+    // profiles merge into the daemon's, so `stats`, the drain snapshot,
+    // and --profile_out cover the whole fleet.
     // Every spawn draws fresh probabilistic-failpoint streams — sibling
     // workers and respawns must not replay the parent's exact draws.
     spawn.failpoint_reseed = ++spawn_sequence_;
@@ -374,17 +371,8 @@ class ServeDaemon : public DaemonFront {
   }
 
   void SettleWorker(QueryJob job, int status) {
-    const std::string received = job.proc.TakeReceived();
-    TelemetrySplit split = SplitTelemetryPayload(received);
-    if (split.has_telemetry) {
-      Result<WorkerTelemetry> telemetry =
-          ParseWorkerTelemetry(split.telemetry_json);
-      if (telemetry.ok()) AbsorbWorkerTelemetry(*telemetry);
-    }
-    const bool exited_ok =
-        WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitOk;
-    const bool task_error =
-        WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitTaskError;
+    WorkerResult result = job.proc.TakeResult(status);
+    const bool exited_ok = result.kind == WorkerResult::Kind::kOk;
     if (exited_ok && !job.timed_out) {
       // Feed the ETA model for everyone's PROG frames, traced or not.
       metrics_.cell_seconds->Observe(job.proc.AgeSeconds());
@@ -397,7 +385,7 @@ class ServeDaemon : public DaemonFront {
         exit_kind = "killed_deadline";
       } else if (exited_ok) {
         exit_kind = "ok";
-      } else if (task_error) {
+      } else if (result.kind == WorkerResult::Kind::kTaskError) {
         exit_kind = "task_error";
       }
       compute.annotations.emplace_back("exit", exit_kind);
@@ -413,11 +401,11 @@ class ServeDaemon : public DaemonFront {
     }
     if (exited_ok) {
       // Defensive parse: only a well-formed cell is cached and served.
-      Result<GridCellCheckpoint> cell = GridCellFromJson(split.payload);
+      Result<GridCellCheckpoint> cell = GridCellFromJson(result.payload);
       if (cell.ok()) {
         metrics_.cells_computed->Increment();
-        warm_.StoreCell(job.key, split.payload);
-        response.payload = split.payload;
+        warm_.StoreCell(job.key, result.payload);
+        response.payload = std::move(result.payload);
       } else {
         response.status = Status::Internal(
             "worker shipped unparseable cell: " + cell.status().ToString());
@@ -425,20 +413,17 @@ class ServeDaemon : public DaemonFront {
       FinishJob(job, response);
       return;
     }
-    if (task_error) {
-      Status shipped = ParseShippedStatus(split.payload);
-      RespawnOrFail(std::move(job), shipped, IsRetryableStatus(shipped));
+    if (result.kind == WorkerResult::Kind::kTaskError) {
+      RespawnOrFail(std::move(job), result.status,
+                    IsRetryableStatus(result.status));
       return;
     }
     // Crash: signal death, _Exit under a failpoint, OOM under RLIMIT_AS,
     // or a protocol failure.
     metrics_.worker_crashes->Increment();
     const std::string detail =
-        WIFEXITED(status)
-            ? "exit code " + std::to_string(WEXITSTATUS(status))
-            : "signal " + std::to_string(WIFSIGNALED(status)
-                                             ? WTERMSIG(status)
-                                             : 0);
+        result.exit_code >= 0 ? "exit code " + std::to_string(result.exit_code)
+                              : "signal " + std::to_string(result.signal);
     Status crash = Status::Internal("query worker crashed (" + detail +
                                     ") for '" + job.key + "'");
     RespawnOrFail(std::move(job), crash, /*retryable=*/true);

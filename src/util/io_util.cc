@@ -100,33 +100,19 @@ Status PollFd(int fd, short events, double timeout_s) {
   }
 }
 
-Status ReadFullDeadline(int fd, void* buf, size_t n, double timeout_s) {
-  const double start = MonotonicSeconds();
-  char* p = static_cast<char*>(buf);
-  size_t got = 0;
-  while (got < n) {
-    double left =
-        timeout_s > 0.0 ? timeout_s - (MonotonicSeconds() - start) : 0.0;
-    if (timeout_s > 0.0 && left <= 0.0) {
-      return Status(StatusCode::kDeadlineExceeded,
-                    "read deadline expired after " + std::to_string(got) +
-                        " of " + std::to_string(n) + " bytes");
+Result<size_t> ReadSomeBefore(int fd, void* buf, size_t n, double deadline_s) {
+  for (;;) {
+    const double left = deadline_s - MonotonicSeconds();
+    if (deadline_s > 0.0 && left <= 0.0) {
+      return Status(StatusCode::kDeadlineExceeded, "read deadline expired");
     }
-    FAIREM_RETURN_NOT_OK(PollFd(fd, POLLIN, left));
-    ssize_t r = ::read(fd, p + got, n - got);
-    if (r > 0) {
-      got += static_cast<size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      return Status(StatusCode::kUnavailable,
-                    "eof after " + std::to_string(got) + " of " +
-                        std::to_string(n) + " bytes");
-    }
+    FAIREM_RETURN_NOT_OK(PollFd(fd, POLLIN, deadline_s > 0.0 ? left : 0.0));
+    ssize_t r = ::read(fd, buf, n);
+    if (r > 0) return static_cast<size_t>(r);
+    if (r == 0) return Status(StatusCode::kUnavailable, "eof");
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
     return ErrnoStatus("read", errno);
   }
-  return Status::OK();
 }
 
 Status WriteFullDeadline(int fd, const void* data, size_t n,

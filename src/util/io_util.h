@@ -34,12 +34,15 @@ Status ReadFull(int fd, void* buf, size_t n);
 Status WriteFull(int fd, const void* data, size_t n);
 Status WriteFull(int fd, const std::string& data);
 
-/// ReadFull with a wall-clock budget: polls the fd before every read so a
-/// stalled peer costs at most `timeout_s`, not forever. The fd may be
-/// blocking or nonblocking. `timeout_s` <= 0 means no deadline.
-Status ReadFullDeadline(int fd, void* buf, size_t n, double timeout_s);
+/// One read of up to `n` bytes, polling first so a stalled peer costs at
+/// most the time left before `deadline_s` (a MonotonicSeconds() instant; 0
+/// means no deadline), not forever: the byte count (> 0), kUnavailable at
+/// EOF, kDeadlineExceeded once the deadline passes. The fd may be blocking
+/// or nonblocking.
+Result<size_t> ReadSomeBefore(int fd, void* buf, size_t n, double deadline_s);
 
-/// WriteFull with the same wall-clock budget (slow-reader protection).
+/// WriteFull with a wall-clock budget of `timeout_s` (<= 0: none), polling
+/// before every write (slow-reader protection).
 Status WriteFullDeadline(int fd, const void* data, size_t n,
                          double timeout_s);
 

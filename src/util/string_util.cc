@@ -53,6 +53,17 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string SanitizeForFilename(std::string_view key) {
+  std::string out(key);
+  for (char& c : out) {
+    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '.' || c == '-' ||
+                      c == '_';
+    if (!keep) c = '_';
+  }
+  return out;
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

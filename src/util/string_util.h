@@ -19,6 +19,11 @@ std::vector<std::string> Split(std::string_view s, char delim);
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
+/// Replaces every byte outside [A-Za-z0-9._-] with '_', so a key (a grid
+/// cell key, a task key, a socket path) is safe as a filename component and
+/// inside a metric name.
+std::string SanitizeForFilename(std::string_view key);
+
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 

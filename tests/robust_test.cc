@@ -12,6 +12,7 @@
 #include "src/robust/checkpoint.h"
 #include "src/robust/failpoint.h"
 #include "src/robust/retry.h"
+#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
@@ -321,9 +322,9 @@ TEST(CheckpointStoreTest, SaveLoadRoundTrip) {
 }
 
 TEST(CheckpointStoreTest, SanitizeKeyKeepsFilenamesSafe) {
-  EXPECT_EQ(CheckpointStore::SanitizeKey("DBLP-Scholar.single.DTMatcher"),
+  EXPECT_EQ(SanitizeForFilename("DBLP-Scholar.single.DTMatcher"),
             "DBLP-Scholar.single.DTMatcher");
-  EXPECT_EQ(CheckpointStore::SanitizeKey("a/b c:d\\e"), "a_b_c_d_e");
+  EXPECT_EQ(SanitizeForFilename("a/b c:d\\e"), "a_b_c_d_e");
   CheckpointStore store("/tmp/x");
   EXPECT_EQ(store.PathFor("a/b"), "/tmp/x/a_b.json");
 }

@@ -35,6 +35,7 @@
 #include "src/serve/server.h"
 #include "src/util/io_util.h"
 #include "src/util/json.h"
+#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
@@ -238,8 +239,7 @@ bool WaitForStat(const std::string& router_socket, const std::string& section,
 
 /// The per-backend breaker state gauge the router exports for `path`.
 std::string BackendStateGauge(const std::string& path) {
-  return "fairem.route.backend." + CheckpointStore::SanitizeKey(path) +
-         ".state";
+  return "fairem.route.backend." + SanitizeForFilename(path) + ".state";
 }
 
 // ---------------------------------------------------------------------------

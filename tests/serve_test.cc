@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/obs.h"
+#include "src/obs/telemetry.h"
 #include "src/robust/checkpoint.h"
 #include "src/robust/failpoint.h"
 #include "src/serve/client.h"
@@ -56,7 +58,10 @@ ServeOptions SmallServeOptions(const std::string& socket_path) {
 
 class DaemonHandle {
  public:
-  DaemonHandle(const ServeOptions& options, const std::string& failpoints) {
+  /// `obs` wraps the daemon the way `fairem serve` does: applied before it
+  /// starts, flushed after its drain.
+  DaemonHandle(const ServeOptions& options, const std::string& failpoints,
+               const ObsOptions& obs = {}) {
     pid_ = ::fork();
     if (pid_ == 0) {
       if (!failpoints.empty()) {
@@ -65,7 +70,9 @@ class DaemonHandle {
           ::_exit(2);
         }
       }
-      Status st = RunServeDaemon(options);
+      Status st = ApplyObsOptions(obs);
+      if (st.ok()) st = RunServeDaemon(options);
+      if (st.ok()) st = FlushObsOutputs(obs);
       ::_exit(st.ok() ? 0 : 1);
     }
   }
@@ -223,7 +230,8 @@ TEST(ServeTest, UnknownFrameSkippedMalformedAndOversizedClose) {
   std::string wire = EncodeServeMessage("WHAT", "future frame type");
   wire += EncodeServeMessage(kFrameQueryRequest, SerializeQueryRequest(ping));
   ASSERT_TRUE(WriteFullDeadline(fd, wire.data(), wire.size(), 30.0).ok());
-  Result<ServeMessage> reply = ReadServeMessage(fd, 60.0);
+  FrameDecoder decoder;
+  Result<ServeMessage> reply = ReadServeMessage(fd, &decoder, 60.0);
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->type, kFrameQueryResponse);
   Result<QueryResponse> parsed = ParseQueryResponse(reply->bytes);
@@ -238,7 +246,7 @@ TEST(ServeTest, UnknownFrameSkippedMalformedAndOversizedClose) {
   ASSERT_TRUE(
       WriteFullDeadline(fd, garbage, sizeof(garbage) - 1, 30.0).ok());
   char byte = 0;
-  Status eof = ReadFullDeadline(fd, &byte, 1, 30.0);
+  Status eof = ReadSomeBefore(fd, &byte, 1, MonotonicSeconds() + 30.0).status();
   EXPECT_TRUE(eof.IsUnavailable()) << eof;
   ::close(fd);
 
@@ -247,7 +255,7 @@ TEST(ServeTest, UnknownFrameSkippedMalformedAndOversizedClose) {
   ASSERT_GE(fd, 0);
   std::string huge = "FEMTEL1\nQREQ0000010000000000\n";  // 2^40 bytes claimed
   ASSERT_TRUE(WriteFullDeadline(fd, huge.data(), huge.size(), 30.0).ok());
-  eof = ReadFullDeadline(fd, &byte, 1, 30.0);
+  eof = ReadSomeBefore(fd, &byte, 1, MonotonicSeconds() + 30.0).status();
   EXPECT_TRUE(eof.IsUnavailable()) << eof;
   ::close(fd);
 
@@ -278,7 +286,7 @@ TEST(ServeTest, SlowClientDisconnected) {
   ASSERT_TRUE(
       WriteFullDeadline(fd, partial, sizeof(partial) - 1, 30.0).ok());
   char byte = 0;
-  Status eof = ReadFullDeadline(fd, &byte, 1, 30.0);
+  Status eof = ReadSomeBefore(fd, &byte, 1, MonotonicSeconds() + 30.0).status();
   EXPECT_TRUE(eof.IsUnavailable()) << eof;  // daemon hung up on us
   ::close(fd);
 
@@ -590,6 +598,51 @@ TEST(ServeTest, ChaosEveryRequestDefiniteAndPostChaosByteIdentical) {
 
 
 // ---------------------------------------------------------------------------
+// Profiling: a query worker restarts the profiler and ships its stacks as a
+// PROF frame; the daemon merges them, so `fairem serve --profile_out` holds
+// the workers' samples, not only its own poll loop.
+
+TEST(ServeTest, ProfiledDaemonMergesWorkerProfiles) {
+  IgnoreSigpipe();
+  const std::string socket_path = FreshSocketPath("serve_prof");
+  const std::string folded_path =
+      "/tmp/fairem_serve_prof." + std::to_string(::getpid()) + ".folded";
+  std::filesystem::remove(folded_path);
+  ServeOptions options = SmallServeOptions(socket_path);
+  // One uncached DeepMatcher cell on DBLP-ACM computes for a few hundred
+  // milliseconds: long enough for the worker to take samples.
+  options.warm.datasets = {"DBLP-ACM"};
+  ObsOptions obs;
+  obs.profile_out = folded_path;
+  obs.profile_hz = 997;
+  DaemonHandle daemon(options, "", obs);
+  Result<ServeClient> client = ConnectPatient(socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  QueryRequest cell = CellRequest("DeepMatcher");
+  cell.dataset = "DBLP-ACM";
+  Result<QueryResponse> r = client->Call(cell);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_TRUE(r->status.ok()) << r->status;
+
+  QueryRequest stats;
+  stats.op = "stats";
+  r = client->Call(stats);
+  ASSERT_TRUE(r.ok()) << r.status();
+  Result<MetricsSnapshot> snapshot = MetricsSnapshotFromJson(r->payload);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_GE(snapshot->counters["fairem.profile.profiles_merged"], 1u);
+  client->Close();
+
+  const int status = daemon.Stop();
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  std::ifstream in(folded_path);
+  const std::string folded((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(folded.find("process:worker_"), std::string::npos) << folded;
+  std::filesystem::remove(folded_path);
+}
+
+// ---------------------------------------------------------------------------
 // HLTH health probes (DESIGN.md §15): answered inline, bypassing admission,
 // interleaving cleanly with queries on the same connection.
 
@@ -605,7 +658,8 @@ TEST(ServeTest, HealthProbeAnswersInline) {
   ASSERT_TRUE(WriteServeMessage(fd, kFrameHealth,
                                 SerializeHealthReport(probe), 60.0)
                   .ok());
-  Result<ServeMessage> reply = ReadServeMessage(fd, 60.0);
+  FrameDecoder decoder;
+  Result<ServeMessage> reply = ReadServeMessage(fd, &decoder, 60.0);
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->type, std::string(kFrameHealth));
   Result<HealthReport> report = ParseHealthReport(reply->bytes);
@@ -623,7 +677,7 @@ TEST(ServeTest, HealthProbeAnswersInline) {
   ASSERT_TRUE(WriteServeMessage(fd, kFrameQueryRequest,
                                 SerializeQueryRequest(ping), 60.0)
                   .ok());
-  Result<ServeMessage> pong = ReadServeMessage(fd, 60.0);
+  Result<ServeMessage> pong = ReadServeMessage(fd, &decoder, 60.0);
   ASSERT_TRUE(pong.ok()) << pong.status();
   EXPECT_EQ(pong->type, std::string(kFrameQueryResponse));
   Result<QueryResponse> parsed = ParseQueryResponse(pong->bytes);
@@ -700,8 +754,9 @@ class SheddingStub {
     for (;;) {
       int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
+      FrameDecoder decoder;
       for (;;) {
-        Result<ServeMessage> message = ReadServeMessage(fd, 30.0);
+        Result<ServeMessage> message = ReadServeMessage(fd, &decoder, 30.0);
         if (!message.ok()) break;
         Result<QueryRequest> request = ParseQueryRequest(message->bytes);
         QueryResponse response;

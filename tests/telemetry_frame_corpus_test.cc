@@ -1,20 +1,31 @@
 // Malformed-frame corpus for the FEMTEL1 wire (DESIGN.md §11/§14), run
-// against BOTH consumers of the framing: the supervisor-side
+// against BOTH decoders of the framing: the supervisor-side
 // ParseTelemetryWire (lenient by design — a worker killed mid-write must
-// degrade to "the bytes are the payload") and the serve daemon's
-// FrameDecoder (strict by design — a corrupt socket stream is closed, but
-// must never crash, over-buffer, or desync onto a later client's frames).
-// Every case asserts graceful degradation plus the
+// degrade to "the bytes are the payload") and the socket FrameDecoder
+// (strict by design — a corrupt socket stream is closed, but must never
+// crash, over-buffer, or desync onto a later client's frames), the latter
+// both directly and behind ServeClient's blocking read path against a
+// scripted peer. Every case asserts graceful degradation plus the
 // fairem.telemetry.unknown_frames accounting.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
+#include "src/serve/client.h"
+#include "src/serve/daemon_core.h"
 #include "src/serve/protocol.h"
+#include "src/util/io_util.h"
 
 namespace fairem {
 namespace {
@@ -102,9 +113,10 @@ TEST(FrameCorpusTest, TelemetryRoundTripSurvivesUnknownFrames) {
   const size_t payl_at = wire.find("PAYL");
   ASSERT_NE(payl_at, std::string::npos);
   wire.insert(payl_at, Frame("NEWF", "from the future"));
-  TelemetrySplit split = SplitTelemetryPayload(wire);
-  EXPECT_TRUE(split.has_telemetry);
-  EXPECT_EQ(split.telemetry_json, "{\"pid\":1}");
+  TelemetryWireParse split = ParseTelemetryWire(wire);
+  ASSERT_EQ(split.frames.size(), 2u);
+  EXPECT_EQ(split.frames[0].type, kFrameTelemetry);
+  EXPECT_EQ(split.frames[0].bytes, "{\"pid\":1}");
   EXPECT_EQ(split.payload, "payload-bytes");
 }
 
@@ -545,6 +557,156 @@ TEST(FrameCorpusTest, OldPeerUnknownTraceJsonFieldsNoDesync) {
   ASSERT_EQ(*next, FrameDecoder::Next::kMessage);
   EXPECT_EQ(ParseQueryRequest(message.bytes)->id, 15u);
   EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+// --- ServeClient read path (the strict decoder behind a blocking read) ----
+
+/// Forked peer: accepts one connection, reads one request, answers with
+/// `script(request id)` written one byte at a time, then holds the
+/// connection open until the client hangs up.
+class ScriptedPeer {
+ public:
+  ScriptedPeer(const std::string& socket_path,
+               const std::function<std::string(uint64_t)>& script)
+      : socket_path_(socket_path) {
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      Serve(socket_path, script);
+      ::_exit(0);
+    }
+  }
+
+  ~ScriptedPeer() {
+    ::kill(pid_, SIGKILL);
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    ::unlink(socket_path_.c_str());
+  }
+
+ private:
+  static void Serve(const std::string& socket_path,
+                    const std::function<std::string(uint64_t)>& script) {
+    Result<int> listen_fd = ListenUnix(socket_path);
+    if (!listen_fd.ok() || !PollFd(*listen_fd, POLLIN, 30.0).ok()) return;
+    const int fd = ::accept(*listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    FrameDecoder decoder;
+    Result<ServeMessage> message = ReadServeMessage(fd, &decoder, 30.0);
+    if (!message.ok()) return;
+    Result<QueryRequest> request = ParseQueryRequest(message->bytes);
+    if (!request.ok()) return;
+    for (char byte : script(request->id)) {
+      if (!WriteFull(fd, &byte, 1).ok()) return;
+      ::usleep(50);
+    }
+    char sink[256];
+    while (ReadSomeBefore(fd, sink, sizeof(sink), MonotonicSeconds() + 30.0)
+               .ok()) {
+    }
+  }
+
+  std::string socket_path_;
+  pid_t pid_ = -1;
+};
+
+std::string PeerSocketPath(const std::string& leaf) {
+  return "/tmp/fairem_" + leaf + "." + std::to_string(::getpid()) + ".sock";
+}
+
+Result<ServeClient> ConnectToPeer(const std::string& socket_path,
+                                  double io_timeout_s,
+                                  int* progress_calls = nullptr) {
+  ServeClientOptions options;
+  options.io_timeout_s = io_timeout_s;
+  options.connect_timeout_s = 30.0;
+  if (progress_calls != nullptr) {
+    options.on_progress = [progress_calls](const ProgressUpdate&) {
+      ++*progress_calls;
+    };
+  }
+  return ServeClient::Connect(socket_path, options);
+}
+
+QueryRequest Ping() {
+  QueryRequest ping;
+  ping.op = "ping";
+  return ping;
+}
+
+TEST(FrameCorpusTest, ClientReadsPastUnknownFrameMagicAndProgressByteWise) {
+  IgnoreSigpipe();
+  const std::string path = PeerSocketPath("client_bytewise");
+  ScriptedPeer peer(path, [](uint64_t id) {
+    ProgressUpdate progress;
+    progress.id = id;
+    progress.fraction = 0.5;
+    QueryResponse response;
+    response.id = id;
+    response.payload = "pong";
+    // The magic that opens the PROG message follows the unknown frame at a
+    // frame boundary: the redundant-magic case.
+    return EncodeServeMessage("XFUT", "future bytes") +
+           EncodeServeMessage(kFrameProgress,
+                              SerializeProgressUpdate(progress)) +
+           EncodeServeMessage(kFrameQueryResponse,
+                              SerializeQueryResponse(response));
+  });
+  int progress_calls = 0;
+  Result<ServeClient> client = ConnectToPeer(path, 30.0, &progress_calls);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const uint64_t unknown_before = UnknownFrames();
+  Result<QueryResponse> response = client->Call(Ping());
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->status.ok()) << response->status;
+  EXPECT_EQ(response->payload, "pong");
+  EXPECT_EQ(progress_calls, 1);
+  EXPECT_EQ(UnknownFrames() - unknown_before, 1u);
+  EXPECT_TRUE(client->connected());
+}
+
+TEST(FrameCorpusTest, ClientClosesOnCorruptHeaderOrOversizedLength) {
+  IgnoreSigpipe();
+  const std::string headers[] = {
+      Magic() + "QRSPzzzzzzzzzzzzzzzz\n",  // letters in the hex field
+      Magic() + "QRSP0000010000000000\n",  // 2^40 declared bytes
+  };
+  for (const std::string& header : headers) {
+    const std::string path = PeerSocketPath("client_corrupt");
+    ScriptedPeer peer(path, [&header](uint64_t) { return header; });
+    Result<ServeClient> client = ConnectToPeer(path, 30.0);
+    ASSERT_TRUE(client.ok()) << client.status();
+    const double start = MonotonicSeconds();
+    Result<QueryResponse> response = client->Call(Ping());
+    EXPECT_FALSE(response.ok()) << header;
+    EXPECT_TRUE(response.status().IsInvalidArgument()) << response.status();
+    EXPECT_LT(MonotonicSeconds() - start, 10.0) << "must not wait it out";
+    EXPECT_FALSE(client->connected()) << header;
+  }
+}
+
+TEST(FrameCorpusTest, ClientStalledMidFrameGetsDeadlineExceeded) {
+  IgnoreSigpipe();
+  const std::string path = PeerSocketPath("client_stall");
+  ScriptedPeer peer(path, [](uint64_t id) {
+    QueryResponse response;
+    response.id = id;
+    response.payload = "pong";
+    const std::string wire = EncodeServeMessage(
+        kFrameQueryResponse, SerializeQueryResponse(response));
+    return wire.substr(0, wire.size() / 2);
+  });
+  const double io_timeout_s = 1.0;
+  Result<ServeClient> client = ConnectToPeer(path, io_timeout_s);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const double start = MonotonicSeconds();
+  Result<QueryResponse> response = client->Call(Ping());
+  const double elapsed = MonotonicSeconds() - start;
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+      << response.status();
+  EXPECT_GE(elapsed, io_timeout_s);
+  EXPECT_LT(elapsed, io_timeout_s + 5.0);
+  EXPECT_FALSE(client->connected());
 }
 
 }  // namespace

@@ -305,33 +305,36 @@ TEST(WireFormatTest, ParseRejectsWrongVersionAndGarbage) {
 TEST(WireFormatTest, WrapAndSplitRoundTrip) {
   const std::string telemetry_json = "{\"version\": 1}";
   const std::string payload = std::string("grid cell payload\n\0tail", 23);
-  std::string wire = WrapPayloadWithTelemetry(telemetry_json, payload);
+  std::string wire =
+      EncodeTelemetryWire({{kFrameTelemetry, telemetry_json}}, payload);
   ASSERT_EQ(wire.compare(0, 8, kTelemetryMagic), 0);
-  TelemetrySplit split = SplitTelemetryPayload(wire);
-  EXPECT_TRUE(split.has_telemetry);
-  EXPECT_EQ(split.telemetry_json, telemetry_json);
+  TelemetryWireParse split = ParseTelemetryWire(wire);
+  ASSERT_EQ(split.frames.size(), 1u);
+  EXPECT_EQ(split.frames[0].type, kFrameTelemetry);
+  EXPECT_EQ(split.frames[0].bytes, telemetry_json);
   EXPECT_EQ(split.payload, payload);
 }
 
 TEST(WireFormatTest, UnframedOrCorruptWireDegradesToWholePayload) {
   // A PR-3 worker (or one that crashed before shipping) sends an unframed
   // payload; it must pass through untouched, never error.
-  TelemetrySplit plain = SplitTelemetryPayload("plain payload");
-  EXPECT_FALSE(plain.has_telemetry);
+  TelemetryWireParse plain = ParseTelemetryWire("plain payload");
+  EXPECT_TRUE(plain.frames.empty());
   EXPECT_EQ(plain.payload, "plain payload");
 
   // A wire truncated mid-telemetry (worker killed mid-write) degrades the
   // same way.
-  std::string wire = WrapPayloadWithTelemetry("{\"version\": 1}", "payload");
+  std::string wire =
+      EncodeTelemetryWire({{kFrameTelemetry, "{\"version\": 1}"}}, "payload");
   std::string truncated = wire.substr(0, wire.size() / 2);
-  TelemetrySplit cut = SplitTelemetryPayload(truncated);
-  EXPECT_FALSE(cut.has_telemetry);
+  TelemetryWireParse cut = ParseTelemetryWire(truncated);
+  EXPECT_TRUE(cut.frames.empty());
   EXPECT_EQ(cut.payload, truncated);
 
   // Magic with a corrupt length field.
   std::string corrupt = std::string(kTelemetryMagic) + "zzzz\npayload";
-  TelemetrySplit bad = SplitTelemetryPayload(corrupt);
-  EXPECT_FALSE(bad.has_telemetry);
+  TelemetryWireParse bad = ParseTelemetryWire(corrupt);
+  EXPECT_TRUE(bad.frames.empty());
   EXPECT_EQ(bad.payload, corrupt);
 }
 
@@ -370,11 +373,8 @@ TEST(WireFormatTest, UnknownFrameTypeIsSkippedNotCorrupt) {
   EXPECT_EQ(parsed.frames[1].type, kFrameTelemetry);
   EXPECT_EQ(parsed.payload, "payload");
 
-  // The legacy split sees through the unknown frame to the telemetry.
-  TelemetrySplit split = SplitTelemetryPayload(wire);
-  EXPECT_TRUE(split.has_telemetry);
-  EXPECT_EQ(split.telemetry_json, "{\"version\": 1}");
-  EXPECT_EQ(split.payload, "payload");
+  // The telemetry frame is still there, past the unknown frame.
+  EXPECT_EQ(parsed.frames[1].bytes, "{\"version\": 1}");
 }
 
 TEST(WireFormatTest, TruncatedProfileFrameKeepsParsedTelemetry) {
