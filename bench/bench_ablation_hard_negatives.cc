@@ -9,6 +9,7 @@
 #include "src/datagen/social.h"
 #include "src/harness/experiment.h"
 #include "src/report/table_printer.h"
+#include "src/util/flags.h"
 #include "src/util/string_util.h"
 
 namespace fairem {
@@ -74,4 +75,7 @@ int Run() {
 }  // namespace
 }  // namespace fairem
 
-int main() { return fairem::Run(); }
+int main(int argc, char** argv) {
+  fairem::FlagSet().ParseOrExit(argc, argv);  // takes no arguments
+  return fairem::Run();
+}

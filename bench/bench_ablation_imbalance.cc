@@ -11,6 +11,7 @@
 #include "src/harness/experiment.h"
 #include "src/ml/linear_models.h"
 #include "src/report/table_printer.h"
+#include "src/util/flags.h"
 #include "src/util/string_util.h"
 
 namespace fairem {
@@ -72,4 +73,7 @@ int Run() {
 }  // namespace
 }  // namespace fairem
 
-int main() { return fairem::Run(); }
+int main(int argc, char** argv) {
+  fairem::FlagSet().ParseOrExit(argc, argv);  // takes no arguments
+  return fairem::Run();
+}

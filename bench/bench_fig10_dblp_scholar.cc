@@ -2,11 +2,9 @@
 // entry-type groups.
 
 #include "bench/grid_bench_common.h"
-#include "src/harness/bench_flags.h"
 
 int main(int argc, char** argv) {
-  return fairem::RunGridBench(fairem::DatasetKind::kDblpScholar,
+  return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kDblpScholar,
                               "Figure 10: DBLP-Scholar single fairness",
-                              nullptr,
-                              fairem::ParseBenchFlags(argc, argv));
+                              nullptr);
 }

@@ -5,11 +5,9 @@
 // Left Handed | Left Handed pairwise cell (§5.3.2).
 
 #include "bench/grid_bench_common.h"
-#include "src/harness/bench_flags.h"
 
 int main(int argc, char** argv) {
-  return fairem::RunGridBench(fairem::DatasetKind::kCricket,
+  return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kCricket,
                               "Figure 11: Cricket single fairness",
-                              "Figure 12: Cricket pairwise fairness",
-                              fairem::ParseBenchFlags(argc, argv));
+                              "Figure 12: Cricket pairwise fairness");
 }

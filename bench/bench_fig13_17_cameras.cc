@@ -4,11 +4,9 @@
 // the textual data, unevenly across brands).
 
 #include "bench/grid_bench_common.h"
-#include "src/harness/bench_flags.h"
 
 int main(int argc, char** argv) {
-  return fairem::RunGridBench(fairem::DatasetKind::kCameras,
+  return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kCameras,
                               "Figure 13: Cameras single fairness",
-                              "Figure 17: Cameras pairwise fairness",
-                              fairem::ParseBenchFlags(argc, argv));
+                              "Figure 17: Cameras pairwise fairness");
 }

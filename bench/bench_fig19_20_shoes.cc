@@ -2,11 +2,9 @@
 // over the extracted company groups.
 
 #include "bench/grid_bench_common.h"
-#include "src/harness/bench_flags.h"
 
 int main(int argc, char** argv) {
-  return fairem::RunGridBench(fairem::DatasetKind::kShoes,
+  return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kShoes,
                               "Figure 19: Shoes single fairness",
-                              "Figure 20: Shoes pairwise fairness",
-                              fairem::ParseBenchFlags(argc, argv));
+                              "Figure 20: Shoes pairwise fairness");
 }

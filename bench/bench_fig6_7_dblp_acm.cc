@@ -4,11 +4,9 @@
 // with the same venues flagged pairwise (§5.3.3).
 
 #include "bench/grid_bench_common.h"
-#include "src/harness/bench_flags.h"
 
 int main(int argc, char** argv) {
-  return fairem::RunGridBench(fairem::DatasetKind::kDblpAcm,
+  return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kDblpAcm,
                               "Figure 6: DBLP-ACM single fairness",
-                              "Figure 7: DBLP-ACM pairwise fairness",
-                              fairem::ParseBenchFlags(argc, argv));
+                              "Figure 7: DBLP-ACM pairwise fairness");
 }

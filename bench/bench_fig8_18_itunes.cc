@@ -5,11 +5,9 @@
 // has no true matches — the SP false flag of §5.3.2).
 
 #include "bench/grid_bench_common.h"
-#include "src/harness/bench_flags.h"
 
 int main(int argc, char** argv) {
-  return fairem::RunGridBench(fairem::DatasetKind::kItunesAmazon,
+  return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kItunesAmazon,
                               "Figure 8: iTunes-Amazon single fairness",
-                              "Figure 18: iTunes-Amazon pairwise fairness",
-                              fairem::ParseBenchFlags(argc, argv));
+                              "Figure 18: iTunes-Amazon pairwise fairness");
 }

@@ -7,17 +7,14 @@
 // BENCHVAL lines printed per drill are dispatch-invariant checksums the
 // drill compares byte for byte.
 //
-// Flags: the shared bench flags (--scale, --seed, --intra_jobs,
-// --metrics_out, ...) plus
-//   --pairs N   pair count per drill before --scale (default 10000)
-//   --reps N    timed repetitions per drill (default 3)
+// Flags: the shared bench flags plus --pairs and --reps.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/data/schema.h"
@@ -159,26 +156,15 @@ void RunDrill(const std::string& name, size_t pairs, int reps, Fn&& fn) {
 }
 
 int Run(int argc, char** argv) {
-  size_t pairs = 10000;
+  uint64_t pairs_flag = 10000;
   int reps = 3;
-  // Peel the bench-local flags before the shared parser (it rejects
-  // unknown flags), the same way bench_serve peels --route.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (i > 0 && arg == "--pairs" && i + 1 < argc) {
-      pairs = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-      continue;
-    }
-    if (i > 0 && arg == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  BenchFlags flags =
-      ParseBenchFlags(static_cast<int>(args.size()), args.data());
-  pairs = std::max<size_t>(1, static_cast<size_t>(pairs * flags.scale));
+  FlagSet extra;
+  extra.Uint64("--pairs", &pairs_flag, "N",
+               "pair count per drill before --scale");
+  extra.Int("--reps", &reps, "N", "timed repetitions per drill");
+  BenchFlags flags = ParseBenchFlags(argc, argv, std::move(extra));
+  const size_t pairs =
+      std::max<size_t>(1, static_cast<size_t>(pairs_flag * flags.scale));
   reps = std::max(1, reps);
   MetricsRegistry::Global()
       .GetGauge("fairem.bench.micro.intra_jobs")

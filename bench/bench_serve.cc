@@ -60,6 +60,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/harness/bench_flags.h"
@@ -247,27 +248,6 @@ int RawFrameDrill() {
   return 0;
 }
 
-ServeOptions BackendServeOptions(const BenchFlags& flags,
-                                 const std::string& socket_path) {
-  ServeOptions options;
-  options.socket_path = socket_path;
-  options.warm.datasets = {kDataset};
-  options.warm.scale = flags.scale;
-  options.warm.seed = 1234 + flags.seed_offset;
-  options.warm.checkpoint_dir = flags.checkpoint_dir;
-  options.max_inflight = 1;  // tight on purpose: force queueing + sheds
-  options.max_queue = 2;
-  options.default_deadline_s = 60.0;
-  options.max_deadline_s = 120.0;
-  options.io_timeout_s = 10.0;
-  options.max_attempts = flags.retry_attempts;
-  options.worker_max_rss_mb = flags.cell_max_rss_mb;
-  if (flags.cell_timeout_s > 0.0) {
-    options.default_deadline_s = flags.cell_timeout_s;
-  }
-  return options;
-}
-
 // Forks a fresh single-threaded daemon process with its own ShutdownGuard,
 // killed with a real SIGTERM at the end — the same deployment shape as
 // `fairem serve`, minus exec.
@@ -339,7 +319,9 @@ int TerminateDaemon(pid_t pid, const char* what) {
   return 0;
 }
 
-int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
+/// `daemon` holds every daemon's options but its socket.
+int Run(const BenchFlags& flags, const ServeOptions& daemon, int jobs,
+        bool route_mode, bool trace_mode) {
   IgnoreSigpipe();
   const bool chaos = !flags.failpoints.empty();
   ::unlink(kSocketPath);
@@ -363,7 +345,8 @@ int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
     // contract is zero client-visible failures while a backend dies.
     for (int i = 0; i < kRouteBackends; ++i) {
       ::unlink(BackendSocket(i).c_str());
-      ServeOptions options = BackendServeOptions(flags, BackendSocket(i));
+      ServeOptions options = daemon;
+      options.socket_path = BackendSocket(i);
       options.max_inflight = 2;
       options.max_queue = 8;
       arm_slowlog(&options.slow_query_ms, &options.slow_query_log);
@@ -391,7 +374,8 @@ int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
       return 1;
     }
   } else {
-    ServeOptions options = BackendServeOptions(flags, kSocketPath);
+    ServeOptions options = daemon;
+    options.socket_path = kSocketPath;
     options.metrics_path = kDrainMetricsPath;
     arm_slowlog(&options.slow_query_ms, &options.slow_query_log);
     daemon_pid = ForkServeDaemon(options);
@@ -401,7 +385,7 @@ int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
     }
   }
 
-  const int clients = flags.jobs > 1 ? flags.jobs : 4;
+  const int clients = jobs > 1 ? jobs : 4;
   const int requests_per_client = route_mode ? 24 : 8;
   ClientTally tally;
   {
@@ -423,7 +407,8 @@ int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
     if (route_mode) {
       // Restart the corpse on the same socket: the router's probes must
       // close its breaker again with no operator action beyond this.
-      ServeOptions options = BackendServeOptions(flags, BackendSocket(0));
+      ServeOptions options = daemon;
+      options.socket_path = BackendSocket(0);
       options.max_inflight = 2;
       options.max_queue = 8;
       arm_slowlog(&options.slow_query_ms, &options.slow_query_log);
@@ -578,28 +563,39 @@ int Run(const BenchFlags& flags, bool route_mode, bool trace_mode) {
   return exit_code;
 }
 
+int Main(int argc, char** argv) {
+  ServeOptions daemon;
+  daemon.warm.datasets = {kDataset};
+  daemon.max_inflight = 1;  // tight on purpose: force queueing + sheds
+  daemon.max_queue = 2;
+  daemon.max_deadline_s = 120.0;
+  daemon.io_timeout_s = 10.0;
+  daemon.max_attempts = 3;
+  double cell_timeout_s = 0.0;
+  int jobs = 1;
+  bool route = false;
+  bool trace = false;
+  // The daemon knobs borrow the spelling of the grid-sweep flags.
+  FlagSet extra;
+  extra.Bool("--route", &route, "3 daemons behind the shard router");
+  extra.Bool("--trace", &trace, "trace queries; score hop completeness");
+  extra.String("--checkpoint_dir", &daemon.warm.checkpoint_dir, "DIR",
+               "the daemons' cell checkpoints");
+  extra.Int("--retry_attempts", &daemon.max_attempts, "N",
+            "worker spawns per query", 1);
+  extra.Int("--jobs", &jobs, "N", "client threads if above 1, else 4", 1);
+  extra.Double("--cell_timeout_s", &cell_timeout_s, "S",
+               "query deadline if above 0, else 60", 0.0);
+  extra.Int("--cell_max_rss_mb", &daemon.worker_max_rss_mb, "M",
+            "worker address-space cap in MiB, 0 for none", 0);
+  const BenchFlags flags = ParseBenchFlags(argc, argv, std::move(extra));
+  daemon.warm.scale = flags.scale;
+  daemon.warm.seed = 1234 + flags.seed_offset;
+  daemon.default_deadline_s = cell_timeout_s > 0.0 ? cell_timeout_s : 60.0;
+  return Run(flags, daemon, jobs, route, trace);
+}
+
 }  // namespace
 }  // namespace fairem
 
-int main(int argc, char** argv) {
-  // --route and --trace are this bench's own mode switches; peel them off
-  // before the shared flag parser (which rejects flags it does not know).
-  bool route = false;
-  bool trace = false;
-  std::vector<char*> args;
-  args.reserve(static_cast<size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::string(argv[i]) == "--route") {
-      route = true;
-      continue;
-    }
-    if (i > 0 && std::string(argv[i]) == "--trace") {
-      trace = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  fairem::BenchFlags flags =
-      fairem::ParseBenchFlags(static_cast<int>(args.size()), args.data());
-  return fairem::Run(flags, route, trace);
-}
+int main(int argc, char** argv) { return fairem::Main(argc, argv); }

@@ -3,28 +3,22 @@
 
 // Shared driver for the unfairness-grid figure benches (Figures 6-13 and
 // 17-20): generates one benchmark dataset, trains all matchers, and prints
-// the single- (and optionally pairwise-) fairness grids. Every run ends by
-// writing a BENCH_<name>.json metrics snapshot next to the working
-// directory so the perf/counter trajectory of successive commits
-// accumulates; --trace_out/--metrics_out (parsed by ParseBenchFlags) add
-// Chrome-trace and explicitly-placed metrics files on top. With
-// --checkpoint_dir an interrupted run resumes from its completed cells, and
-// --failpoints/--retry_attempts drive the fault-injection and retry layer
-// (src/robust/). --jobs/--cell_timeout_s/--cell_max_rss_mb run the sweep
-// under the process-isolated supervisor (src/robust/supervisor.h); Ctrl-C
-// then shuts down cooperatively (workers reaped, snapshots flushed) and the
+// the single- (and optionally pairwise-) fairness grids. On top of the
+// shared bench flags (ParseBenchFlags) a grid bench takes the grid-sweep
+// flags of `fairem grid` (RegisterGridRunFlags): --checkpoint_dir resumes
+// an interrupted run from its completed cells, and --jobs/--cell_timeout_s/
+// --cell_max_rss_mb run the sweep under the process-isolated supervisor
+// (src/robust/supervisor.h), where Ctrl-C shuts down cooperatively and the
 // bench exits with the conventional 128+signal code. Workers ship their
 // metrics deltas and spans back over the pipe (DESIGN.md §11), so the
-// BENCH_*.json counters and the Chrome trace are equivalent between --jobs 1
-// and --jobs N; --progress adds a live cells-done/ETA line on stderr.
-// --intra_jobs threads the hot loops inside each cell (byte-identical
-// output; total concurrency jobs x intra_jobs). --profile_out samples this
-// process and every worker (DESIGN.md §13) and writes the merged folded
-// stacks for flamegraph.pl / `fairem proftop`. The
-// snapshot write is atomic and durable (temp + fsync + rename), and
+// counters and the Chrome trace are equivalent between --jobs 1 and
+// --jobs N. Every run ends by writing a BENCH_<name>.json metrics snapshot
+// (atomic and durable: temp + fsync + rename) into the working directory,
+// so the perf/counter trajectory of successive commits accumulates;
 // `fairem benchdiff A.json B.json` diffs two snapshots.
 
 #include <iostream>
+#include <utility>
 
 #include "src/datagen/benchmark_suite.h"
 #include "src/harness/bench_flags.h"
@@ -35,9 +29,19 @@
 
 namespace fairem {
 
-inline int RunGridBench(DatasetKind kind, const char* single_title,
-                        const char* pairwise_title,
-                        const BenchFlags& flags = {}) {
+inline int RunGridBench(int argc, char** argv, DatasetKind kind,
+                        const char* single_title,
+                        const char* pairwise_title) {
+  // Audit each group against everyone else (AuditReference::kComplement):
+  // with the overall matcher as reference, a group's own false positives
+  // drag the reference down and mask the disparity.
+  GridRunOptions options;
+  options.audit.reference = AuditReference::kComplement;
+  FlagSet grid_flags;
+  RegisterGridRunFlags(&grid_flags, &options);
+  const BenchFlags flags =
+      ParseBenchFlags(argc, argv, std::move(grid_flags));
+  options.intra_jobs = flags.intra_jobs;
   int exit_code = 0;
   {
     Span bench_span("fairem.bench." + flags.bench_name);
@@ -47,18 +51,6 @@ inline int RunGridBench(DatasetKind kind, const char* single_title,
       std::cerr << dataset.status() << "\n";
       return 1;
     }
-    // Audit each group against everyone else (AuditReference::kComplement):
-    // with the overall matcher as reference, a group's own false positives
-    // drag the reference down and mask the disparity.
-    GridRunOptions options;
-    options.audit.reference = AuditReference::kComplement;
-    options.retry.max_attempts = flags.retry_attempts;
-    options.checkpoint_dir = flags.checkpoint_dir;
-    options.jobs = flags.jobs;
-    options.intra_jobs = flags.intra_jobs;
-    options.cell_timeout_s = flags.cell_timeout_s;
-    options.cell_max_rss_mb = flags.cell_max_rss_mb;
-    options.progress = flags.progress;
     // A Cancelled report means SIGINT/SIGTERM arrived: workers are already
     // reaped, so fall through to the snapshot write and exit 128+signal.
     auto grid_exit = [&](const Status& st) {

@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/robust/failpoint.h"
+#include "src/util/flags.h"
 #include "src/util/string_util.h"
 
 namespace fairem {
@@ -147,6 +148,12 @@ Result<EMDataset> GenerateDataset(DatasetKind kind, double scale,
                       << LogKv("seconds", FormatDouble(seconds, 4));
   }
   return dataset;
+}
+
+void RegisterDatagenFlags(FlagSet* flags, double* scale, uint64_t* seed) {
+  flags->Double("--scale", scale, "S",
+                "multiply every generator's entity counts");
+  flags->Uint64("--seed", seed, "N", "shift every generator seed");
 }
 
 }  // namespace fairem

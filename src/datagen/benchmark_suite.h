@@ -10,6 +10,8 @@
 
 namespace fairem {
 
+class FlagSet;
+
 /// The eight benchmark datasets of Table 4.
 enum class DatasetKind {
   kFacultyMatch,
@@ -34,6 +36,10 @@ std::vector<DatasetKind> AllDatasetKinds();
 /// replication studies.
 Result<EMDataset> GenerateDataset(DatasetKind kind, double scale = 1.0,
                                   uint64_t seed_offset = 0);
+
+/// Registers --scale and --seed, GenerateDataset's `scale` and
+/// `seed_offset`.
+void RegisterDatagenFlags(FlagSet* flags, double* scale, uint64_t* seed);
 
 }  // namespace fairem
 

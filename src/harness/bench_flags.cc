@@ -4,133 +4,31 @@
 #include <iostream>
 #include <string>
 
+#include "src/datagen/benchmark_suite.h"
 #include "src/robust/failpoint.h"
-#include "src/util/string_util.h"
 #include "src/util/thread_pool.h"
 
 namespace fairem {
-namespace {
 
-const char kUsage[] =
-    " [--scale S] [--seed N] [--log_level debug|info|warn|error|off]"
-    " [--trace_out FILE] [--metrics_out FILE] [--metrics_format json|prom]"
-    " [--profile_out FILE] [--profile_hz N] [--profile_mode cpu|wall]"
-    " [--failpoints SPEC] [--checkpoint_dir DIR] [--retry_attempts N]"
-    " [--jobs N] [--intra_jobs N] [--cell_timeout_s S] [--cell_max_rss_mb M]"
-    " [--progress]\n";
-
-std::string Basename(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-}  // namespace
-
-BenchFlags ParseBenchFlags(int argc, char** argv) {
+BenchFlags ParseBenchFlags(int argc, char** argv, FlagSet extra) {
   BenchFlags flags;
-  if (argc > 0) flags.bench_name = Basename(argv[0]);
-  auto usage = [&]() {
-    std::cerr << "usage: " << (argc > 0 ? argv[0] : "bench") << kUsage;
-    std::exit(1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    // Both `--flag value` and `--flag=value` spellings are accepted.
-    std::string arg = argv[i];
-    std::string inline_value;
-    bool has_inline_value = false;
-    if (size_t eq = arg.find('='); eq != std::string::npos && arg[0] == '-') {
-      inline_value = arg.substr(eq + 1);
-      arg.resize(eq);
-      has_inline_value = true;
-    }
-    auto next_string = [&](std::string* out) {
-      if (has_inline_value) {
-        *out = inline_value;
-        return;
-      }
-      if (i + 1 >= argc) usage();
-      *out = argv[++i];
-    };
-    auto next_value = [&](double* out) {
-      std::string text;
-      next_string(&text);
-      if (!ParseDouble(text, out)) usage();
-    };
-    if (arg == "--scale") {
-      next_value(&flags.scale);
-    } else if (arg == "--seed") {
-      double v = 0.0;
-      next_value(&v);
-      flags.seed_offset = static_cast<uint64_t>(v);
-    } else if (arg == "--log_level") {
-      next_string(&flags.obs.log_level);
-    } else if (arg == "--trace_out") {
-      next_string(&flags.obs.trace_out);
-    } else if (arg == "--metrics_out") {
-      next_string(&flags.obs.metrics_out);
-    } else if (arg == "--metrics_format") {
-      std::string text;
-      next_string(&text);
-      Result<MetricsFormat> format = ParseMetricsFormat(text);
-      if (!format.ok()) usage();
-      flags.obs.metrics_format = *format;
-    } else if (arg == "--profile_out") {
-      next_string(&flags.obs.profile_out);
-    } else if (arg == "--profile_hz") {
-      double v = 0.0;
-      next_value(&v);
-      if (v < 1.0) usage();
-      flags.obs.profile_hz = static_cast<int>(v);
-    } else if (arg == "--profile_mode") {
-      next_string(&flags.obs.profile_mode);
-      if (!ParseProfileClock(flags.obs.profile_mode).ok()) usage();
-    } else if (arg == "--progress") {
-      flags.progress = true;
-    } else if (arg == "--failpoints") {
-      next_string(&flags.failpoints);
-    } else if (arg == "--checkpoint_dir") {
-      next_string(&flags.checkpoint_dir);
-    } else if (arg == "--retry_attempts") {
-      double v = 0.0;
-      next_value(&v);
-      if (v < 1.0) usage();
-      flags.retry_attempts = static_cast<int>(v);
-    } else if (arg == "--jobs") {
-      double v = 0.0;
-      next_value(&v);
-      if (v < 1.0) usage();
-      flags.jobs = static_cast<int>(v);
-    } else if (arg == "--intra_jobs") {
-      double v = 0.0;
-      next_value(&v);
-      if (v < 1.0) usage();
-      flags.intra_jobs = static_cast<int>(v);
-    } else if (arg == "--cell_timeout_s") {
-      next_value(&flags.cell_timeout_s);
-      if (flags.cell_timeout_s < 0.0) usage();
-    } else if (arg == "--cell_max_rss_mb") {
-      double v = 0.0;
-      next_value(&v);
-      if (v < 0.0) usage();
-      flags.cell_max_rss_mb = static_cast<int>(v);
-    } else {
-      std::cerr << "unknown flag '" << arg << "'\nusage: " << argv[0]
-                << kUsage;
-      std::exit(1);
-    }
+  if (argc > 0) {
+    const std::string path = argv[0];
+    flags.bench_name = path.substr(path.find_last_of('/') + 1);
   }
+  RegisterDatagenFlags(&extra, &flags.scale, &flags.seed_offset);
+  RegisterIntraJobsFlag(&extra, &flags.intra_jobs);
+  RegisterObsFlags(&extra, &flags.obs, &flags.failpoints);
+  extra.ParseOrExit(argc, argv);
   SetIntraJobs(flags.intra_jobs);
-  if (Status st = ApplyObsOptions(flags.obs); !st.ok()) {
-    std::cerr << st << "\nusage: " << argv[0] << kUsage;
-    std::exit(1);
+  Status st = ApplyObsOptions(flags.obs);
+  if (st.ok() && !flags.failpoints.empty()) {
+    st = FailpointRegistry::Global().Configure(flags.failpoints,
+                                               1234 ^ flags.seed_offset);
   }
-  if (!flags.failpoints.empty()) {
-    if (Status st = FailpointRegistry::Global().Configure(
-            flags.failpoints, 1234 ^ flags.seed_offset);
-        !st.ok()) {
-      std::cerr << st << "\nusage: " << argv[0] << kUsage;
-      std::exit(1);
-    }
+  if (!st.ok()) {
+    std::cerr << st << "\n";
+    std::exit(1);
   }
   if (!flags.obs.trace_out.empty() || !flags.obs.metrics_out.empty() ||
       !flags.obs.profile_out.empty()) {

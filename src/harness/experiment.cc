@@ -13,6 +13,7 @@
 #include "src/robust/checkpoint.h"
 #include "src/robust/failpoint.h"
 #include "src/robust/supervisor.h"
+#include "src/util/flags.h"
 #include "src/util/string_util.h"
 #include "src/util/thread_pool.h"
 
@@ -255,35 +256,16 @@ Result<std::vector<GroupRates>> GroupBreakdown(const EMDataset& dataset,
 
 namespace {
 
-/// A checkpointed cell is only as good as its measure names; parse them all
-/// before accepting it, so a corrupt checkpoint falls back to a live re-run.
-Status ValidateCellMeasures(const GridCellCheckpoint& cell) {
-  for (const auto& mark : cell.marks) {
-    FAIREM_ASSIGN_OR_RETURN(FairnessMeasure m,
-                            ParseFairnessMeasure(mark.measure));
-    (void)m;
-  }
-  return Status::OK();
-}
-
-/// Replays a (fresh or checkpointed) cell into the grid. Validates before
-/// mutating so a corrupt checkpoint can fall back to a live re-run without
-/// leaving half a cell behind.
+/// Replays a fresh or ParseAuditCell-validated cell into the grid.
 Status ApplyCellToGrid(const GridCellCheckpoint& cell, UnfairnessGrid* grid) {
-  std::vector<FairnessMeasure> measures;
-  measures.reserve(cell.marks.size());
-  for (const auto& mark : cell.marks) {
-    FAIREM_ASSIGN_OR_RETURN(FairnessMeasure m,
-                            ParseFairnessMeasure(mark.measure));
-    measures.push_back(m);
-  }
   if (cell.error) {
     grid->AddError(cell.matcher, cell.status);
     return Status::OK();
   }
-  for (size_t i = 0; i < cell.marks.size(); ++i) {
-    grid->MarkCell(cell.marker, cell.marks[i].group, measures[i],
-                   cell.marks[i].unfair);
+  for (const auto& mark : cell.marks) {
+    FAIREM_ASSIGN_OR_RETURN(FairnessMeasure m,
+                            ParseFairnessMeasure(mark.measure));
+    grid->MarkCell(cell.marker, mark.group, m, mark.unfair);
   }
   return Status::OK();
 }
@@ -353,6 +335,28 @@ Result<GridCellCheckpoint> RunAuditCell(const EMDataset& dataset,
   return RunGridCell(dataset, kind, pairwise, options, &scores);
 }
 
+void RegisterGridRunFlags(FlagSet* flags, GridRunOptions* options) {
+  flags->String("--checkpoint_dir", &options->checkpoint_dir, "DIR",
+                "persist cells and cached matcher scores; resume from them");
+  flags->Int("--retry_attempts", &options->retry.max_attempts, "N",
+             "attempts per cell for transient failures and crashes", 1);
+  flags->Int("--jobs", &options->jobs, "N",
+             "worker processes; > 1 runs cells in supervised forks", 1);
+  flags->Double("--cell_timeout_s", &options->cell_timeout_s, "S",
+                "SIGKILL a cell's worker after S seconds, 0 for never", 0.0);
+  flags->Int("--cell_max_rss_mb", &options->cell_max_rss_mb, "M",
+             "address-space cap per cell worker in MiB, 0 for none", 0);
+  flags->Bool("--progress", &options->progress, "live progress line on stderr");
+}
+
+Result<GridCellCheckpoint> ParseAuditCell(const std::string& json) {
+  FAIREM_ASSIGN_OR_RETURN(GridCellCheckpoint cell, GridCellFromJson(json));
+  for (const auto& mark : cell.marks) {
+    FAIREM_RETURN_NOT_OK(ParseFairnessMeasure(mark.measure).status());
+  }
+  return cell;
+}
+
 std::string AuditCellKey(const std::string& dataset_name, MatcherKind kind,
                          bool pairwise) {
   return dataset_name + "." + (pairwise ? "pairwise" : "single") + "." +
@@ -398,8 +402,8 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
     for (CellSlot& slot : slots) {
       Result<std::string> payload = store.Load(slot.key);
       if (payload.ok()) {
-        Result<GridCellCheckpoint> cell = GridCellFromJson(*payload);
-        if (cell.ok() && ValidateCellMeasures(*cell).ok()) {
+        Result<GridCellCheckpoint> cell = ParseAuditCell(*payload);
+        if (cell.ok()) {
           slot.cell = std::move(*cell);
           slot.resolved = true;
           checkpoint_hits->Increment();
@@ -410,8 +414,7 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
         }
         FAIREM_LOG(WARN)
             << "corrupt checkpoint, re-running cell" << LogKv("key", slot.key)
-            << LogKv("status", cell.ok() ? "bad measure name"
-                                         : cell.status().ToString());
+            << LogKv("status", cell.status().ToString());
       } else if (!payload.status().IsNotFound()) {
         FAIREM_LOG(WARN) << "checkpoint load failed, re-running cell"
                          << LogKv("key", slot.key)
@@ -500,8 +503,8 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
       CellSlot& slot = slots[todo[t]];
       const TaskOutcome& outcome = outcomes[t];
       if (outcome.kind == TaskOutcome::Kind::kOk) {
-        Result<GridCellCheckpoint> cell = GridCellFromJson(outcome.payload);
-        if (cell.ok() && ValidateCellMeasures(*cell).ok()) {
+        Result<GridCellCheckpoint> cell = ParseAuditCell(outcome.payload);
+        if (cell.ok()) {
           slot.cell = std::move(*cell);
           slot.resolved = true;
           if (store.enabled() &&

@@ -14,6 +14,8 @@
 
 namespace fairem {
 
+class FlagSet;
+
 /// Everything the paper's per-(matcher, dataset) cells need: the trained
 /// matcher's test scores, its confusion matrix at the dataset's default
 /// threshold, and the derived correctness metrics.
@@ -103,6 +105,11 @@ struct GridRunOptions {
   bool progress = false;
 };
 
+/// Registers the grid-sweep flags into `options`: --checkpoint_dir,
+/// --retry_attempts, --jobs, --cell_timeout_s, --cell_max_rss_mb and
+/// --progress. --intra_jobs is RegisterIntraJobsFlag's.
+void RegisterGridRunFlags(FlagSet* flags, GridRunOptions* options);
+
 /// Renders the paper's unfairness-grid figure for one dataset: every
 /// matcher is trained, audited (single or pairwise fairness), and marked
 /// into the measure-by-group grid (Figures 6-13 / 17-20). Progress notes go
@@ -143,6 +150,11 @@ Result<std::string> UnfairnessGridReport(
 Result<GridCellCheckpoint> RunAuditCell(const EMDataset& dataset,
                                         MatcherKind kind, bool pairwise,
                                         const GridRunOptions& options = {});
+
+/// Parses a cell as GridCellToJson wrote it — the JSON shape plus every
+/// measure name — so grid replay, supervised payloads, the serve warm-state
+/// preload and serve worker payloads accept exactly the same cells.
+Result<GridCellCheckpoint> ParseAuditCell(const std::string& json);
 
 /// The checkpoint key of one grid cell: "<dataset>.<mode>.<matcher>".
 std::string AuditCellKey(const std::string& dataset_name, MatcherKind kind,

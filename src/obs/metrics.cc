@@ -9,7 +9,6 @@
 #include "src/util/durable_file.h"
 #include "src/util/json.h"
 #include "src/util/logging.h"
-#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
@@ -391,14 +390,6 @@ std::string MetricsSnapshotToPrometheus(const MetricsSnapshot& snap) {
     os << prom << "_count " << h.count << "\n";
   }
   return os.str();
-}
-
-Result<MetricsFormat> ParseMetricsFormat(const std::string& name) {
-  const std::string lower = ToLowerAscii(name);
-  if (lower == "json") return MetricsFormat::kJson;
-  if (lower == "prom" || lower == "prometheus") return MetricsFormat::kProm;
-  return Status::InvalidArgument("unknown metrics format '" + name +
-                                 "' (expected json or prom)");
 }
 
 std::string MetricsRegistry::ToJson() const {

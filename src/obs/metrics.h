@@ -148,7 +148,6 @@ std::string PrometheusName(const std::string& name);
 
 /// Snapshot file formats accepted by --metrics_format.
 enum class MetricsFormat { kJson, kProm };
-Result<MetricsFormat> ParseMetricsFormat(const std::string& name);
 
 /// Process-wide registry of named metrics. Naming convention:
 /// `fairem.<subsystem>.<metric>`, e.g. "fairem.audit.cells_evaluated".

@@ -6,6 +6,7 @@
 #include "src/obs/profiler.h"
 #include "src/text/simd.h"
 #include "src/util/durable_file.h"
+#include "src/util/flags.h"
 
 namespace fairem {
 namespace {
@@ -29,6 +30,29 @@ void FlushAtExit() {
 
 }  // namespace
 
+void RegisterObsFlags(FlagSet* flags, ObsOptions* options,
+                      std::string* failpoints) {
+  flags->String("--log_level", &options->log_level, "L",
+                "debug|info|warn|error|off (also: FAIREM_LOG_LEVEL env)");
+  flags->String("--trace_out", &options->trace_out, "FILE",
+                "trace spans; write Chrome trace JSON to FILE");
+  flags->String("--metrics_out", &options->metrics_out, "FILE",
+                "write a metrics snapshot to FILE on exit");
+  flags->Choice("--metrics_format", &options->metrics_format,
+                {{"json", MetricsFormat::kJson},
+                 {"prom", MetricsFormat::kProm},
+                 {"prometheus", MetricsFormat::kProm}},
+                "format of --metrics_out");
+  flags->String("--profile_out", &options->profile_out, "FILE",
+                "sample stacks; write them folded to FILE");
+  flags->Int("--profile_hz", &options->profile_hz, "N", "sample rate", 1);
+  flags->Choice("--profile_mode", &options->profile_mode,
+                {{"cpu", ProfileClock::kCpu}, {"wall", ProfileClock::kWall}},
+                "profiler clock");
+  flags->String("--failpoints", failpoints, "SPEC",
+                "arm fault injection (also: FAIREM_FAILPOINTS env)");
+}
+
 Status ApplyObsOptions(const ObsOptions& options) {
   if (!options.log_level.empty()) {
     FAIREM_ASSIGN_OR_RETURN(LogLevel level, ParseLogLevel(options.log_level));
@@ -40,10 +64,7 @@ Status ApplyObsOptions(const ObsOptions& options) {
   if (!options.profile_out.empty()) {
     ProfilerOptions profiler_options;
     profiler_options.hz = options.profile_hz;
-    if (!options.profile_mode.empty()) {
-      FAIREM_ASSIGN_OR_RETURN(profiler_options.clock,
-                              ParseProfileClock(options.profile_mode));
-    }
+    profiler_options.clock = options.profile_mode;
     FAIREM_RETURN_NOT_OK(Profiler::Global().Start(profiler_options));
   }
   return Status::OK();

@@ -5,21 +5,17 @@
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/util/result.h"
 
 namespace fairem {
 
-/// The observability knobs every binary exposes:
-///   --log_level L        debug|info|warn|error|off (also: FAIREM_LOG_LEVEL)
-///   --trace_out F        enable span tracing, write Chrome trace JSON to F
-///   --metrics_out F      write a MetricsRegistry snapshot to F
-///   --metrics_format FMT json (default) or prom (Prometheus text
-///                        exposition); applies to --metrics_out
-///   --profile_out F      enable the sampling profiler, write the folded
-///                        stacks (flamegraph input) to F
-///   --profile_hz N       profiler sample rate (default 97)
-///   --profile_mode M     cpu (default) or wall; applies to --profile_out
+class FlagSet;
+
+/// The observability knobs of every flag-parsing binary; RegisterObsFlags
+/// binds them to --log_level, --trace_out, --metrics_out, --metrics_format,
+/// --profile_out, --profile_hz and --profile_mode.
 struct ObsOptions {
   std::string log_level;   // empty = leave the env/default level alone
   std::string trace_out;   // empty = tracing stays disabled, no file
@@ -27,8 +23,13 @@ struct ObsOptions {
   MetricsFormat metrics_format = MetricsFormat::kJson;
   std::string profile_out;  // empty = profiler stays off, no file
   int profile_hz = 97;
-  std::string profile_mode;  // empty/"cpu" or "wall"
+  ProfileClock profile_mode = ProfileClock::kCpu;
 };
+
+/// Registers the observability flags into `options`, and --failpoints into
+/// `failpoints`, which each front end arms with its own seed.
+void RegisterObsFlags(FlagSet* flags, ObsOptions* options,
+                      std::string* failpoints);
 
 /// Applies the options to the global logger/tracer/profiler. Tracing is
 /// enabled iff trace_out is non-empty, and the sampling profiler starts iff

@@ -531,13 +531,6 @@ std::string RenderProfTopByStage(const FoldedProfile& profile) {
 
 // ---------------------------------------------------------------- sampler --
 
-Result<ProfileClock> ParseProfileClock(const std::string& text) {
-  if (text.empty() || text == "cpu") return ProfileClock::kCpu;
-  if (text == "wall") return ProfileClock::kWall;
-  return Status::InvalidArgument("bad --profile_mode '" + text +
-                                 "' (expected cpu or wall)");
-}
-
 Profiler& Profiler::Global() {
   static Profiler* profiler = new Profiler;
   return *profiler;

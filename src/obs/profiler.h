@@ -108,7 +108,6 @@ enum class ProfileClock {
   kCpu,   // ITIMER_PROF: ticks in process CPU time (user+system)
   kWall,  // ITIMER_REAL: ticks in wall time, samples blocked time too
 };
-Result<ProfileClock> ParseProfileClock(const std::string& text);
 
 struct ProfilerOptions {
   int hz = 97;  // deliberately not a round number: avoids lockstep bias

@@ -401,7 +401,7 @@ class ServeDaemon : public DaemonFront {
     }
     if (exited_ok) {
       // Defensive parse: only a well-formed cell is cached and served.
-      Result<GridCellCheckpoint> cell = GridCellFromJson(result.payload);
+      Result<GridCellCheckpoint> cell = ParseAuditCell(result.payload);
       if (cell.ok()) {
         metrics_.cells_computed->Increment();
         warm_.StoreCell(job.key, result.payload);

@@ -65,7 +65,7 @@ Result<WarmState> WarmState::Warm(const WarmStateOptions& options) {
             }
             continue;
           }
-          Result<GridCellCheckpoint> cell = GridCellFromJson(*payload);
+          Result<GridCellCheckpoint> cell = ParseAuditCell(*payload);
           if (!cell.ok()) {
             corrupt_checkpoints->Increment();
             FAIREM_LOG(WARN) << "corrupt cell checkpoint, will re-run"

@@ -31,7 +31,8 @@ struct WarmStateOptions {
   /// When non-empty, finished cells persist here (atomic temp+rename JSON,
   /// keys compatible with `fairem grid --checkpoint_dir`) and warmup
   /// preloads whatever a previous daemon or grid run left behind. A
-  /// corrupt/truncated checkpoint is WARNed, counted in
+  /// checkpoint the grid would reject (ParseAuditCell: truncated, or an
+  /// unknown measure name) is WARNed, counted in
   /// fairem.serve.corrupt_checkpoints, and transparently re-run on demand.
   std::string checkpoint_dir;
 };

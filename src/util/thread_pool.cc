@@ -9,6 +9,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/util/flags.h"
 #include "src/util/logging.h"
 
 // The global pool is leaked by design (see AbandonPoolInForkedChild);
@@ -258,6 +259,13 @@ void SetIntraJobs(int n) {
 }
 
 int IntraJobs() { return g_intra_jobs.load(std::memory_order_relaxed); }
+
+void RegisterIntraJobsFlag(FlagSet* flags, int* intra_jobs) {
+  flags->Int("--intra_jobs", intra_jobs, "N",
+             "threads inside each process for the hot matcher loops; output "
+             "is byte-identical for any N",
+             1);
+}
 
 ThreadPool& GlobalThreadPool() {
   RegisterForkHandlerOnce();

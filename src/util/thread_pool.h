@@ -12,6 +12,8 @@
 
 namespace fairem {
 
+class FlagSet;
+
 /// A reusable fixed-size worker pool built for one job shape: deterministic
 /// chunked parallel-for over an index range. Design invariants:
 ///
@@ -86,6 +88,9 @@ class ThreadPool {
 /// next GlobalThreadPool() call after a change rebuilds it.
 void SetIntraJobs(int n);
 int IntraJobs();
+
+/// Registers --intra_jobs into `intra_jobs`, the value to pass SetIntraJobs.
+void RegisterIntraJobsFlag(FlagSet* flags, int* intra_jobs);
 
 /// The lazily-created process-wide pool sized to IntraJobs(). Fork-safe:
 /// a forked child (the supervised grid executor's workers) abandons the

@@ -18,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
+#include "src/util/flags.h"
 
 namespace fairem {
 namespace {
@@ -535,6 +536,31 @@ TEST_F(ObsTest, ObsOptionsApplyAndFlush) {
   ObsOptions bad;
   bad.log_level = "shouty";
   EXPECT_FALSE(ApplyObsOptions(bad).ok());
+}
+
+TEST_F(ObsTest, ObsFlagsParseFormatAndClockSpellings) {
+  auto parse = [](const std::vector<std::string>& args, ObsOptions* options) {
+    FlagSet flags;
+    std::string failpoints;
+    RegisterObsFlags(&flags, options, &failpoints);
+    return flags.Parse(args, nullptr);
+  };
+  ObsOptions defaults;
+  ASSERT_TRUE(parse({}, &defaults).ok());
+  EXPECT_EQ(defaults.metrics_format, MetricsFormat::kJson);
+  EXPECT_EQ(defaults.profile_mode, ProfileClock::kCpu);
+  for (const char* prom : {"prom", "prometheus"}) {
+    ObsOptions options;
+    ASSERT_TRUE(parse({"--metrics_format", prom, "--profile_mode=wall"},
+                      &options)
+                    .ok());
+    EXPECT_EQ(options.metrics_format, MetricsFormat::kProm);
+    EXPECT_EQ(options.profile_mode, ProfileClock::kWall);
+  }
+  ObsOptions options;
+  EXPECT_FALSE(parse({"--metrics_format", "xml"}, &options).ok());
+  EXPECT_FALSE(parse({"--profile_mode", "gpu"}, &options).ok());
+  EXPECT_FALSE(parse({"--profile_hz", "0"}, &options).ok());
 }
 
 // Regression: every observability output goes through WriteFileDurable, so a

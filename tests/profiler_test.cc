@@ -180,13 +180,6 @@ TEST(FoldedProfileTest, RenderersEmitTheGreppableSurfaces) {
   EXPECT_NE(by_stack.find("10 samples, 2 unique stacks"), std::string::npos);
 }
 
-TEST(ProfileClockTest, ParseNames) {
-  EXPECT_EQ(ParseProfileClock("cpu").value(), ProfileClock::kCpu);
-  EXPECT_EQ(ParseProfileClock("").value(), ProfileClock::kCpu);
-  EXPECT_EQ(ParseProfileClock("wall").value(), ProfileClock::kWall);
-  EXPECT_FALSE(ParseProfileClock("gpu").ok());
-}
-
 // ---------------------------------------------------------------------------
 // Live sampling.
 

@@ -531,6 +531,70 @@ TEST(ServeTest, CheckpointWarmupAndCorruptionRerun) {
   std::filesystem::remove_all(ckpt_dir);
 }
 
+TEST(ServeTest, CheckpointWithUnknownMeasureIsRecomputed) {
+  // A cell checkpoint that parses as JSON but names a measure the grid does
+  // not know is corrupt to `fairem grid`; the daemon must agree: count it,
+  // skip the preload, and recompute the cell on first query.
+  IgnoreSigpipe();
+  const std::string socket_path = FreshSocketPath("serve_badmeasure");
+  const std::string ckpt_dir = ::testing::TempDir() + "serve_badmeasure." +
+                               std::to_string(::getpid());
+  std::filesystem::remove_all(ckpt_dir);
+  ServeOptions options = SmallServeOptions(socket_path);
+  options.warm.checkpoint_dir = ckpt_dir;
+
+  // A fresh daemon's answer, persisted as the cell checkpoint.
+  std::string fresh;
+  {
+    DaemonHandle daemon(options, "");
+    Result<ServeClient> client = ConnectPatient(socket_path);
+    ASSERT_TRUE(client.ok()) << client.status();
+    Result<QueryResponse> r = client->Call(CellRequest("DTMatcher"));
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_TRUE(r->status.ok()) << r->status;
+    fresh = r->payload;
+    ASSERT_EQ(WEXITSTATUS(daemon.Stop()), 0);
+  }
+  const std::string path =
+      CheckpointStore(ckpt_dir).PathFor("Cricket.single.DTMatcher");
+  Result<std::string> planted = ReadFileToString(path);
+  ASSERT_TRUE(planted.ok()) << planted.status();
+  const size_t at = planted->find(",\"AP\",");
+  ASSERT_NE(at, std::string::npos) << *planted;
+  planted->replace(at, 6, ",\"XXXX\",");
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << *planted;
+  }
+
+  DaemonHandle daemon(options, "");
+  Result<ServeClient> client = ConnectPatient(socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  QueryRequest stats;
+  stats.op = "stats";
+  Result<QueryResponse> before = client->Call(stats);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_NE(before->payload.find("\"fairem.serve.corrupt_checkpoints\": 1"),
+            std::string::npos)
+      << before->payload;
+  EXPECT_NE(before->payload.find("\"fairem.serve.cells_preloaded\": 0"),
+            std::string::npos)
+      << before->payload;
+  Result<QueryResponse> r = client->Call(CellRequest("DTMatcher"));
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_TRUE(r->status.ok()) << r->status;
+  EXPECT_EQ(r->payload, fresh);
+  Result<QueryResponse> after = client->Call(stats);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_NE(after->payload.find("\"fairem.serve.cells_computed\": 1"),
+            std::string::npos)
+      << after->payload;
+  ASSERT_EQ(WEXITSTATUS(daemon.Stop()), 0);
+  // The recomputed cell replaced the planted file.
+  EXPECT_EQ(ReadFileToString(path).value_or(""), fresh);
+  std::filesystem::remove_all(ckpt_dir);
+}
+
 TEST(ServeTest, ChaosEveryRequestDefiniteAndPostChaosByteIdentical) {
   IgnoreSigpipe();
   const std::string socket_path = FreshSocketPath("serve_chaos");

@@ -243,16 +243,6 @@ TEST(PrometheusTest, ExpositionHasTypesBucketsSumAndCount) {
   EXPECT_NE(text.find("fairem_test_hist_count 4"), std::string::npos);
 }
 
-TEST(PrometheusTest, ParseMetricsFormatNames) {
-  EXPECT_EQ(std::move(ParseMetricsFormat("json")).value(),
-            MetricsFormat::kJson);
-  EXPECT_EQ(std::move(ParseMetricsFormat("prom")).value(),
-            MetricsFormat::kProm);
-  EXPECT_EQ(std::move(ParseMetricsFormat("prometheus")).value(),
-            MetricsFormat::kProm);
-  EXPECT_FALSE(ParseMetricsFormat("xml").ok());
-}
-
 // ---------------------------------------------------------------------------
 // Worker telemetry wire format.
 

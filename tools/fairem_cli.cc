@@ -1,122 +1,41 @@
 // fairem — command-line front end to the library.
 //
-//   fairem list
-//       List the built-in benchmark datasets and the 13 matchers.
-//   fairem generate <dataset> <dir> [--scale S] [--seed N]
-//       Generate a benchmark dataset and persist it to <dir>.
-//   fairem audit <dir> <matcher> [--pairwise] [--threshold T] [--division]
-//       Load a dataset directory, train the matcher, and print the
-//       correctness summary plus the fairness audit.
-//   fairem pipeline <dataset> <matcher> [--scale S] [--seed N] [--pairwise]
-//       [--intra_jobs N]
-//       Run the full audit pipeline in-process — datagen, blocking, feature
-//       generation, fit, predict, audit — primarily a driver for the
-//       observability layer (each stage is a traced span). --intra_jobs
-//       threads the hot matcher loops; output is byte-identical for any N.
-//   fairem grid <dataset> [--pairwise] [--scale S] [--seed N]
-//       [--checkpoint_dir D] [--retry_attempts N] [--jobs N]
-//       [--intra_jobs N] [--cell_timeout_s S] [--cell_max_rss_mb M]
-//       The batch audit of Algorithm 1 for one dataset: all matchers,
-//       rendered as the unfairness grid. Fault tolerant: cells retry on
-//       transient failures, failed cells degrade to error entries, and with
-//       --checkpoint_dir an interrupted run resumes from completed cells and
-//       the other mode's grid reuses the cached matcher scores (no refit).
-//       --jobs > 1 (or a cell timeout / rlimit) runs the sweep under the
-//       process-isolated supervisor: each cell in a forked worker, hangs
-//       SIGKILLed at --cell_timeout_s, address space capped at
-//       --cell_max_rss_mb MiB, crashed cells respawned up to
-//       --retry_attempts. Workers ship metrics/span telemetry back to the
-//       parent, so --metrics_out/--trace_out cover the whole fleet;
-//       --progress prints a live cells-done/ETA line. --intra_jobs adds
-//       threads inside each cell (total concurrency jobs x intra_jobs).
-//   fairem benchdiff <old.json> <new.json> [--fail_on SPEC]... [--all]
-//       Compare two metrics snapshots (e.g. successive BENCH_*.json files):
-//       per-metric old/new/delta/ratio table, histograms expanded to
-//       .mean/.count/.sum/.p50/.p95/.p99. Each --fail_on clause
-//       (e.g. 'fairem.matcher.predict_seconds.mean>1.10x' for a ratio gate,
-//       'fairem.proc.peak_rss_mb>512abs' for an absolute one, '<' for
-//       lower bounds) turns the diff into a regression gate: exit 2 when
-//       any clause trips, 1 on usage/IO errors, 0 otherwise. --all shows
-//       unchanged metrics too. When a violated histogram metric carries
-//       exemplars (traced runs record the slowest query's trace id per
-//       bucket), the regression line names the slowest exemplar's trace id
-//       so the regression links to one concrete query.
-//   fairem proftop <profile.folded> [--by stack|stage] [-n N]
-//       [--compare FILE2] [--tolerance T] [--min_share S]
-//       Summarize a folded profile written by --profile_out: top frames by
-//       self/total samples (--by stack, default), or the per-pipeline-stage
-//       breakdown with the attributed fraction (--by stage). --compare
-//       checks two profiles' stage shares against each other and exits 2
-//       when any stage's share drifts by more than --tolerance (default
-//       0.10), considering stages above --min_share (default 0.01).
-//   fairem serve <socket> [--datasets a,b,..] [--scale S] [--seed N]
-//       [--checkpoint_dir D] [--max_inflight N] [--max_queue N]
-//       [--deadline_s S] [--max_deadline_s S] [--io_timeout_s S]
-//       [--max_attempts N] [--worker_max_rss_mb M] [--worker_max_cpu_s S]
-//       [--drain_metrics_out FILE]
-//       The always-on audit daemon (DESIGN.md §14): warms datasets and
-//       checkpointed cells, then answers framed queries on a UNIX socket.
-//       Cell queries run in crash-isolated forked workers under rlimits;
-//       admission is bounded (overflow shed with a retryable reply),
-//       deadlines are enforced end to end, slow clients are disconnected,
-//       and SIGTERM drains cooperatively (exit 0) — flushing a final
-//       durable metrics snapshot to --drain_metrics_out.
-//   fairem route <socket> --backends a.sock,b.sock,..
-//       [--backends_file FILE] [--health_period_s S] [--health_timeout_s S]
-//       [--breaker_failures N] [--breaker_cooldown_s S] [--no_hedge]
-//       [--hedge_min_delay_s S] [--max_inflight N] [--deadline_s S]
-//       [--max_deadline_s S] [--io_timeout_s S] [--drain_metrics_out FILE]
-//       The shard router (DESIGN.md §15): fronts N serve daemons behind one
-//       socket. Routes each cell by rendezvous hash so cache warmth
-//       survives membership changes, health-probes every backend, opens a
-//       circuit breaker on consecutive failures, fails queries over to the
-//       next replica when a backend dies or sheds, hedges slow requests
-//       after a p95-derived delay, and degrades cell queries to structured
-//       error-entry answers when every replica is down. SIGHUP re-reads
-//       --backends_file for live add/remove; SIGTERM drains cooperatively.
-//   fairem query <socket> ping|stats
-//   fairem query <socket> cell <dataset> <matcher> [--pairwise]
-//       [--deadline_s S] [--retries N] [--io_timeout_s S] [--trace]
-//       [--verbose]
-//       One query against a running daemon or router; prints the payload
-//       (cell JSON, stats JSON, or "pong"). Shed/draining replies are
-//       retried with jittered backoff up to --retries, honoring the
-//       server's retry-after hint. --trace (implied by --trace_out or
-//       --verbose) propagates a trace context through every hop; the
-//       response carries back client/router/daemon/worker spans, merged
-//       into one Chrome trace by --trace_out. --verbose streams the
-//       server's live PROG progress frames to stderr and prints the
-//       per-hop timing table (noting when a hedged duplicate won).
-//   fairem slowlog <FILE>
-//       Render a slow-query log (wide-event JSON lines written by serve or
-//       route under --slow_query_ms): one row per slow query with its
-//       trace id, hop, op, key, status, and total time.
-//   fairem tracetop <FILE> [--compare FILE2] [--tolerance T]
-//       [--min_share S]
-//       Aggregate a slow-query log's span breakdowns: per-hop share table
-//       (which hop owns the recorded time) and the critical path through
-//       the slowest query. --compare gates two logs against each other and
-//       exits 2 when any hop's share drifts more than --tolerance (default
-//       0.10), considering hops above --min_share (default 0.01).
+//   list       the built-in benchmark datasets and the 13 matchers
+//   generate   generate a benchmark dataset and persist it to a directory
+//   audit      train a matcher on a dataset directory; print its
+//              correctness summary and fairness audit
+//   pipeline   the whole audit pipeline in-process — datagen, blocking,
+//              features, fit, predict, audit — each stage a traced span
+//   grid       Algorithm 1's batch audit of one dataset, all matchers,
+//              rendered as the unfairness grid; cells retry, degrade to
+//              error entries, checkpoint and resume, and run in supervised
+//              forked workers that ship telemetry back (DESIGN.md §9-11)
+//   benchdiff  per-metric diff of two metrics snapshots; --fail_on clauses
+//              turn it into a regression gate
+//   proftop    summarize (or gate the stage shares of) folded profiles
+//   serve      the audit daemon on a UNIX socket (DESIGN.md §14)
+//   route      the shard router in front of serve daemons (DESIGN.md §15)
+//   query      one query against a daemon or router; prints the payload
+//   slowlog    render a slow-query log written by serve or route
+//   tracetop   per-hop shares and the slowest query's critical path of a
+//              slow-query log; --compare gates two logs
 //
-// Observability (any command): --log_level debug|info|warn|error|off,
-// --trace_out FILE (Chrome trace JSON of the stage spans),
-// --metrics_out FILE (metrics-registry snapshot),
-// --metrics_format json|prom (format of --metrics_out),
-// --profile_out FILE (sampling profiler; folded stacks for flamegraph.pl),
-// --profile_hz N (default 97), --profile_mode cpu|wall.
-// Fault injection (any command): --failpoints SPEC, e.g.
-// "csv_read=error(0.05);grid_cell=crash(1,5)" (also: FAIREM_FAILPOINTS env).
+// Every command also takes the observability flags and --failpoints. The
+// flags of each command are registered in kCommands, which generates the
+// usage text: a command-line error prints the command's flags with their
+// help, a missing or unknown command every command's synopsis.
 //
-// Exit status: 0 on success, 1 on usage errors or failures, 128+signal
-// (130 SIGINT / 143 SIGTERM) when a supervised grid run is interrupted and
-// shuts down cooperatively.
+// Exit status: 0 on success, 1 on usage errors or failures, 2 when a
+// benchdiff/proftop/tracetop gate trips, 128+signal (130 SIGINT / 143
+// SIGTERM) when a supervised grid run is interrupted and shuts down
+// cooperatively.
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/block/blockers.h"
@@ -137,6 +56,7 @@
 #include "src/route/router.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
+#include "src/util/flags.h"
 #include "src/util/io_util.h"
 #include "src/util/string_util.h"
 #include "src/util/thread_pool.h"
@@ -144,47 +64,34 @@
 namespace fairem {
 namespace {
 
-int Usage() {
-  std::cerr <<
-      "usage:\n"
-      "  fairem list\n"
-      "  fairem generate <dataset> <dir> [--scale S] [--seed N]\n"
-      "  fairem audit <dir> <matcher> [--pairwise] [--threshold T] "
-      "[--division]\n"
-      "  fairem pipeline <dataset> <matcher> [--scale S] [--seed N] "
-      "[--pairwise] [--intra_jobs N]\n"
-      "  fairem grid <dataset> [--pairwise] [--scale S] [--seed N] "
-      "[--checkpoint_dir D] [--retry_attempts N] [--jobs N] "
-      "[--intra_jobs N] [--cell_timeout_s S] [--cell_max_rss_mb M] "
-      "[--progress]\n"
-      "  fairem benchdiff <old.json> <new.json> [--fail_on SPEC]... [--all]\n"
-      "  fairem proftop <profile.folded> [--by stack|stage] [-n N] "
-      "[--compare FILE2] [--tolerance T] [--min_share S]\n"
-      "  fairem serve <socket> [--datasets a,b,..] [--scale S] [--seed N] "
-      "[--checkpoint_dir D] [--max_inflight N] [--max_queue N] "
-      "[--deadline_s S] [--max_deadline_s S] [--io_timeout_s S] "
-      "[--max_attempts N] [--worker_max_rss_mb M] [--worker_max_cpu_s S] "
-      "[--drain_metrics_out FILE] [--slow_query_ms MS] "
-      "[--slow_query_log FILE] [--progress_interval_s S]\n"
-      "  fairem route <socket> --backends a.sock,b.sock,.. "
-      "[--backends_file FILE] [--health_period_s S] [--health_timeout_s S] "
-      "[--breaker_failures N] [--breaker_cooldown_s S] [--no_hedge] "
-      "[--hedge_min_delay_s S] [--max_inflight N] [--deadline_s S] "
-      "[--max_deadline_s S] [--io_timeout_s S] [--drain_metrics_out FILE] "
-      "[--slow_query_ms MS] [--slow_query_log FILE]\n"
-      "  fairem query <socket> ping|stats\n"
-      "  fairem query <socket> cell <dataset> <matcher> [--pairwise] "
-      "[--deadline_s S] [--retries N] [--io_timeout_s S] [--trace] "
-      "[--verbose]\n"
-      "  fairem slowlog <FILE>\n"
-      "  fairem tracetop <FILE> [--compare FILE2] [--tolerance T] "
-      "[--min_share S]\n"
-      "observability (any command): [--log_level L] [--trace_out FILE] "
-      "[--metrics_out FILE] [--metrics_format json|prom] "
-      "[--profile_out FILE] [--profile_hz N] [--profile_mode cpu|wall]\n"
-      "fault injection (any command): [--failpoints SPEC]\n";
-  return 1;
-}
+using Args = std::vector<std::string>;
+
+/// Every command's flag targets, defaults included; a command registers
+/// only the flags it reads.
+struct CliOptions {
+  double scale = 1.0;
+  uint64_t seed = 0;
+  bool pairwise = false;
+  int intra_jobs = 1;
+  double threshold = -1.0;
+  bool division = false;
+  GridRunOptions grid;
+  std::vector<std::string> fail_on;
+  bool all = false;
+  bool by_stage = false;
+  int top_n = 20;
+  std::string compare;
+  double tolerance = 0.10;
+  double min_share = 0.01;
+  ServeOptions serve;
+  RouteOptions route;
+  bool no_hedge = false;
+  QueryRequest request;
+  int retries = 4;
+  ServeClientOptions client;
+  bool trace = false;
+  bool verbose = false;
+};
 
 Result<DatasetKind> ParseDatasetKind(const std::string& name) {
   for (DatasetKind kind : AllDatasetKinds()) {
@@ -202,13 +109,7 @@ Result<MatcherKind> ParseMatcherKind(const std::string& name) {
                           "'; run `fairem list`");
 }
 
-int List(const std::vector<std::string>& args) {
-  // A typo'd flag silently doing nothing is how --trace-out style mistakes
-  // hide; every subcommand rejects arguments it does not understand.
-  if (!args.empty()) {
-    std::cerr << "unexpected argument '" << args[0] << "'\n";
-    return Usage();
-  }
+int List(const CliOptions&, const Args&) {
   std::cout << "datasets (Table 4):\n";
   for (DatasetKind kind : AllDatasetKinds()) {
     std::cout << "  " << DatasetKindName(kind) << "\n";
@@ -221,30 +122,13 @@ int List(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Generate(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
-  double scale = 1.0;
-  uint64_t seed = 0;
-  // Stride-1 parse: a trailing or unpaired flag is an error, not a no-op
-  // (the old stride-2 loop silently ignored e.g. a final "--bogus").
-  for (size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &scale)) return Usage();
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v)) return Usage();
-      seed = static_cast<uint64_t>(v);
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+int Generate(const CliOptions& o, const Args& args) {
   Result<DatasetKind> kind = ParseDatasetKind(args[0]);
   if (!kind.ok()) {
     std::cerr << kind.status() << "\n";
     return 1;
   }
-  Result<EMDataset> dataset = GenerateDataset(*kind, scale, seed);
+  Result<EMDataset> dataset = GenerateDataset(*kind, o.scale, o.seed);
   if (!dataset.ok()) {
     std::cerr << dataset.status() << "\n";
     return 1;
@@ -260,28 +144,15 @@ int Generate(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Audit(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
-  bool pairwise = false;
-  double threshold = -1.0;
+int Audit(const CliOptions& o, const Args& args) {
   AuditOptions options;
-  for (size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--pairwise") {
-      pairwise = true;
-    } else if (args[i] == "--division") {
-      options.mode = DisparityMode::kDivision;
-    } else if (args[i] == "--threshold" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &threshold)) return Usage();
-    } else {
-      return Usage();
-    }
-  }
+  if (o.division) options.mode = DisparityMode::kDivision;
   Result<EMDataset> dataset = LoadDataset(args[0]);
   if (!dataset.ok()) {
     std::cerr << dataset.status() << "\n";
     return 1;
   }
-  if (threshold >= 0.0) dataset->default_threshold = threshold;
+  if (o.threshold >= 0.0) dataset->default_threshold = o.threshold;
   Result<MatcherKind> kind = ParseMatcherKind(args[1]);
   if (!kind.ok()) {
     std::cerr << kind.status() << "\n";
@@ -301,8 +172,8 @@ int Audit(const std::vector<std::string>& args) {
             << FormatDouble(run->f1, 3) << " at threshold "
             << FormatDouble(dataset->default_threshold, 2) << "\n\n";
   Result<AuditReport> report =
-      pairwise ? AuditRunPairwise(*dataset, *run, options)
-               : AuditRunSingle(*dataset, *run, options);
+      o.pairwise ? AuditRunPairwise(*dataset, *run, options)
+                 : AuditRunSingle(*dataset, *run, options);
   if (!report.ok()) {
     std::cerr << report.status() << "\n";
     return 1;
@@ -326,28 +197,8 @@ int Audit(const std::vector<std::string>& args) {
 /// purpose is twofold: a one-command demo, and the canonical driver of the
 /// observability layer — with --trace_out the run exports nested spans for
 /// datagen -> blocking -> features -> fit -> predict -> audit.
-int Pipeline(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
-  double scale = 1.0;
-  uint64_t seed = 0;
-  bool pairwise = false;
-  for (size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--pairwise") {
-      pairwise = true;
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &scale)) return Usage();
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v)) return Usage();
-      seed = static_cast<uint64_t>(v);
-    } else if (args[i] == "--intra_jobs" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      SetIntraJobs(static_cast<int>(v));
-    } else {
-      return Usage();
-    }
-  }
+int Pipeline(const CliOptions& o, const Args& args) {
+  SetIntraJobs(o.intra_jobs);
   Result<DatasetKind> kind = ParseDatasetKind(args[0]);
   if (!kind.ok()) {
     std::cerr << kind.status() << "\n";
@@ -364,7 +215,7 @@ int Pipeline(const std::vector<std::string>& args) {
   pipeline_span.AddArg("matcher", MatcherKindName(*matcher_kind));
 
   // Stage 1: dataset generation (span fairem.datagen.generate inside).
-  Result<EMDataset> dataset = GenerateDataset(*kind, scale, seed);
+  Result<EMDataset> dataset = GenerateDataset(*kind, o.scale, o.seed);
   if (!dataset.ok()) {
     std::cerr << dataset.status() << "\n";
     return 1;
@@ -433,8 +284,8 @@ int Pipeline(const std::vector<std::string>& args) {
 
   // Stage 6: the fairness audit (span fairem.audit.* inside).
   Result<AuditReport> report =
-      pairwise ? AuditRunPairwise(*dataset, *run, AuditOptions{})
-               : AuditRunSingle(*dataset, *run, AuditOptions{});
+      o.pairwise ? AuditRunPairwise(*dataset, *run, AuditOptions{})
+                 : AuditRunSingle(*dataset, *run, AuditOptions{});
   if (!report.ok()) {
     std::cerr << report.status() << "\n";
     return 1;
@@ -448,63 +299,22 @@ int Pipeline(const std::vector<std::string>& args) {
 
 /// The batch audit over every matcher for one dataset, with the full
 /// robustness surface exposed: retries, checkpoint/resume, error cells.
-int Grid(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  double scale = 1.0;
-  uint64_t seed = 0;
-  bool pairwise = false;
-  GridRunOptions options;
+int Grid(const CliOptions& o, const Args& args) {
+  GridRunOptions options = o.grid;
   options.audit.reference = AuditReference::kComplement;
-  for (size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--pairwise") {
-      pairwise = true;
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &scale)) return Usage();
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v)) return Usage();
-      seed = static_cast<uint64_t>(v);
-    } else if (args[i] == "--checkpoint_dir" && i + 1 < args.size()) {
-      options.checkpoint_dir = args[++i];
-    } else if (args[i] == "--retry_attempts" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.retry.max_attempts = static_cast<int>(v);
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.jobs = static_cast<int>(v);
-    } else if (args[i] == "--intra_jobs" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.intra_jobs = static_cast<int>(v);
-    } else if (args[i] == "--cell_timeout_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.cell_timeout_s) ||
-          options.cell_timeout_s < 0.0) {
-        return Usage();
-      }
-    } else if (args[i] == "--cell_max_rss_mb" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v) || v < 0.0) return Usage();
-      options.cell_max_rss_mb = static_cast<int>(v);
-    } else if (args[i] == "--progress") {
-      options.progress = true;
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+  options.intra_jobs = o.intra_jobs;
   Result<DatasetKind> kind = ParseDatasetKind(args[0]);
   if (!kind.ok()) {
     std::cerr << kind.status() << "\n";
     return 1;
   }
-  Result<EMDataset> dataset = GenerateDataset(*kind, scale, seed);
+  Result<EMDataset> dataset = GenerateDataset(*kind, o.scale, o.seed);
   if (!dataset.ok()) {
     std::cerr << dataset.status() << "\n";
     return 1;
   }
-  Result<std::string> grid = UnfairnessGridReport(*dataset, pairwise, options);
+  Result<std::string> grid =
+      UnfairnessGridReport(*dataset, o.pairwise, options);
   if (!grid.ok()) {
     std::cerr << grid.status() << "\n";
     // A cooperative SIGINT/SIGTERM shutdown already reaped every worker;
@@ -515,31 +325,22 @@ int Grid(const std::vector<std::string>& args) {
                : 1;
   }
   std::cout << "== " << dataset->name << " "
-            << (pairwise ? "pairwise" : "single") << " fairness ==\n"
+            << (o.pairwise ? "pairwise" : "single") << " fairness ==\n"
             << (grid->empty() ? "(no unfair cells)\n" : *grid);
   return 0;
 }
 
 /// Diff two metrics snapshots and optionally gate on --fail_on clauses.
 /// Exit: 0 clean, 2 when a clause trips, 1 on usage/IO/parse errors.
-int BenchDiff(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
-  bool show_all = false;
+int BenchDiff(const CliOptions& o, const Args& args) {
   std::vector<FailOnSpec> specs;
-  for (size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--all") {
-      show_all = true;
-    } else if (args[i] == "--fail_on" && i + 1 < args.size()) {
-      Result<FailOnSpec> spec = ParseFailOnSpec(args[++i]);
-      if (!spec.ok()) {
-        std::cerr << spec.status() << "\n";
-        return 1;
-      }
-      specs.push_back(std::move(*spec));
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
+  for (const std::string& text : o.fail_on) {
+    Result<FailOnSpec> spec = ParseFailOnSpec(text);
+    if (!spec.ok()) {
+      std::cerr << spec.status() << "\n";
+      return 1;
     }
+    specs.push_back(std::move(*spec));
   }
   auto load = [](const std::string& path) -> Result<MetricsSnapshot> {
     std::ifstream in(path, std::ios::binary);
@@ -564,7 +365,7 @@ int BenchDiff(const std::vector<std::string>& args) {
     return 1;
   }
   std::vector<BenchDiffRow> rows = DiffSnapshotsForBench(*old_snap, *new_snap);
-  std::cout << RenderBenchDiffTable(rows, /*changed_only=*/!show_all);
+  std::cout << RenderBenchDiffTable(rows, /*changed_only=*/!o.all);
   if (specs.empty()) return 0;
   Result<std::vector<std::string>> violations = CheckFailOnSpecs(
       FlattenSnapshot(*old_snap), FlattenSnapshot(*new_snap), specs);
@@ -614,36 +415,7 @@ int DriftGate(const std::vector<std::string>& drift, const char* kind,
 
 /// Summarize (and optionally compare) folded profiles from --profile_out.
 /// Exit: 0 clean, 2 when --compare finds stage-share drift, 1 on errors.
-int ProfTop(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  std::string by = "stack";
-  int top_n = 20;
-  std::string compare_path;
-  double tolerance = 0.10;
-  double min_share = 0.01;
-  for (size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--by" && i + 1 < args.size()) {
-      by = args[++i];
-      if (by != "stack" && by != "stage") return Usage();
-    } else if (args[i] == "-n" && i + 1 < args.size()) {
-      double v = 0.0;
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      top_n = static_cast<int>(v);
-    } else if (args[i] == "--compare" && i + 1 < args.size()) {
-      compare_path = args[++i];
-    } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &tolerance) || tolerance < 0.0) {
-        return Usage();
-      }
-    } else if (args[i] == "--min_share" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &min_share) || min_share < 0.0) {
-        return Usage();
-      }
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+int ProfTop(const CliOptions& o, const Args& args) {
   auto load = [](const std::string& path) -> Result<FoldedProfile> {
     std::ifstream in(path, std::ios::binary);
     if (!in) return Status::IOError("cannot open '" + path + "'");
@@ -661,76 +433,24 @@ int ProfTop(const std::vector<std::string>& args) {
     std::cerr << profile.status() << "\n";
     return 1;
   }
-  if (!compare_path.empty()) {
-    Result<FoldedProfile> other = load(compare_path);
+  if (!o.compare.empty()) {
+    Result<FoldedProfile> other = load(o.compare);
     if (!other.ok()) {
       std::cerr << other.status() << "\n";
       return 1;
     }
     return DriftGate(
-        CompareStageShares(*profile, *other, tolerance, min_share), "STAGE",
-        "proftop: stage shares", args[0], compare_path, tolerance);
+        CompareStageShares(*profile, *other, o.tolerance, o.min_share),
+        "STAGE", "proftop: stage shares", args[0], o.compare, o.tolerance);
   }
-  std::cout << (by == "stage" ? RenderProfTopByStage(*profile)
-                              : RenderProfTopByStack(*profile, top_n));
+  std::cout << (o.by_stage ? RenderProfTopByStage(*profile)
+                           : RenderProfTopByStack(*profile, o.top_n));
   return 0;
 }
 
-int Serve(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  ServeOptions options;
+int Serve(const CliOptions& o, const Args& args) {
+  ServeOptions options = o.serve;
   options.socket_path = args[0];
-  for (size_t i = 1; i < args.size(); ++i) {
-    double v = 0.0;
-    if (args[i] == "--datasets" && i + 1 < args.size()) {
-      for (const std::string& name : Split(args[++i], ',')) {
-        if (!name.empty()) options.warm.datasets.push_back(name);
-      }
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.warm.scale)) return Usage();
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v)) return Usage();
-      options.warm.seed = static_cast<uint64_t>(v);
-    } else if (args[i] == "--checkpoint_dir" && i + 1 < args.size()) {
-      options.warm.checkpoint_dir = args[++i];
-    } else if (args[i] == "--max_inflight" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.max_inflight = static_cast<int>(v);
-    } else if (args[i] == "--max_queue" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 0.0) return Usage();
-      options.max_queue = static_cast<int>(v);
-    } else if (args[i] == "--deadline_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.default_deadline_s)) return Usage();
-    } else if (args[i] == "--max_deadline_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.max_deadline_s)) return Usage();
-    } else if (args[i] == "--io_timeout_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.io_timeout_s)) return Usage();
-    } else if (args[i] == "--retry_after_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.retry_after_s)) return Usage();
-    } else if (args[i] == "--max_attempts" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.max_attempts = static_cast<int>(v);
-    } else if (args[i] == "--worker_max_rss_mb" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 0.0) return Usage();
-      options.worker_max_rss_mb = static_cast<int>(v);
-    } else if (args[i] == "--worker_max_cpu_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 0.0) return Usage();
-      options.worker_max_cpu_s = static_cast<int>(v);
-    } else if (args[i] == "--drain_metrics_out" && i + 1 < args.size()) {
-      options.metrics_path = args[++i];
-    } else if (args[i] == "--slow_query_ms" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.slow_query_ms)) return Usage();
-    } else if (args[i] == "--slow_query_log" && i + 1 < args.size()) {
-      options.slow_query_log = args[++i];
-    } else if (args[i] == "--progress_interval_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.progress_interval_s)) {
-        return Usage();
-      }
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
   if (Status st = RunServeDaemon(options); !st.ok()) {
     std::cerr << st << "\n";
     return 1;
@@ -738,55 +458,10 @@ int Serve(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Route(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  RouteOptions options;
+int Route(const CliOptions& o, const Args& args) {
+  RouteOptions options = o.route;
   options.socket_path = args[0];
-  for (size_t i = 1; i < args.size(); ++i) {
-    double v = 0.0;
-    if (args[i] == "--backends" && i + 1 < args.size()) {
-      for (const std::string& path : Split(args[++i], ',')) {
-        if (!path.empty()) options.backends.push_back(path);
-      }
-    } else if (args[i] == "--backends_file" && i + 1 < args.size()) {
-      options.backends_file = args[++i];
-    } else if (args[i] == "--health_period_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.health_period_s)) return Usage();
-    } else if (args[i] == "--health_timeout_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.health_timeout_s)) return Usage();
-    } else if (args[i] == "--breaker_failures" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.breaker_failure_threshold = static_cast<int>(v);
-    } else if (args[i] == "--breaker_cooldown_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.breaker_cooldown_s)) {
-        return Usage();
-      }
-    } else if (args[i] == "--no_hedge") {
-      options.hedge = false;
-    } else if (args[i] == "--hedge_min_delay_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.hedge_min_delay_s)) return Usage();
-    } else if (args[i] == "--max_inflight" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 1.0) return Usage();
-      options.max_inflight_jobs = static_cast<int>(v);
-    } else if (args[i] == "--deadline_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.default_deadline_s)) return Usage();
-    } else if (args[i] == "--max_deadline_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.max_deadline_s)) return Usage();
-    } else if (args[i] == "--io_timeout_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.io_timeout_s)) return Usage();
-    } else if (args[i] == "--retry_after_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.retry_after_s)) return Usage();
-    } else if (args[i] == "--drain_metrics_out" && i + 1 < args.size()) {
-      options.metrics_path = args[++i];
-    } else if (args[i] == "--slow_query_ms" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &options.slow_query_ms)) return Usage();
-    } else if (args[i] == "--slow_query_log" && i + 1 < args.size()) {
-      options.slow_query_log = args[++i];
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+  options.hedge = !o.no_hedge;
   if (Status st = RunRouteDaemon(options); !st.ok()) {
     std::cerr << st << "\n";
     return 1;
@@ -794,54 +469,30 @@ int Route(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Query(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
+int Query(const CliOptions& o, const Args& args) {
   IgnoreSigpipe();  // a daemon closing mid-write must not kill us
   const std::string socket_path = args[0];
-  QueryRequest request;
+  QueryRequest request = o.request;
   request.op = args[1];
-  size_t flag_start = 2;
-  if (request.op == "cell") {
-    if (args.size() < 4) return Usage();
+  const bool cell = request.op == "cell";
+  if (args.size() != (cell ? 4u : 2u) ||
+      (!cell && request.op != "ping" && request.op != "stats")) {
+    std::cerr << "query wants <socket> ping|stats or <socket> cell "
+                 "<dataset> <matcher>\n";
+    return 1;
+  }
+  if (cell) {
     request.dataset = args[2];
     request.matcher = args[3];
-    flag_start = 4;
-  } else if (request.op != "ping" && request.op != "stats") {
-    std::cerr << "unknown query op '" << request.op << "'\n";
-    return Usage();
   }
+  if (o.pairwise) request.mode = "pairwise";
   RetryPolicy retry;
-  retry.max_attempts = 5;
-  ServeClientOptions client_options;
-  bool verbose = false;
-  bool trace_flag = false;
-  for (size_t i = flag_start; i < args.size(); ++i) {
-    double v = 0.0;
-    if (args[i] == "--pairwise") {
-      request.mode = "pairwise";
-    } else if (args[i] == "--deadline_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &request.deadline_s)) return Usage();
-    } else if (args[i] == "--retries" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &v) || v < 0.0) return Usage();
-      retry.max_attempts = 1 + static_cast<int>(v);
-    } else if (args[i] == "--io_timeout_s" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &client_options.io_timeout_s)) {
-        return Usage();
-      }
-    } else if (args[i] == "--trace") {
-      trace_flag = true;
-    } else if (args[i] == "--verbose") {
-      verbose = true;
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+  retry.max_attempts = 1 + o.retries;
+  ServeClientOptions client_options = o.client;
   // --trace_out wants the merged Chrome trace, --verbose wants the per-hop
   // table; both need the trace context propagated end to end.
-  client_options.trace =
-      trace_flag || verbose || Tracer::Global().enabled();
-  if (verbose) {
+  client_options.trace = o.trace || o.verbose || Tracer::Global().enabled();
+  if (o.verbose) {
     client_options.on_progress = [](const ProgressUpdate& update) {
       std::ostringstream os;
       os << "progress: " << update.stage << " "
@@ -868,7 +519,7 @@ int Query(const std::vector<std::string>& args) {
     std::cerr << response.status() << "\n";
     return 1;
   }
-  if (verbose && client->last_trace().valid()) {
+  if (o.verbose && client->last_trace().valid()) {
     const std::vector<WireSpan>& spans = client->last_spans();
     int64_t origin = 0;
     for (const WireSpan& span : spans) {
@@ -913,8 +564,7 @@ int Query(const std::vector<std::string>& args) {
 }
 
 /// Render a slow-query log written by `serve`/`route --slow_query_log`.
-int Slowlog(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Usage();
+int Slowlog(const CliOptions&, const Args& args) {
   Result<std::string> text = ReadFileToString(args[0]);
   if (!text.ok()) {
     std::cerr << text.status() << "\n";
@@ -945,27 +595,7 @@ int Slowlog(const std::vector<std::string>& args) {
 
 /// Aggregate a slow-query log's span breakdowns; with --compare, gate on
 /// per-hop share drift. Exit: 0 clean, 2 on drift, 1 on errors.
-int TraceTop(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  std::string compare_path;
-  double tolerance = 0.10;
-  double min_share = 0.01;
-  for (size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--compare" && i + 1 < args.size()) {
-      compare_path = args[++i];
-    } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &tolerance) || tolerance < 0.0) {
-        return Usage();
-      }
-    } else if (args[i] == "--min_share" && i + 1 < args.size()) {
-      if (!ParseDouble(args[++i], &min_share) || min_share < 0.0) {
-        return Usage();
-      }
-    } else {
-      std::cerr << "unexpected argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+int TraceTop(const CliOptions& o, const Args& args) {
   auto load = [](const std::string& path) -> Result<TraceTopSummary> {
     FAIREM_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
     TraceTopSummary summary = SummarizeSlowLog(text);
@@ -980,15 +610,15 @@ int TraceTop(const std::vector<std::string>& args) {
     std::cerr << summary.status() << "\n";
     return 1;
   }
-  if (!compare_path.empty()) {
-    Result<TraceTopSummary> other = load(compare_path);
+  if (!o.compare.empty()) {
+    Result<TraceTopSummary> other = load(o.compare);
     if (!other.ok()) {
       std::cerr << other.status() << "\n";
       return 1;
     }
     return DriftGate(
-        CompareHopShares(*summary, *other, tolerance, min_share), "HOP",
-        "tracetop: hop shares", args[0], compare_path, tolerance);
+        CompareHopShares(*summary, *other, o.tolerance, o.min_share), "HOP",
+        "tracetop: hop shares", args[0], o.compare, o.tolerance);
   }
   std::cout << RenderHopShares(*summary);
   if (!summary->slowest_spans.empty()) {
@@ -1003,105 +633,221 @@ int TraceTop(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  std::string command = argv[1];
-  // Peel the observability flags off first — they are valid anywhere on the
-  // command line, for every subcommand, as `--flag value` or `--flag=value`.
+void PairwiseFlag(FlagSet* f, CliOptions* o) {
+  f->Bool("--pairwise", &o->pairwise, "pairwise instead of single fairness");
+}
+
+/// proftop's and tracetop's share-drift gate.
+void DriftFlags(FlagSet* f, CliOptions* o) {
+  f->String("--compare", &o->compare, "FILE2",
+            "exit 2 when a share drifts from FILE2's past --tolerance");
+  f->Double("--tolerance", &o->tolerance, "T", "allowed share drift", 0.0);
+  f->Double("--min_share", &o->min_share, "S",
+            "compare only entries above this share", 0.0);
+}
+
+/// The front-end knobs `serve` and `route` share.
+template <typename DaemonOptions>
+void DaemonFlags(FlagSet* f, DaemonOptions* o) {
+  f->Double("--deadline_s", &o->default_deadline_s, "S",
+            "deadline of a query that sets none");
+  f->Double("--max_deadline_s", &o->max_deadline_s, "S",
+            "cap on client-requested deadlines");
+  f->Double("--io_timeout_s", &o->io_timeout_s, "S",
+            "per-connection IO activity deadline");
+  f->Double("--retry_after_s", &o->retry_after_s, "S",
+            "backoff hint sent with shed replies");
+  f->String("--drain_metrics_out", &o->metrics_path, "FILE",
+            "durable metrics snapshot at drain");
+  f->Double("--slow_query_ms", &o->slow_query_ms, "MS",
+            "log slower queries to --slow_query_log, 0 for none");
+  f->String("--slow_query_log", &o->slow_query_log, "FILE",
+            "one wide-event JSON line per slow query");
+}
+
+/// A command: its positional synopsis and count, the flags it reads
+/// (registered into CliOptions), and its body.
+struct Command {
+  const char* name;
+  const char* args;
+  size_t min_args;
+  size_t max_args;
+  void (*flags)(FlagSet*, CliOptions*);
+  int (*run)(const CliOptions&, const Args&);
+};
+
+const Command kCommands[] = {
+    {"list", "", 0, 0, [](FlagSet*, CliOptions*) {}, List},
+    {"generate", "<dataset> <dir>", 2, 2,
+     [](FlagSet* f, CliOptions* o) {
+       RegisterDatagenFlags(f, &o->scale, &o->seed);
+     },
+     Generate},
+    {"audit", "<dir> <matcher>", 2, 2,
+     [](FlagSet* f, CliOptions* o) {
+       PairwiseFlag(f, o);
+       f->Double("--threshold", &o->threshold, "T",
+                 "matching threshold; negative keeps the dataset's");
+       f->Bool("--division", &o->division,
+               "division instead of subtraction disparity");
+     },
+     Audit},
+    {"pipeline", "<dataset> <matcher>", 2, 2,
+     [](FlagSet* f, CliOptions* o) {
+       RegisterDatagenFlags(f, &o->scale, &o->seed);
+       PairwiseFlag(f, o);
+       RegisterIntraJobsFlag(f, &o->intra_jobs);
+     },
+     Pipeline},
+    {"grid", "<dataset>", 1, 1,
+     [](FlagSet* f, CliOptions* o) {
+       PairwiseFlag(f, o);
+       RegisterDatagenFlags(f, &o->scale, &o->seed);
+       RegisterGridRunFlags(f, &o->grid);
+       RegisterIntraJobsFlag(f, &o->intra_jobs);
+     },
+     Grid},
+    {"benchdiff", "<old.json> <new.json>", 2, 2,
+     [](FlagSet* f, CliOptions* o) {
+       f->Repeated("--fail_on", &o->fail_on, "SPEC",
+                   "gate, e.g. 'fairem.proc.cpu_seconds>1.10x'; exit 2 if "
+                   "one trips");
+       f->Bool("--all", &o->all, "show unchanged metrics too");
+     },
+     BenchDiff},
+    {"proftop", "<profile.folded>", 1, 1,
+     [](FlagSet* f, CliOptions* o) {
+       f->Choice("--by", &o->by_stage, {{"stack", false}, {"stage", true}},
+                 "top frames or per-stage shares");
+       f->Int("-n", &o->top_n, "N", "frames shown by --by stack", 1);
+       DriftFlags(f, o);
+     },
+     ProfTop},
+    {"serve", "<socket>", 1, 1,
+     [](FlagSet* f, CliOptions* o) {
+       ServeOptions& s = o->serve;
+       f->List("--datasets", &s.warm.datasets, "a,b,..",
+               "datasets to warm; all when absent");
+       RegisterDatagenFlags(f, &s.warm.scale, &s.warm.seed);
+       f->String("--checkpoint_dir", &s.warm.checkpoint_dir, "DIR",
+                 "cell checkpoints to preload and write (grid's keys)");
+       f->Int("--max_inflight", &s.max_inflight, "N",
+              "queries computing in forked workers at once", 1);
+       f->Int("--max_queue", &s.max_queue, "N",
+              "queries waiting for a worker; more are shed", 0);
+       f->Int("--max_attempts", &s.max_attempts, "N",
+              "worker spawns per query, the first included", 1);
+       f->Int("--worker_max_rss_mb", &s.worker_max_rss_mb, "M",
+              "worker address-space cap in MiB, 0 for none", 0);
+       f->Int("--worker_max_cpu_s", &s.worker_max_cpu_s, "S",
+              "worker CPU-time cap, 0 for none", 0);
+       f->Double("--progress_interval_s", &s.progress_interval_s, "S",
+                 "progress-frame spacing for traced queries, <= 0 for none");
+       DaemonFlags(f, &s);
+     },
+     Serve},
+    {"route", "<socket>", 1, 1,
+     [](FlagSet* f, CliOptions* o) {
+       RouteOptions& r = o->route;
+       f->List("--backends", &r.backends, "a.sock,b.sock,..",
+               "the serve daemons to shard across");
+       f->String("--backends_file", &r.backends_file, "FILE",
+                 "more daemons, one per line; re-read on SIGHUP");
+       f->Double("--health_period_s", &r.health_period_s, "S", "probe period");
+       f->Double("--health_timeout_s", &r.health_timeout_s, "S",
+                 "probe timeout");
+       f->Int("--breaker_failures", &r.breaker_failure_threshold, "N",
+              "consecutive failures that open a breaker", 1);
+       f->Double("--breaker_cooldown_s", &r.breaker_cooldown_s, "S",
+                 "open-breaker wait before a trial request");
+       f->Bool("--no_hedge", &o->no_hedge, "never hedge slow requests");
+       f->Double("--hedge_min_delay_s", &r.hedge_min_delay_s, "S",
+                 "floor of the p95-derived hedge delay");
+       f->Int("--max_inflight", &r.max_inflight_jobs, "N",
+              "routed queries in flight; more are shed", 1);
+       DaemonFlags(f, &r);
+     },
+     Route},
+    {"query", "<socket> (ping | stats | cell <dataset> <matcher>)", 2, 4,
+     [](FlagSet* f, CliOptions* o) {
+       PairwiseFlag(f, o);
+       f->Double("--deadline_s", &o->request.deadline_s, "S",
+                 "end-to-end deadline, 0 for the server's default");
+       f->Int("--retries", &o->retries, "N",
+              "retries of shed or draining replies", 0);
+       f->Double("--io_timeout_s", &o->client.io_timeout_s, "S",
+                 "socket IO budget per request");
+       f->Bool("--trace", &o->trace,
+               "propagate a trace context through every hop");
+       f->Bool("--verbose", &o->verbose,
+               "stream progress to stderr; print per-hop timings");
+     },
+     Query},
+    {"slowlog", "<FILE>", 1, 1, [](FlagSet*, CliOptions*) {}, Slowlog},
+    {"tracetop", "<FILE>", 1, 1, DriftFlags, TraceTop},
+};
+
+/// "fairem <command> <args> [--flag V]...".
+std::string Synopsis(const Command& command, const FlagSet& flags) {
+  std::string line = std::string("fairem ") + command.name;
+  for (const std::string& part : {std::string(command.args),
+                                  flags.Synopsis()}) {
+    if (!part.empty()) line += " " + part;
+  }
+  return line;
+}
+
+/// Every command's synopsis, then the flags all of them take.
+int Usage() {
+  std::cerr << "usage:\n";
+  for (const Command& command : kCommands) {
+    FlagSet flags;
+    CliOptions defaults;
+    command.flags(&flags, &defaults);
+    std::cerr << "  " << Synopsis(command, flags) << "\n";
+  }
+  FlagSet common;
   ObsOptions obs;
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    bool has_value = false;
-    if (size_t eq = arg.find('='); eq != std::string::npos && arg[0] == '-') {
-      value = arg.substr(eq + 1);
-      arg.resize(eq);
-      has_value = true;
-    }
-    auto take_value = [&]() {
-      if (!has_value && i + 1 < argc) {
-        value = argv[++i];
-        has_value = true;
-      }
-      return has_value;
-    };
-    if (arg == "--log_level" && take_value()) {
-      obs.log_level = value;
-    } else if (arg == "--trace_out" && take_value()) {
-      obs.trace_out = value;
-    } else if (arg == "--metrics_out" && take_value()) {
-      obs.metrics_out = value;
-    } else if (arg == "--metrics_format" && take_value()) {
-      Result<MetricsFormat> format = ParseMetricsFormat(value);
-      if (!format.ok()) {
-        std::cerr << format.status() << "\n";
-        return Usage();
-      }
-      obs.metrics_format = *format;
-    } else if (arg == "--profile_out" && take_value()) {
-      obs.profile_out = value;
-    } else if (arg == "--profile_hz" && take_value()) {
-      double v = 0.0;
-      if (!ParseDouble(value, &v) || v < 1.0) {
-        std::cerr << "--profile_hz needs a positive integer\n";
-        return Usage();
-      }
-      obs.profile_hz = static_cast<int>(v);
-    } else if (arg == "--profile_mode" && take_value()) {
-      if (!ParseProfileClock(value).ok()) {
-        std::cerr << "--profile_mode must be cpu or wall\n";
-        return Usage();
-      }
-      obs.profile_mode = value;
-    } else if (arg == "--failpoints" && take_value()) {
-      if (Status st = FailpointRegistry::Global().Configure(value); !st.ok()) {
-        std::cerr << st << "\n";
-        return Usage();
-      }
-    } else if (has_value) {
-      // Re-split other --flag=value args so subcommand parsers, which
-      // expect space-separated pairs, see them uniformly.
-      args.push_back(std::move(arg));
-      args.push_back(std::move(value));
-    } else {
-      args.push_back(std::move(arg));
+  std::string failpoints;
+  RegisterObsFlags(&common, &obs, &failpoints);
+  std::cerr << "every command also takes:\n" << common.Help();
+  return 1;
+}
+
+int Main(int argc, char** argv) {
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (argc >= 2 && std::string_view(argv[1]) == candidate.name) {
+      command = &candidate;
     }
   }
-  if (Status st = ApplyObsOptions(obs); !st.ok()) {
-    std::cerr << st << "\n";
-    return Usage();
+  if (command == nullptr) return Usage();
+  CliOptions options;
+  ObsOptions obs;
+  std::string failpoints;
+  FlagSet flags;
+  command->flags(&flags, &options);
+  RegisterObsFlags(&flags, &obs, &failpoints);
+  Args args;
+  Status st = flags.Parse(Args(argv + 2, argv + argc), &args);
+  if (st.ok() && args.size() < command->min_args) {
+    st = Status::InvalidArgument("missing arguments");
+  } else if (st.ok() && args.size() > command->max_args) {
+    st = Status::InvalidArgument("unexpected argument '" +
+                                 args[command->max_args] + "'");
   }
-  int code = 1;
-  if (command == "list") {
-    code = List(args);
-  } else if (command == "generate") {
-    code = Generate(args);
-  } else if (command == "audit") {
-    code = Audit(args);
-  } else if (command == "pipeline") {
-    code = Pipeline(args);
-  } else if (command == "grid") {
-    code = Grid(args);
-  } else if (command == "benchdiff") {
-    code = BenchDiff(args);
-  } else if (command == "proftop") {
-    code = ProfTop(args);
-  } else if (command == "serve") {
-    code = Serve(args);
-  } else if (command == "route") {
-    code = Route(args);
-  } else if (command == "query") {
-    code = Query(args);
-  } else if (command == "slowlog") {
-    code = Slowlog(args);
-  } else if (command == "tracetop") {
-    code = TraceTop(args);
-  } else {
-    return Usage();
+  if (st.ok() && !failpoints.empty()) {
+    st = FailpointRegistry::Global().Configure(failpoints);
   }
-  if (Status st = FlushObsOutputs(obs); !st.ok()) {
-    std::cerr << st << "\n";
+  if (st.ok()) st = ApplyObsOptions(obs);
+  if (!st.ok()) {
+    std::cerr << st.message() << "\nusage: " << Synopsis(*command, flags)
+              << "\n" << flags.Help();
+    return 1;
+  }
+  const int code = command->run(options, args);
+  if (Status flushed = FlushObsOutputs(obs); !flushed.ok()) {
+    std::cerr << flushed << "\n";
     return 1;
   }
   return code;
