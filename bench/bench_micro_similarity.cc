@@ -159,9 +159,8 @@ int Run(int argc, char** argv) {
   uint64_t pairs_flag = 10000;
   int reps = 3;
   FlagSet extra;
-  extra.Uint64("--pairs", &pairs_flag, "N",
-               "pair count per drill before --scale");
-  extra.Int("--reps", &reps, "N", "timed repetitions per drill");
+  extra.Number("--pairs", &pairs_flag, "N");  // per drill, before --scale
+  extra.Number("--reps", &reps, "N");  // timed repetitions per drill
   BenchFlags flags = ParseBenchFlags(argc, argv, std::move(extra));
   const size_t pairs =
       std::max<size_t>(1, static_cast<size_t>(pairs_flag * flags.scale));

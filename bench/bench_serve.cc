@@ -320,10 +320,10 @@ int TerminateDaemon(pid_t pid, const char* what) {
 }
 
 /// `daemon` holds every daemon's options but its socket.
-int Run(const BenchFlags& flags, const ServeOptions& daemon, int jobs,
-        bool route_mode, bool trace_mode) {
+int Run(const BenchFlags& flags, const ServeOptions& daemon, bool route_mode,
+        bool trace_mode) {
   IgnoreSigpipe();
-  const bool chaos = !flags.failpoints.empty();
+  const bool chaos = !flags.failpoints.value_or("").empty();
   ::unlink(kSocketPath);
   if (trace_mode) ::unlink(kSlowLogPath);
   // Trace mode: a 1 µs slow-query threshold makes every query qualify —
@@ -385,7 +385,7 @@ int Run(const BenchFlags& flags, const ServeOptions& daemon, int jobs,
     }
   }
 
-  const int clients = jobs > 1 ? jobs : 4;
+  const int clients = 4;
   const int requests_per_client = route_mode ? 24 : 8;
   ClientTally tally;
   {
@@ -568,31 +568,20 @@ int Main(int argc, char** argv) {
   daemon.warm.datasets = {kDataset};
   daemon.max_inflight = 1;  // tight on purpose: force queueing + sheds
   daemon.max_queue = 2;
+  daemon.default_deadline_s = 60.0;
   daemon.max_deadline_s = 120.0;
   daemon.io_timeout_s = 10.0;
   daemon.max_attempts = 3;
-  double cell_timeout_s = 0.0;
-  int jobs = 1;
   bool route = false;
   bool trace = false;
-  // The daemon knobs borrow the spelling of the grid-sweep flags.
   FlagSet extra;
-  extra.Bool("--route", &route, "3 daemons behind the shard router");
-  extra.Bool("--trace", &trace, "trace queries; score hop completeness");
-  extra.String("--checkpoint_dir", &daemon.warm.checkpoint_dir, "DIR",
-               "the daemons' cell checkpoints");
-  extra.Int("--retry_attempts", &daemon.max_attempts, "N",
-            "worker spawns per query", 1);
-  extra.Int("--jobs", &jobs, "N", "client threads if above 1, else 4", 1);
-  extra.Double("--cell_timeout_s", &cell_timeout_s, "S",
-               "query deadline if above 0, else 60", 0.0);
-  extra.Int("--cell_max_rss_mb", &daemon.worker_max_rss_mb, "M",
-            "worker address-space cap in MiB, 0 for none", 0);
+  extra.Bool("--route", &route);
+  extra.Bool("--trace", &trace);
+  extra.String("--checkpoint_dir", &daemon.warm.checkpoint_dir, "DIR");
   const BenchFlags flags = ParseBenchFlags(argc, argv, std::move(extra));
   daemon.warm.scale = flags.scale;
   daemon.warm.seed = 1234 + flags.seed_offset;
-  daemon.default_deadline_s = cell_timeout_s > 0.0 ? cell_timeout_s : 60.0;
-  return Run(flags, daemon, jobs, route, trace);
+  return Run(flags, daemon, route, trace);
 }
 
 }  // namespace

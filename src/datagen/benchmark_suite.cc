@@ -151,9 +151,8 @@ Result<EMDataset> GenerateDataset(DatasetKind kind, double scale,
 }
 
 void RegisterDatagenFlags(FlagSet* flags, double* scale, uint64_t* seed) {
-  flags->Double("--scale", scale, "S",
-                "multiply every generator's entity counts");
-  flags->Uint64("--seed", seed, "N", "shift every generator seed");
+  flags->Number("--scale", scale, "S");
+  flags->Number("--seed", seed, "N");
 }
 
 }  // namespace fairem

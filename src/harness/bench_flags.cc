@@ -22,8 +22,8 @@ BenchFlags ParseBenchFlags(int argc, char** argv, FlagSet extra) {
   extra.ParseOrExit(argc, argv);
   SetIntraJobs(flags.intra_jobs);
   Status st = ApplyObsOptions(flags.obs);
-  if (st.ok() && !flags.failpoints.empty()) {
-    st = FailpointRegistry::Global().Configure(flags.failpoints,
+  if (st.ok() && !flags.failpoints.value_or("").empty()) {
+    st = FailpointRegistry::Global().Configure(*flags.failpoints,
                                                1234 ^ flags.seed_offset);
   }
   if (!st.ok()) {

@@ -2,6 +2,7 @@
 #define FAIREM_HARNESS_BENCH_FLAGS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "src/obs/obs.h"
@@ -12,14 +13,13 @@ namespace fairem {
 /// The flags every table/figure bench reads: --scale and --seed
 /// (RegisterDatagenFlags; rerun with several seeds for a replication
 /// study), --intra_jobs, and the observability and --failpoints flags
-/// (RegisterObsFlags). The usage message of any bench lists them with
-/// their help text.
+/// (RegisterObsFlags). The usage message of any bench lists them.
 struct BenchFlags {
   double scale = 1.0;
   uint64_t seed_offset = 0;
   int intra_jobs = 1;
   ObsOptions obs;
-  std::string failpoints;
+  std::optional<std::string> failpoints;
   /// argv[0] basename, e.g. "bench_table5_nofly"; names BENCH_<name>.json.
   std::string bench_name = "bench";
 };

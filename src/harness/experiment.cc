@@ -336,17 +336,12 @@ Result<GridCellCheckpoint> RunAuditCell(const EMDataset& dataset,
 }
 
 void RegisterGridRunFlags(FlagSet* flags, GridRunOptions* options) {
-  flags->String("--checkpoint_dir", &options->checkpoint_dir, "DIR",
-                "persist cells and cached matcher scores; resume from them");
-  flags->Int("--retry_attempts", &options->retry.max_attempts, "N",
-             "attempts per cell for transient failures and crashes", 1);
-  flags->Int("--jobs", &options->jobs, "N",
-             "worker processes; > 1 runs cells in supervised forks", 1);
-  flags->Double("--cell_timeout_s", &options->cell_timeout_s, "S",
-                "SIGKILL a cell's worker after S seconds, 0 for never", 0.0);
-  flags->Int("--cell_max_rss_mb", &options->cell_max_rss_mb, "M",
-             "address-space cap per cell worker in MiB, 0 for none", 0);
-  flags->Bool("--progress", &options->progress, "live progress line on stderr");
+  flags->String("--checkpoint_dir", &options->checkpoint_dir, "DIR");
+  flags->Number("--retry_attempts", &options->retry.max_attempts, "N", 1);
+  flags->Number("--jobs", &options->jobs, "N", 1);
+  flags->Number("--cell_timeout_s", &options->cell_timeout_s, "S", 0.0);
+  flags->Number("--cell_max_rss_mb", &options->cell_max_rss_mb, "M", 0);
+  flags->Bool("--progress", &options->progress);
 }
 
 Result<GridCellCheckpoint> ParseAuditCell(const std::string& json) {

@@ -31,26 +31,22 @@ void FlushAtExit() {
 }  // namespace
 
 void RegisterObsFlags(FlagSet* flags, ObsOptions* options,
-                      std::string* failpoints) {
-  flags->String("--log_level", &options->log_level, "L",
-                "debug|info|warn|error|off (also: FAIREM_LOG_LEVEL env)");
-  flags->String("--trace_out", &options->trace_out, "FILE",
-                "trace spans; write Chrome trace JSON to FILE");
-  flags->String("--metrics_out", &options->metrics_out, "FILE",
-                "write a metrics snapshot to FILE on exit");
+                      std::optional<std::string>* failpoints) {
+  flags->String("--log_level", &options->log_level, "L");
+  flags->String("--trace_out", &options->trace_out, "FILE");
+  flags->String("--metrics_out", &options->metrics_out, "FILE");
   flags->Choice("--metrics_format", &options->metrics_format,
                 {{"json", MetricsFormat::kJson},
                  {"prom", MetricsFormat::kProm},
                  {"prometheus", MetricsFormat::kProm}},
-                "format of --metrics_out");
-  flags->String("--profile_out", &options->profile_out, "FILE",
-                "sample stacks; write them folded to FILE");
-  flags->Int("--profile_hz", &options->profile_hz, "N", "sample rate", 1);
+                /*fold_case=*/true);
+  flags->String("--profile_out", &options->profile_out, "FILE");
+  flags->Number("--profile_hz", &options->profile_hz, "N", 1);
   flags->Choice("--profile_mode", &options->profile_mode,
-                {{"cpu", ProfileClock::kCpu}, {"wall", ProfileClock::kWall}},
-                "profiler clock");
-  flags->String("--failpoints", failpoints, "SPEC",
-                "arm fault injection (also: FAIREM_FAILPOINTS env)");
+                {{"cpu", ProfileClock::kCpu},
+                 {"wall", ProfileClock::kWall},
+                 {"", ProfileClock::kCpu}});
+  flags->String("--failpoints", failpoints, "SPEC");
 }
 
 Status ApplyObsOptions(const ObsOptions& options) {

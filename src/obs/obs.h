@@ -1,6 +1,7 @@
 #ifndef FAIREM_OBS_OBS_H_
 #define FAIREM_OBS_OBS_H_
 
+#include <optional>
 #include <string>
 
 #include "src/obs/log.h"
@@ -27,9 +28,10 @@ struct ObsOptions {
 };
 
 /// Registers the observability flags into `options`, and --failpoints into
-/// `failpoints`, which each front end arms with its own seed.
+/// `failpoints`, which each front end arms with its own seed. The format is
+/// json, prom or prometheus in any case; the clock cpu, wall or empty (cpu).
 void RegisterObsFlags(FlagSet* flags, ObsOptions* options,
-                      std::string* failpoints);
+                      std::optional<std::string>* failpoints);
 
 /// Applies the options to the global logger/tracer/profiler. Tracing is
 /// enabled iff trace_out is non-empty, and the sampling profiler starts iff

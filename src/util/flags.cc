@@ -4,69 +4,41 @@
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <type_traits>
-
-#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
 
-/// All of `text`, surrounding ASCII whitespace aside, as a finite double or
-/// a decimal integer.
-template <typename T>
-bool ParseNumber(const std::string& text, T* out) {
-  if constexpr (std::is_floating_point_v<T>) {
-    return ParseDouble(text, out);
-  } else {
-    const std::string_view s = TrimAscii(text);
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-    return !s.empty() && ec == std::errc() && end == s.data() + s.size();
-  }
-}
-
-template <typename T>
-std::string NumberText(T v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
+/// A setter that stores the value as given.
+template <typename S>
+std::function<bool(const std::string&)> Assign(S* out) {
+  return [out](const std::string& text) {
+    *out = text;
+    return true;
+  };
 }
 
 }  // namespace
 
-template <typename T>
-void FlagSet::Number(std::string name, T* out, std::string metavar,
-                     std::string help, T min, const char* what) {
-  const bool bounded = min > std::numeric_limits<T>::lowest();
-  flags_.push_back(
-      {std::move(name), std::move(metavar), std::move(help), NumberText(*out),
-       what + (bounded ? " >= " + NumberText(min) : std::string()), false,
-       [out, min](const std::string& text) {
-         T v{};
-         if (!ParseNumber(text, &v) || v < min) return false;
-         *out = v;
-         return true;
-       }});
-}
-
-void FlagSet::Bool(std::string name, bool* out, std::string help) {
-  flags_.push_back({std::move(name), "", std::move(help), "", "", false,
+void FlagSet::Bool(std::string name, bool* out) {
+  flags_.push_back({std::move(name), "", false,
                     [out](const std::string&) { return *out = true; }});
 }
 
-void FlagSet::String(std::string name, std::string* out, std::string metavar,
-                     std::string help) {
-  flags_.push_back({std::move(name), std::move(metavar), std::move(help),
-                    *out, "", false, [out](const std::string& text) {
-                      *out = text;
-                      return true;
-                    }});
+void FlagSet::String(std::string name, std::string* out,
+                     std::string metavar) {
+  flags_.push_back({std::move(name), std::move(metavar), false, Assign(out)});
+}
+
+void FlagSet::String(std::string name, std::optional<std::string>* out,
+                     std::string metavar) {
+  flags_.push_back({std::move(name), std::move(metavar), false, Assign(out)});
 }
 
 void FlagSet::List(std::string name, std::vector<std::string>* out,
-                   std::string metavar, std::string help) {
-  flags_.push_back({std::move(name), std::move(metavar), std::move(help), "",
-                    "", false, [out](const std::string& text) {
+                   std::string metavar) {
+  flags_.push_back({std::move(name), std::move(metavar), false,
+                    [out](const std::string& text) {
                       for (std::string& item : Split(text, ',')) {
                         if (!item.empty()) out->push_back(std::move(item));
                       }
@@ -75,31 +47,40 @@ void FlagSet::List(std::string name, std::vector<std::string>* out,
 }
 
 void FlagSet::Repeated(std::string name, std::vector<std::string>* out,
-                       std::string metavar, std::string help) {
-  flags_.push_back({std::move(name), std::move(metavar), std::move(help), "",
-                    "", true, [out](const std::string& text) {
+                       std::string metavar) {
+  flags_.push_back({std::move(name), std::move(metavar), true,
+                    [out](const std::string& text) {
                       out->push_back(text);
                       return true;
                     }});
 }
 
-void FlagSet::Double(std::string name, double* out, std::string metavar,
-                     std::string help, double min) {
-  Number(std::move(name), out, std::move(metavar), std::move(help), min,
-         "a number");
+template <typename T>
+void FlagSet::Number(std::string name, T* out, std::string metavar,
+                     std::type_identity_t<T> min) {
+  // All of the value counts, surrounding ASCII whitespace aside.
+  Setter set = [out, min](const std::string& text) {
+    T v{};
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!ParseDouble(text, &v)) return false;
+    } else {
+      const std::string_view s = TrimAscii(text);
+      const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+      if (s.empty() || ec != std::errc() || end != s.data() + s.size()) {
+        return false;
+      }
+    }
+    if (v < min) return false;
+    *out = v;
+    return true;
+  };
+  flags_.push_back(
+      {std::move(name), std::move(metavar), false, std::move(set)});
 }
 
-void FlagSet::Int(std::string name, int* out, std::string metavar,
-                  std::string help, int min) {
-  Number(std::move(name), out, std::move(metavar), std::move(help), min,
-         "an integer");
-}
-
-void FlagSet::Uint64(std::string name, uint64_t* out, std::string metavar,
-                     std::string help) {
-  Number(std::move(name), out, std::move(metavar), std::move(help),
-         uint64_t{0}, "a non-negative integer");
-}
+template void FlagSet::Number(std::string, double*, std::string, double);
+template void FlagSet::Number(std::string, int*, std::string, int);
+template void FlagSet::Number(std::string, uint64_t*, std::string, uint64_t);
 
 Status FlagSet::Parse(const std::vector<std::string>& args,
                       std::vector<std::string>* positionals) const {
@@ -133,7 +114,7 @@ Status FlagSet::Parse(const std::vector<std::string>& args,
     }
     if (!flag->set(value)) {
       return Status::InvalidArgument("invalid value '" + value + "' for " +
-                                     name + ": want " + flag->want);
+                                     name + " " + flag->metavar);
     }
   }
   return Status::OK();
@@ -143,7 +124,7 @@ void FlagSet::ParseOrExit(int argc, char** argv) const {
   if (Status st = Parse({argv + std::min(argc, 1), argv + argc}, nullptr);
       !st.ok()) {
     std::cerr << st.message() << "\nusage: " << (argc > 0 ? argv[0] : "")
-              << (flags_.empty() ? "" : " ") << Synopsis() << "\n" << Help();
+              << (flags_.empty() ? "" : " ") << Synopsis() << "\n";
     std::exit(1);
   }
 }
@@ -157,26 +138,6 @@ std::string FlagSet::Synopsis() const {
     out += flag.repeatable ? "]..." : "]";
   }
   return out;
-}
-
-std::string FlagSet::Help() const {
-  std::vector<std::string> spelled;
-  size_t width = 0;
-  for (const Flag& flag : flags_) {
-    spelled.push_back(flag.name);
-    if (!flag.metavar.empty()) spelled.back() += " " + flag.metavar;
-    width = std::max(width, spelled.back().size());
-  }
-  std::ostringstream os;
-  for (size_t i = 0; i < flags_.size(); ++i) {
-    os << "  " << spelled[i] << std::string(width + 2 - spelled[i].size(), ' ')
-       << flags_[i].help;
-    if (!flags_[i].default_text.empty()) {
-      os << " (default " << flags_[i].default_text << ")";
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace fairem

@@ -1,15 +1,17 @@
 #ifndef FAIREM_UTIL_FLAGS_H_
 #define FAIREM_UTIL_FLAGS_H_
 
-#include <climits>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/util/result.h"
+#include "src/util/string_util.h"
 
 namespace fairem {
 
@@ -19,36 +21,37 @@ namespace fairem {
 /// `--flag=value` are the same; a boolean takes no value; flags may come
 /// before, between and after positionals; a repeated flag overwrites, but
 /// list and repeated flags append. An unknown flag, a missing value and a
-/// malformed or out-of-range value are errors that name the flag. Usage
-/// text is generated from the registrations, in registration order.
+/// malformed or out-of-range value are errors that name the flag. The
+/// usage synopsis is generated from the registrations, in order.
+///
+/// `name` is the whole spelling ("--scale", "-n"); `metavar` names the
+/// value in the synopsis.
 class FlagSet {
  public:
-  /// `name` is the whole spelling ("--scale", "-n"), `metavar` names the
-  /// value in usage text, and `help` describes the flag in one line.
-  void Bool(std::string name, bool* out, std::string help);
-  void String(std::string name, std::string* out, std::string metavar,
-              std::string help);
+  void Bool(std::string name, bool* out);
+  void String(std::string name, std::string* out, std::string metavar);
+  /// As above; `*out` stays empty when the flag is absent, which tells an
+  /// absent flag from an empty value.
+  void String(std::string name, std::optional<std::string>* out,
+              std::string metavar);
   /// Comma-separated; every occurrence appends its non-empty items.
   void List(std::string name, std::vector<std::string>* out,
-            std::string metavar, std::string help);
+            std::string metavar);
   /// Every occurrence appends its value.
   void Repeated(std::string name, std::vector<std::string>* out,
-                std::string metavar, std::string help);
-  /// One of the listed spellings, stored as its paired value.
+                std::string metavar);
+  /// One of the listed spellings (compared lower-cased when `fold_case`),
+  /// stored as its paired value. An empty spelling accepts an empty value
+  /// and is left out of the synopsis.
   template <typename T>
   void Choice(std::string name, T* out,
               std::vector<std::pair<std::string, T>> choices,
-              std::string help);
-  /// A finite number of at least `min`.
-  void Double(std::string name, double* out, std::string metavar,
-              std::string help,
-              double min = -std::numeric_limits<double>::infinity());
-  /// A decimal integer of at least `min`.
-  void Int(std::string name, int* out, std::string metavar, std::string help,
-           int min = INT_MIN);
-  /// A non-negative decimal integer; every uint64 round-trips exactly.
-  void Uint64(std::string name, uint64_t* out, std::string metavar,
-              std::string help);
+              bool fold_case = false);
+  /// A number of at least `min`. T is double (finite values), int or
+  /// uint64_t (decimal integers; every uint64 round-trips exactly).
+  template <typename T>
+  void Number(std::string name, T* out, std::string metavar,
+              std::type_identity_t<T> min = std::numeric_limits<T>::lowest());
 
   /// Parses `args`, the words after the program or subcommand name. The
   /// others go to `*positionals`, or are an error when it is null.
@@ -62,23 +65,16 @@ class FlagSet {
   /// "[--scale S] [--pairwise] [--fail_on SPEC]...".
   std::string Synopsis() const;
 
-  /// One aligned "  --flag VALUE  help (default D)" line per flag.
-  std::string Help() const;
-
  private:
+  /// Sets the bound variable from a value; false when the value is invalid.
+  using Setter = std::function<bool(const std::string&)>;
+
   struct Flag {
     std::string name;
     std::string metavar;  // empty for a boolean
-    std::string help;
-    std::string default_text;  // empty when not worth printing
-    std::string want;          // a valid value, for errors
-    bool repeatable = false;
-    std::function<bool(const std::string&)> set;  // false: invalid value
+    bool repeatable;
+    Setter set;
   };
-
-  template <typename T>
-  void Number(std::string name, T* out, std::string metavar, std::string help,
-              T min, const char* what);
 
   std::vector<Flag> flags_;
 };
@@ -86,23 +82,22 @@ class FlagSet {
 template <typename T>
 void FlagSet::Choice(std::string name, T* out,
                      std::vector<std::pair<std::string, T>> choices,
-                     std::string help) {
+                     bool fold_case) {
   std::string spellings;
-  std::string default_text;
-  for (const auto& [text, value] : choices) {
-    spellings += (spellings.empty() ? "" : "|") + text;
-    if (value == *out) default_text = text;
+  for (const auto& choice : choices) {
+    if (choice.first.empty()) continue;
+    spellings += (spellings.empty() ? "" : "|") + choice.first;
   }
-  auto set = [out, choices = std::move(choices)](const std::string& text) {
+  Setter set = [out, choices = std::move(choices),
+                fold_case](const std::string& text) {
     for (const auto& [spelling, value] : choices) {
-      if (text != spelling) continue;
+      if (spelling != (fold_case ? ToLowerAscii(text) : text)) continue;
       *out = value;
       return true;
     }
     return false;
   };
-  flags_.push_back({std::move(name), spellings, std::move(help), default_text,
-                    "one of " + spellings, false, std::move(set)});
+  flags_.push_back({std::move(name), spellings, false, std::move(set)});
 }
 
 }  // namespace fairem

@@ -261,10 +261,7 @@ void SetIntraJobs(int n) {
 int IntraJobs() { return g_intra_jobs.load(std::memory_order_relaxed); }
 
 void RegisterIntraJobsFlag(FlagSet* flags, int* intra_jobs) {
-  flags->Int("--intra_jobs", intra_jobs, "N",
-             "threads inside each process for the hot matcher loops; output "
-             "is byte-identical for any N",
-             1);
+  flags->Number("--intra_jobs", intra_jobs, "N", 1);
 }
 
 ThreadPool& GlobalThreadPool() {

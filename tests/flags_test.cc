@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,9 +18,11 @@ namespace {
 struct Fixture {
   bool pairwise = false;
   std::string out;
+  std::optional<std::string> spec;
   std::vector<std::string> datasets;
   std::vector<std::string> fail_on;
   bool by_stage = false;
+  int format = 0;
   double scale = 1.0;
   double tolerance = 0.10;
   int jobs = 1;
@@ -28,17 +31,19 @@ struct Fixture {
   FlagSet flags;
 
   Fixture() {
-    flags.Bool("--pairwise", &pairwise, "pairwise audit");
-    flags.String("--out", &out, "FILE", "output file");
-    flags.List("--datasets", &datasets, "a,b", "datasets to warm");
-    flags.Repeated("--fail_on", &fail_on, "SPEC", "gate clause");
-    flags.Choice("--by", &by_stage, {{"stack", false}, {"stage", true}},
-                 "table shape");
-    flags.Double("--scale", &scale, "S", "entity multiplier");
-    flags.Double("--tolerance", &tolerance, "T", "drift bound", 0.0);
-    flags.Int("--jobs", &jobs, "N", "worker processes", 1);
-    flags.Int("-n", &reps, "N", "rows shown");
-    flags.Uint64("--seed", &seed, "N", "generator seed");
+    flags.Bool("--pairwise", &pairwise);
+    flags.String("--out", &out, "FILE");
+    flags.String("--spec", &spec, "SPEC");
+    flags.List("--datasets", &datasets, "a,b");
+    flags.Repeated("--fail_on", &fail_on, "SPEC");
+    flags.Choice("--by", &by_stage, {{"stack", false}, {"stage", true}});
+    flags.Choice("--format", &format, {{"json", 0}, {"prom", 1}, {"", 2}},
+                 /*fold_case=*/true);
+    flags.Number("--scale", &scale, "S");
+    flags.Number("--tolerance", &tolerance, "T", 0.0);
+    flags.Number("--jobs", &jobs, "N", 1);
+    flags.Number("-n", &reps, "N");
+    flags.Number("--seed", &seed, "N");
   }
 
   Status Parse(const std::vector<std::string>& args,
@@ -170,25 +175,39 @@ TEST(FlagsTest, IntegerFlagsRejectNonIntegersAndOutOfRange) {
   EXPECT_EQ(f.reps, -1);
 }
 
+TEST(FlagsTest, ChoicesMatchExactlyUnlessFoldingCase) {
+  Fixture f;
+  EXPECT_FALSE(f.Parse({"--by", "STAGE"}).ok());
+  EXPECT_FALSE(f.by_stage);
+  ASSERT_TRUE(f.Parse({"--format", "Prom"}).ok());
+  EXPECT_EQ(f.format, 1);
+  ASSERT_TRUE(f.Parse({"--format=JSON"}).ok());
+  EXPECT_EQ(f.format, 0);
+  // An empty spelling is a valid choice, and absent from the synopsis.
+  ASSERT_TRUE(f.Parse({"--format="}).ok());
+  EXPECT_EQ(f.format, 2);
+  EXPECT_FALSE(f.Parse({"--format", "xml"}).ok());
+}
+
+TEST(FlagsTest, OptionalStringTellsAnEmptyValueFromAnAbsentFlag) {
+  Fixture absent;
+  ASSERT_TRUE(absent.Parse({"--out", ""}).ok());
+  EXPECT_FALSE(absent.spec.has_value());
+  Fixture empty;
+  ASSERT_TRUE(empty.Parse({"--spec", ""}).ok());
+  EXPECT_EQ(empty.spec, std::optional<std::string>(""));
+  Fixture given;
+  ASSERT_TRUE(given.Parse({"--spec=a=error", "--spec", "b=crash"}).ok());
+  EXPECT_EQ(given.spec, std::optional<std::string>("b=crash"));
+}
+
 TEST(FlagsTest, UsageListsEveryRegisteredFlag) {
   Fixture f;
   EXPECT_EQ(f.flags.Synopsis(),
-            "[--pairwise] [--out FILE] [--datasets a,b] [--fail_on SPEC]... "
-            "[--by stack|stage] [--scale S] [--tolerance T] [--jobs N] "
-            "[-n N] [--seed N]");
-  EXPECT_EQ(f.flags.Help(),
-            "  --pairwise        pairwise audit\n"
-            "  --out FILE        output file\n"
-            "  --datasets a,b    datasets to warm\n"
-            "  --fail_on SPEC    gate clause\n"
-            "  --by stack|stage  table shape (default stack)\n"
-            "  --scale S         entity multiplier (default 1)\n"
-            "  --tolerance T     drift bound (default 0.1)\n"
-            "  --jobs N          worker processes (default 1)\n"
-            "  -n N              rows shown (default 3)\n"
-            "  --seed N          generator seed (default 0)\n");
+            "[--pairwise] [--out FILE] [--spec SPEC] [--datasets a,b] "
+            "[--fail_on SPEC]... [--by stack|stage] [--format json|prom] "
+            "[--scale S] [--tolerance T] [--jobs N] [-n N] [--seed N]");
   EXPECT_EQ(FlagSet().Synopsis(), "");
-  EXPECT_EQ(FlagSet().Help(), "");
 }
 
 TEST(FlagsTest, ParseOrExitRejectsAnyArgumentOfAnEmptySet) {

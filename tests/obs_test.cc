@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -539,28 +540,46 @@ TEST_F(ObsTest, ObsOptionsApplyAndFlush) {
 }
 
 TEST_F(ObsTest, ObsFlagsParseFormatAndClockSpellings) {
-  auto parse = [](const std::vector<std::string>& args, ObsOptions* options) {
+  auto parse = [](const std::vector<std::string>& args, ObsOptions* options,
+                  std::optional<std::string>* failpoints) {
     FlagSet flags;
-    std::string failpoints;
-    RegisterObsFlags(&flags, options, &failpoints);
+    RegisterObsFlags(&flags, options, failpoints);
     return flags.Parse(args, nullptr);
   };
+  std::optional<std::string> failpoints;
   ObsOptions defaults;
-  ASSERT_TRUE(parse({}, &defaults).ok());
+  ASSERT_TRUE(parse({}, &defaults, &failpoints).ok());
   EXPECT_EQ(defaults.metrics_format, MetricsFormat::kJson);
   EXPECT_EQ(defaults.profile_mode, ProfileClock::kCpu);
-  for (const char* prom : {"prom", "prometheus"}) {
+  EXPECT_FALSE(failpoints.has_value());
+  // The format ignores case; every spelling switches away and back.
+  for (const char* prom : {"prom", "prometheus", "PROM", "Prometheus"}) {
     ObsOptions options;
     ASSERT_TRUE(parse({"--metrics_format", prom, "--profile_mode=wall"},
-                      &options)
+                      &options, &failpoints)
                     .ok());
-    EXPECT_EQ(options.metrics_format, MetricsFormat::kProm);
+    EXPECT_EQ(options.metrics_format, MetricsFormat::kProm) << prom;
     EXPECT_EQ(options.profile_mode, ProfileClock::kWall);
+    for (const char* json : {"json", "JSON"}) {
+      for (const char* cpu : {"cpu", ""}) {
+        ASSERT_TRUE(parse({"--metrics_format", json, "--profile_mode", cpu},
+                          &options, &failpoints)
+                        .ok());
+        EXPECT_EQ(options.metrics_format, MetricsFormat::kJson) << json;
+        EXPECT_EQ(options.profile_mode, ProfileClock::kCpu) << cpu;
+        options.metrics_format = MetricsFormat::kProm;
+        options.profile_mode = ProfileClock::kWall;
+      }
+    }
   }
   ObsOptions options;
-  EXPECT_FALSE(parse({"--metrics_format", "xml"}, &options).ok());
-  EXPECT_FALSE(parse({"--profile_mode", "gpu"}, &options).ok());
-  EXPECT_FALSE(parse({"--profile_hz", "0"}, &options).ok());
+  EXPECT_FALSE(parse({"--metrics_format", "xml"}, &options, &failpoints).ok());
+  EXPECT_FALSE(parse({"--profile_mode", "gpu"}, &options, &failpoints).ok());
+  EXPECT_FALSE(parse({"--profile_mode", "CPU"}, &options, &failpoints).ok());
+  EXPECT_FALSE(parse({"--profile_hz", "0"}, &options, &failpoints).ok());
+  // An empty --failpoints is given, not absent: the CLI disarms with it.
+  ASSERT_TRUE(parse({"--failpoints="}, &options, &failpoints).ok());
+  EXPECT_EQ(failpoints, std::optional<std::string>(""));
 }
 
 // Regression: every observability output goes through WriteFileDurable, so a

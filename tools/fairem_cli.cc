@@ -22,8 +22,8 @@
 //
 // Every command also takes the observability flags and --failpoints. The
 // flags of each command are registered in kCommands, which generates the
-// usage text: a command-line error prints the command's flags with their
-// help, a missing or unknown command every command's synopsis.
+// usage text: a command-line error prints the command's synopsis, a
+// missing or unknown command every command's synopsis.
 //
 // Exit status: 0 on success, 1 on usage errors or failures, 2 when a
 // benchdiff/proftop/tracetop gate trips, 128+signal (130 SIGINT / 143
@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -633,36 +634,23 @@ int TraceTop(const CliOptions& o, const Args& args) {
   return 0;
 }
 
-void PairwiseFlag(FlagSet* f, CliOptions* o) {
-  f->Bool("--pairwise", &o->pairwise, "pairwise instead of single fairness");
-}
-
 /// proftop's and tracetop's share-drift gate.
 void DriftFlags(FlagSet* f, CliOptions* o) {
-  f->String("--compare", &o->compare, "FILE2",
-            "exit 2 when a share drifts from FILE2's past --tolerance");
-  f->Double("--tolerance", &o->tolerance, "T", "allowed share drift", 0.0);
-  f->Double("--min_share", &o->min_share, "S",
-            "compare only entries above this share", 0.0);
+  f->String("--compare", &o->compare, "FILE2");
+  f->Number("--tolerance", &o->tolerance, "T", 0.0);
+  f->Number("--min_share", &o->min_share, "S", 0.0);
 }
 
 /// The front-end knobs `serve` and `route` share.
 template <typename DaemonOptions>
 void DaemonFlags(FlagSet* f, DaemonOptions* o) {
-  f->Double("--deadline_s", &o->default_deadline_s, "S",
-            "deadline of a query that sets none");
-  f->Double("--max_deadline_s", &o->max_deadline_s, "S",
-            "cap on client-requested deadlines");
-  f->Double("--io_timeout_s", &o->io_timeout_s, "S",
-            "per-connection IO activity deadline");
-  f->Double("--retry_after_s", &o->retry_after_s, "S",
-            "backoff hint sent with shed replies");
-  f->String("--drain_metrics_out", &o->metrics_path, "FILE",
-            "durable metrics snapshot at drain");
-  f->Double("--slow_query_ms", &o->slow_query_ms, "MS",
-            "log slower queries to --slow_query_log, 0 for none");
-  f->String("--slow_query_log", &o->slow_query_log, "FILE",
-            "one wide-event JSON line per slow query");
+  f->Number("--deadline_s", &o->default_deadline_s, "S");
+  f->Number("--max_deadline_s", &o->max_deadline_s, "S");
+  f->Number("--io_timeout_s", &o->io_timeout_s, "S");
+  f->Number("--retry_after_s", &o->retry_after_s, "S");
+  f->String("--drain_metrics_out", &o->metrics_path, "FILE");
+  f->Number("--slow_query_ms", &o->slow_query_ms, "MS");
+  f->String("--slow_query_log", &o->slow_query_log, "FILE");
 }
 
 /// A command: its positional synopsis and count, the flags it reads
@@ -685,23 +673,21 @@ const Command kCommands[] = {
      Generate},
     {"audit", "<dir> <matcher>", 2, 2,
      [](FlagSet* f, CliOptions* o) {
-       PairwiseFlag(f, o);
-       f->Double("--threshold", &o->threshold, "T",
-                 "matching threshold; negative keeps the dataset's");
-       f->Bool("--division", &o->division,
-               "division instead of subtraction disparity");
+       f->Bool("--pairwise", &o->pairwise);
+       f->Number("--threshold", &o->threshold, "T");  // < 0: the dataset's
+       f->Bool("--division", &o->division);
      },
      Audit},
     {"pipeline", "<dataset> <matcher>", 2, 2,
      [](FlagSet* f, CliOptions* o) {
        RegisterDatagenFlags(f, &o->scale, &o->seed);
-       PairwiseFlag(f, o);
+       f->Bool("--pairwise", &o->pairwise);
        RegisterIntraJobsFlag(f, &o->intra_jobs);
      },
      Pipeline},
     {"grid", "<dataset>", 1, 1,
      [](FlagSet* f, CliOptions* o) {
-       PairwiseFlag(f, o);
+       f->Bool("--pairwise", &o->pairwise);
        RegisterDatagenFlags(f, &o->scale, &o->seed);
        RegisterGridRunFlags(f, &o->grid);
        RegisterIntraJobsFlag(f, &o->intra_jobs);
@@ -709,78 +695,55 @@ const Command kCommands[] = {
      Grid},
     {"benchdiff", "<old.json> <new.json>", 2, 2,
      [](FlagSet* f, CliOptions* o) {
-       f->Repeated("--fail_on", &o->fail_on, "SPEC",
-                   "gate, e.g. 'fairem.proc.cpu_seconds>1.10x'; exit 2 if "
-                   "one trips");
-       f->Bool("--all", &o->all, "show unchanged metrics too");
+       f->Repeated("--fail_on", &o->fail_on, "SPEC");
+       f->Bool("--all", &o->all);
      },
      BenchDiff},
     {"proftop", "<profile.folded>", 1, 1,
      [](FlagSet* f, CliOptions* o) {
-       f->Choice("--by", &o->by_stage, {{"stack", false}, {"stage", true}},
-                 "top frames or per-stage shares");
-       f->Int("-n", &o->top_n, "N", "frames shown by --by stack", 1);
+       f->Choice("--by", &o->by_stage, {{"stack", false}, {"stage", true}});
+       f->Number("-n", &o->top_n, "N", 1);
        DriftFlags(f, o);
      },
      ProfTop},
     {"serve", "<socket>", 1, 1,
      [](FlagSet* f, CliOptions* o) {
        ServeOptions& s = o->serve;
-       f->List("--datasets", &s.warm.datasets, "a,b,..",
-               "datasets to warm; all when absent");
+       f->List("--datasets", &s.warm.datasets, "a,b,..");
        RegisterDatagenFlags(f, &s.warm.scale, &s.warm.seed);
-       f->String("--checkpoint_dir", &s.warm.checkpoint_dir, "DIR",
-                 "cell checkpoints to preload and write (grid's keys)");
-       f->Int("--max_inflight", &s.max_inflight, "N",
-              "queries computing in forked workers at once", 1);
-       f->Int("--max_queue", &s.max_queue, "N",
-              "queries waiting for a worker; more are shed", 0);
-       f->Int("--max_attempts", &s.max_attempts, "N",
-              "worker spawns per query, the first included", 1);
-       f->Int("--worker_max_rss_mb", &s.worker_max_rss_mb, "M",
-              "worker address-space cap in MiB, 0 for none", 0);
-       f->Int("--worker_max_cpu_s", &s.worker_max_cpu_s, "S",
-              "worker CPU-time cap, 0 for none", 0);
-       f->Double("--progress_interval_s", &s.progress_interval_s, "S",
-                 "progress-frame spacing for traced queries, <= 0 for none");
+       f->String("--checkpoint_dir", &s.warm.checkpoint_dir, "DIR");
+       f->Number("--max_inflight", &s.max_inflight, "N", 1);
+       f->Number("--max_queue", &s.max_queue, "N", 0);
+       f->Number("--max_attempts", &s.max_attempts, "N", 1);
+       f->Number("--worker_max_rss_mb", &s.worker_max_rss_mb, "M", 0);
+       f->Number("--worker_max_cpu_s", &s.worker_max_cpu_s, "S", 0);
+       f->Number("--progress_interval_s", &s.progress_interval_s, "S");
        DaemonFlags(f, &s);
      },
      Serve},
     {"route", "<socket>", 1, 1,
      [](FlagSet* f, CliOptions* o) {
        RouteOptions& r = o->route;
-       f->List("--backends", &r.backends, "a.sock,b.sock,..",
-               "the serve daemons to shard across");
-       f->String("--backends_file", &r.backends_file, "FILE",
-                 "more daemons, one per line; re-read on SIGHUP");
-       f->Double("--health_period_s", &r.health_period_s, "S", "probe period");
-       f->Double("--health_timeout_s", &r.health_timeout_s, "S",
-                 "probe timeout");
-       f->Int("--breaker_failures", &r.breaker_failure_threshold, "N",
-              "consecutive failures that open a breaker", 1);
-       f->Double("--breaker_cooldown_s", &r.breaker_cooldown_s, "S",
-                 "open-breaker wait before a trial request");
-       f->Bool("--no_hedge", &o->no_hedge, "never hedge slow requests");
-       f->Double("--hedge_min_delay_s", &r.hedge_min_delay_s, "S",
-                 "floor of the p95-derived hedge delay");
-       f->Int("--max_inflight", &r.max_inflight_jobs, "N",
-              "routed queries in flight; more are shed", 1);
+       f->List("--backends", &r.backends, "a.sock,b.sock,..");
+       f->String("--backends_file", &r.backends_file, "FILE");
+       f->Number("--health_period_s", &r.health_period_s, "S");
+       f->Number("--health_timeout_s", &r.health_timeout_s, "S");
+       f->Number("--breaker_failures", &r.breaker_failure_threshold, "N", 1);
+       f->Number("--breaker_cooldown_s", &r.breaker_cooldown_s, "S");
+       f->Bool("--no_hedge", &o->no_hedge);
+       f->Number("--hedge_min_delay_s", &r.hedge_min_delay_s, "S");
+       f->Number("--max_inflight", &r.max_inflight_jobs, "N", 1);
        DaemonFlags(f, &r);
      },
      Route},
     {"query", "<socket> (ping | stats | cell <dataset> <matcher>)", 2, 4,
      [](FlagSet* f, CliOptions* o) {
-       PairwiseFlag(f, o);
-       f->Double("--deadline_s", &o->request.deadline_s, "S",
-                 "end-to-end deadline, 0 for the server's default");
-       f->Int("--retries", &o->retries, "N",
-              "retries of shed or draining replies", 0);
-       f->Double("--io_timeout_s", &o->client.io_timeout_s, "S",
-                 "socket IO budget per request");
-       f->Bool("--trace", &o->trace,
-               "propagate a trace context through every hop");
-       f->Bool("--verbose", &o->verbose,
-               "stream progress to stderr; print per-hop timings");
+       f->Bool("--pairwise", &o->pairwise);
+       f->Number("--deadline_s", &o->request.deadline_s, "S");
+       f->Number("--retries", &o->retries, "N", 0);
+       f->Number("--io_timeout_s", &o->client.io_timeout_s, "S");
+       f->Bool("--trace", &o->trace);
+       f->Bool("--verbose", &o->verbose);
      },
      Query},
     {"slowlog", "<FILE>", 1, 1, [](FlagSet*, CliOptions*) {}, Slowlog},
@@ -808,9 +771,9 @@ int Usage() {
   }
   FlagSet common;
   ObsOptions obs;
-  std::string failpoints;
+  std::optional<std::string> failpoints;
   RegisterObsFlags(&common, &obs, &failpoints);
-  std::cerr << "every command also takes:\n" << common.Help();
+  std::cerr << "every command also takes:\n  " << common.Synopsis() << "\n";
   return 1;
 }
 
@@ -824,7 +787,7 @@ int Main(int argc, char** argv) {
   if (command == nullptr) return Usage();
   CliOptions options;
   ObsOptions obs;
-  std::string failpoints;
+  std::optional<std::string> failpoints;
   FlagSet flags;
   command->flags(&flags, &options);
   RegisterObsFlags(&flags, &obs, &failpoints);
@@ -836,13 +799,13 @@ int Main(int argc, char** argv) {
     st = Status::InvalidArgument("unexpected argument '" +
                                  args[command->max_args] + "'");
   }
-  if (st.ok() && !failpoints.empty()) {
-    st = FailpointRegistry::Global().Configure(failpoints);
+  if (st.ok() && failpoints) {
+    st = FailpointRegistry::Global().Configure(*failpoints);
   }
   if (st.ok()) st = ApplyObsOptions(obs);
   if (!st.ok()) {
     std::cerr << st.message() << "\nusage: " << Synopsis(*command, flags)
-              << "\n" << flags.Help();
+              << "\n";
     return 1;
   }
   const int code = command->run(options, args);
