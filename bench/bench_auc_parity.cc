@@ -4,52 +4,32 @@
 // matcher *regardless of any threshold* — it complements the 11
 // thresholded measures of Table 2.
 
-#include <iostream>
-
+#include "bench/paper_bench.h"
 #include "src/core/auc.h"
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
-#include "src/report/table_printer.h"
-#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
 
-int Run(const BenchFlags& flags) {
+Status Run(PaperBench& bench) {
   std::cout << "== AUC parity on the social datasets (threshold-free) ==\n"
             << "cell = group AUC (overall AUC); * marks disparity > 0.05\n\n";
   for (DatasetKind kind :
        {DatasetKind::kNoFlyCompas, DatasetKind::kFacultyMatch}) {
-    Result<EMDataset> dataset =
-        GenerateDataset(kind, flags.scale, flags.seed_offset);
-    if (!dataset.ok()) {
-      std::cerr << dataset.status() << "\n";
-      return 1;
-    }
-    Result<FairnessAuditor> auditor = MakeAuditor(*dataset);
-    if (!auditor.ok()) {
-      std::cerr << auditor.status() << "\n";
-      return 1;
-    }
+    FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(kind));
+    FAIREM_ASSIGN_OR_RETURN(const FairnessAuditor* auditor,
+                            bench.Auditor(*dataset));
     std::vector<std::string> headers = {"Matcher"};
     for (const auto& g : auditor->groups()) headers.push_back(g);
     TablePrinter table(std::move(headers));
     for (MatcherKind mk : AllMatcherKinds()) {
-      Result<MatcherRun> run = RunMatcher(*dataset, mk);
-      if (!run.ok()) {
-        std::cerr << MatcherKindName(mk) << ": " << run.status() << "\n";
-        continue;
-      }
-      if (!run->supported) continue;
-      Result<std::vector<GroupAuc>> report = AuditAucParity(
-          auditor->membership(), dataset->test, run->test_scores);
-      if (!report.ok()) {
-        std::cerr << report.status() << "\n";
-        return 1;
-      }
-      std::vector<std::string> row = {run->matcher_name};
-      for (const auto& g : *report) {
+      Result<const MatcherRun*> run = bench.Run(*dataset, mk);
+      if (!run.ok() || !(*run)->supported) continue;
+      FAIREM_ASSIGN_OR_RETURN(
+          std::vector<GroupAuc> report,
+          AuditAucParity(auditor->membership(), dataset->test,
+                         (*run)->test_scores));
+      std::vector<std::string> row = {(*run)->matcher_name};
+      for (const auto& g : report) {
         if (!g.defined) {
           row.push_back("-");
           continue;
@@ -60,18 +40,16 @@ int Run(const BenchFlags& flags) {
         row.push_back(std::move(cell));
       }
       table.AddRow(std::move(row));
-      std::cerr << "done " << run->matcher_name << " on " << dataset->name
-                << "\n";
     }
     std::cout << "-- " << dataset->name << " --\n"
               << table.ToString() << "\n";
   }
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace fairem
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunPaperBench(argc, argv, fairem::Run);
 }

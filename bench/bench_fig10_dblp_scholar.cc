@@ -1,7 +1,7 @@
 // Reproduces Figure 10: DBLP-Scholar (dirty) single-fairness grid over the
 // entry-type groups.
 
-#include "bench/grid_bench_common.h"
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
   return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kDblpScholar,

@@ -4,7 +4,7 @@
 // profiles drive FN-based unfairness that propagates to the
 // Left Handed | Left Handed pairwise cell (§5.3.2).
 
-#include "bench/grid_bench_common.h"
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
   return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kCricket,

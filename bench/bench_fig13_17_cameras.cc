@@ -3,7 +3,7 @@
 // TPRP/PPVP unfairness from the non-neural matchers (they largely fail on
 // the textual data, unevenly across brands).
 
-#include "bench/grid_bench_common.h"
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
   return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kCameras,

@@ -8,12 +8,8 @@
 //   Figure 22: DBLP-Scholar TPRP     Figure 26: DBLP-Scholar PPVP
 //   Figure 23: Cameras TPRP          Figure 27: Cameras PPVP
 
-#include <iostream>
-
+#include "bench/paper_bench.h"
 #include "src/core/threshold.h"
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
 #include "src/report/heatmap.h"
 
 namespace fairem {
@@ -25,7 +21,7 @@ struct MapSpec {
   const char* title;
 };
 
-int Run(const BenchFlags& flags) {
+Status Run(PaperBench& bench) {
   const std::vector<MapSpec> specs = {
       {DatasetKind::kItunesAmazon, FairnessMeasure::kTruePositiveRateParity,
        "Figure 14: iTunes-Amazon — TPR(threshold) with #TPRP-unfair groups"},
@@ -48,56 +44,30 @@ int Run(const BenchFlags& flags) {
   };
   const std::vector<double> thresholds = ThresholdGrid(0.30, 0.95, 0.05);
 
-  DatasetKind last_kind = DatasetKind::kFacultyMatch;
-  EMDataset dataset;
-  std::vector<MatcherRun> runs;
   for (const MapSpec& spec : specs) {
-    if (runs.empty() || spec.kind != last_kind) {
-      Result<EMDataset> ds = GenerateDataset(spec.kind, flags.scale, flags.seed_offset);
-      if (!ds.ok()) {
-        std::cerr << ds.status() << "\n";
-        return 1;
-      }
-      dataset = std::move(ds).value();
-      last_kind = spec.kind;
-      runs.clear();
-      for (MatcherKind kind : AllMatcherKinds()) {
-        Result<MatcherRun> run = RunMatcher(dataset, kind);
-        if (!run.ok()) {
-          std::cerr << MatcherKindName(kind) << ": " << run.status() << "\n";
-          return 1;
-        }
-        if (run->supported) runs.push_back(std::move(run).value());
-        std::cerr << "trained " << MatcherKindName(kind) << " on "
-                  << dataset.name << "\n";
-      }
-    }
-    Result<FairnessAuditor> auditor = MakeAuditor(dataset);
-    if (!auditor.ok()) {
-      std::cerr << auditor.status() << "\n";
-      return 1;
-    }
+    FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(spec.kind));
+    FAIREM_ASSIGN_OR_RETURN(const FairnessAuditor* auditor,
+                            bench.Auditor(*dataset));
     ThresholdHeatmap heatmap(thresholds);
-    for (const MatcherRun& run : runs) {
-      Result<std::vector<ThresholdPoint>> sweep =
-          SweepThresholds(*auditor, dataset.test, run.test_scores,
-                          spec.measure, thresholds, AuditOptions{});
-      if (!sweep.ok()) {
-        std::cerr << sweep.status() << "\n";
-        return 1;
-      }
-      heatmap.AddRow(run.matcher_name, *sweep);
+    for (MatcherKind kind : AllMatcherKinds()) {
+      Result<const MatcherRun*> run = bench.Run(*dataset, kind);
+      if (!run.ok() || !(*run)->supported) continue;
+      FAIREM_ASSIGN_OR_RETURN(
+          std::vector<ThresholdPoint> sweep,
+          SweepThresholds(*auditor, dataset->test, (*run)->test_scores,
+                          spec.measure, thresholds, AuditOptions{}));
+      heatmap.AddRow((*run)->matcher_name, sweep);
     }
     std::cout << "== " << spec.title << " ==\n"
               << "cell = overall utility (number of discriminated groups)\n"
               << heatmap.Render() << "\n";
   }
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace fairem
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunPaperBench(argc, argv, fairem::Run);
 }

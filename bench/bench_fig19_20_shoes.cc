@@ -1,7 +1,7 @@
 // Reproduces Figures 19 and 20: Shoes (textual) single and pairwise grids
 // over the extracted company groups.
 
-#include "bench/grid_bench_common.h"
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
   return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kShoes,

@@ -3,51 +3,36 @@
 // fairness. Because race/country are disjoint binary attributes, single
 // and pairwise results coincide (§5.2.1), so only single fairness is shown.
 
-#include <iostream>
-
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
+#include "bench/paper_bench.h"
 
 namespace fairem {
 namespace {
 
-int Run(const BenchFlags& flags) {
-  for (DatasetKind kind :
-       {DatasetKind::kNoFlyCompas, DatasetKind::kFacultyMatch}) {
-    Result<EMDataset> dataset = GenerateDataset(kind, flags.scale, flags.seed_offset);
-    if (!dataset.ok()) {
-      std::cerr << dataset.status() << "\n";
-      return 1;
-    }
-    // The paper flags the social matchers with division disparity against
-    // the *other* group (the bolding in Tables 5/6 matches div > 0.2 with
-    // the between-group reference, e.g. Ditto FDR div 0.41 bold,
-    // DeepMatcher 0.11 not bold).
-    AuditOptions options;
-    options.mode = DisparityMode::kDivision;
-    options.reference = AuditReference::kComplement;
-    Result<std::string> grid = UnfairnessGridReport(*dataset, false, options);
-    if (!grid.ok()) {
-      std::cerr << grid.status() << "\n";
-      return 1;
-    }
-    std::cout << "== "
-              << (kind == DatasetKind::kNoFlyCompas
-                      ? "Figure 2: NoFlyCompas"
-                      : "Figure 3: FacultyMatch")
-              << " — unfair matchers per (measure, group) ==\n"
-              << (grid->empty() ? "(no unfair cells)\n" : *grid) << "\n";
+Status Run(PaperBench& bench) {
+  // The paper flags the social matchers with division disparity against
+  // the *other* group (the bolding in Tables 5/6 matches div > 0.2 with
+  // the between-group reference, e.g. Ditto FDR div 0.41 bold,
+  // DeepMatcher 0.11 not bold).
+  GridRunOptions options;
+  options.audit.mode = DisparityMode::kDivision;
+  options.audit.reference = AuditReference::kComplement;
+  options.intra_jobs = bench.flags().intra_jobs;
+  const std::pair<DatasetKind, const char*> figures[] = {
+      {DatasetKind::kNoFlyCompas,
+       "Figure 2: NoFlyCompas — unfair matchers per (measure, group)"},
+      {DatasetKind::kFacultyMatch,
+       "Figure 3: FacultyMatch — unfair matchers per (measure, group)"}};
+  for (const auto& [kind, title] : figures) {
+    FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(kind));
+    FAIREM_RETURN_NOT_OK(PrintGrid(*dataset, false, options, title));
   }
-  std::cout << "markers: BR BooleanRule, DD Dedupe, DT/SV/RF/LO/LI/NB "
-               "Magellan classifiers, DM DeepMatcher, DI Ditto, GN GNEM, "
-               "HM HierMatcher, MC MCAN\n";
-  return 0;
+  std::cout << kGridMarkers;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace fairem
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunPaperBench(argc, argv, fairem::Run);
 }

@@ -4,50 +4,28 @@
 // fairness at the 20% rule). The paper's headline: all four quadrants are
 // populated, including inaccurate-but-fair (equally bad for everyone).
 
-#include <iostream>
-#include <map>
-
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
-#include "src/report/table_printer.h"
-#include "src/util/string_util.h"
+#include "bench/paper_bench.h"
 
 namespace fairem {
 namespace {
 
 constexpr double kAccurateF1 = 0.8;
 
-int Run(const BenchFlags& flags) {
+Status Run(PaperBench& bench) {
   std::map<std::pair<bool, bool>, std::vector<std::string>> quadrants;
   for (DatasetKind dk : AllDatasetKinds()) {
-    Result<EMDataset> dataset = GenerateDataset(dk, flags.scale, flags.seed_offset);
-    if (!dataset.ok()) {
-      std::cerr << dataset.status() << "\n";
-      return 1;
-    }
+    FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(dk));
     for (MatcherKind mk : AllMatcherKinds()) {
-      Result<MatcherRun> run = RunMatcher(*dataset, mk);
-      if (!run.ok()) {
-        std::cerr << MatcherKindName(mk) << ": " << run.status() << "\n";
-        return 1;
-      }
-      if (!run->supported) continue;
-      Result<AuditReport> report = AuditRunSingle(*dataset, *run);
-      if (!report.ok()) {
-        std::cerr << report.status() << "\n";
-        return 1;
-      }
-      bool accurate = run->f1 >= kAccurateF1;
-      bool fair = report->NumDiscriminatedGroups() == 0;
-      std::string evidence =
-          run->matcher_name + ": " + dataset->name + " (F1 " +
-          FormatDouble(run->f1, 2) + ")";
+      Result<const MatcherRun*> run = bench.Run(*dataset, mk);
+      if (!run.ok() || !(*run)->supported) continue;
+      FAIREM_ASSIGN_OR_RETURN(AuditReport report,
+                              AuditRunSingle(*dataset, **run));
+      bool accurate = (*run)->f1 >= kAccurateF1;
+      bool fair = report.NumDiscriminatedGroups() == 0;
+      std::string evidence = (*run)->matcher_name + ": " + dataset->name +
+                             " (F1 " + FormatDouble((*run)->f1, 2) + ")";
       auto& bucket = quadrants[{accurate, fair}];
       if (bucket.size() < 6) bucket.push_back(std::move(evidence));
-      std::cerr << "placed " << run->matcher_name << " x " << dataset->name
-                << " -> " << (accurate ? "accurate" : "inaccurate") << "/"
-                << (fair ? "fair" : "unfair") << "\n";
     }
   }
   std::cout << "== Figure 4: fairness and accuracy synergies (selected "
@@ -62,12 +40,12 @@ int Run(const BenchFlags& flags) {
     }
   }
   std::cout << table.ToString() << "\n";
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace fairem
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunPaperBench(argc, argv, fairem::Run);
 }

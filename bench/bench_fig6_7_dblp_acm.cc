@@ -3,7 +3,7 @@
 // editorial venues (SIGMOD Rec., VLDBJ) from the identical-title traps,
 // with the same venues flagged pairwise (§5.3.3).
 
-#include "bench/grid_bench_common.h"
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
   return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kDblpAcm,

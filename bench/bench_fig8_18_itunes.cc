@@ -4,7 +4,7 @@
 // TPRP/PPVP/FPRP; the French-Pop column fires only on SP (its ground truth
 // has no true matches — the SP false flag of §5.3.2).
 
-#include "bench/grid_bench_common.h"
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
   return fairem::RunGridBench(argc, argv, fairem::DatasetKind::kItunesAmazon,

@@ -3,91 +3,18 @@
 // findings: non-neural matchers are (near-)perfect; neural matchers show
 // FDR disparity against the over-represented African-American group.
 
-#include <iostream>
-
-#include "src/core/disparity.h"
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
-#include "src/report/table_printer.h"
-#include "src/util/string_util.h"
-
-namespace fairem {
-namespace {
-
-int Run(const BenchFlags& flags) {
-  Result<EMDataset> dataset = GenerateDataset(DatasetKind::kNoFlyCompas, flags.scale, flags.seed_offset);
-  if (!dataset.ok()) {
-    std::cerr << dataset.status() << "\n";
-    return 1;
-  }
-  std::cout << "== Table 5: NoFlyCompas — TPR / FDR per race ==\n"
-            << "groups: Afr = African-American, Cauc = Caucasian; "
-            << "disparities sub/div per Eq. 1 and Eq. 3\n\n";
-  TablePrinter table({"Matcher", "TPR Afr", "TPR Cauc", "TPR sub", "TPR div",
-                      "FDR Afr", "FDR Cauc", "FDR sub", "FDR div", "Acc",
-                      "F1"});
-  for (MatcherKind kind : AllMatcherKinds()) {
-    Result<MatcherRun> run = RunMatcher(*dataset, kind);
-    if (!run.ok()) {
-      std::cerr << MatcherKindName(kind) << ": " << run.status() << "\n";
-      continue;
-    }
-    if (!run->supported) {
-      table.AddRow({run->matcher_name, "-", "-", "-", "-", "-", "-", "-",
-                    "-", "-", "-"});
-      continue;
-    }
-    Result<std::vector<GroupRates>> breakdown = GroupBreakdown(*dataset, *run);
-    if (!breakdown.ok()) {
-      std::cerr << breakdown.status() << "\n";
-      return 1;
-    }
-    const ConfusionCounts* afr = nullptr;
-    const ConfusionCounts* cauc = nullptr;
-    for (const auto& g : *breakdown) {
-      if (g.group == "African-American") afr = &g.counts;
-      if (g.group == "Caucasian") cauc = &g.counts;
-    }
-    if (afr == nullptr || cauc == nullptr) {
-      std::cerr << "missing race group in breakdown\n";
-      return 1;
-    }
-    auto fmt = [](const Result<double>& v) {
-      return v.ok() ? FormatDouble(*v, 2) : std::string("-");
-    };
-    // Between-group disparities (the paper's Table 5 convention; negative =
-    // the African-American group does better).
-    double tpr_afr = TruePositiveRate(*afr).value_or(0.0);
-    double tpr_cauc = TruePositiveRate(*cauc).value_or(0.0);
-    double fdr_afr = FalseDiscoveryRate(*afr).value_or(0.0);
-    double fdr_cauc = FalseDiscoveryRate(*cauc).value_or(0.0);
-    auto disp = [](FairnessMeasure m, double suspect, double other,
-                   DisparityMode mode) {
-      Result<double> d = BetweenGroupDisparity(m, suspect, other, mode);
-      return d.ok() ? FormatDouble(*d, 2) : std::string("-");
-    };
-    table.AddRow(
-        {run->matcher_name, fmt(TruePositiveRate(*afr)),
-         fmt(TruePositiveRate(*cauc)),
-         disp(FairnessMeasure::kTruePositiveRateParity, tpr_afr, tpr_cauc,
-              DisparityMode::kSubtraction),
-         disp(FairnessMeasure::kTruePositiveRateParity, tpr_afr, tpr_cauc,
-              DisparityMode::kDivision),
-         fmt(FalseDiscoveryRate(*afr)), fmt(FalseDiscoveryRate(*cauc)),
-         disp(FairnessMeasure::kFalseDiscoveryRateParity, fdr_afr, fdr_cauc,
-              DisparityMode::kSubtraction),
-         disp(FairnessMeasure::kFalseDiscoveryRateParity, fdr_afr, fdr_cauc,
-              DisparityMode::kDivision),
-         FormatDouble(run->accuracy, 2), FormatDouble(run->f1, 2)});
-  }
-  std::cout << table.ToString() << "\n";
-  return 0;
-}
-
-}  // namespace
-}  // namespace fairem
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunRateTable(
+      argc, argv,
+      {.dataset = fairem::DatasetKind::kNoFlyCompas,
+       .heading = "== Table 5: NoFlyCompas — TPR / FDR per race ==\n"
+                  "groups: Afr = African-American, Cauc = Caucasian; "
+                  "disparities sub/div per Eq. 1 and Eq. 3\n\n",
+       .suspect = "African-American",
+       .other = "Caucasian",
+       .suspect_column = "Afr",
+       .other_column = "Cauc",
+       .second = fairem::FairnessMeasure::kFalseDiscoveryRateParity});
 }

@@ -5,91 +5,19 @@
 // non-neural matchers mostly match or exceed the cn TPR but NBMatcher's PPV
 // collapses for cn.
 
-#include <iostream>
-
-#include "src/core/disparity.h"
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
-#include "src/report/table_printer.h"
-#include "src/util/string_util.h"
-
-namespace fairem {
-namespace {
-
-int Run(const BenchFlags& flags) {
-  Result<EMDataset> dataset = GenerateDataset(DatasetKind::kFacultyMatch, flags.scale, flags.seed_offset);
-  if (!dataset.ok()) {
-    std::cerr << dataset.status() << "\n";
-    return 1;
-  }
-  std::cout << "== Table 6: FacultyMatch — TPR / PPV per country ==\n"
-            << "cn pairs outnumber de pairs ~6x; cn names are intrinsically "
-            << "more similar\n\n";
-  TablePrinter table({"Matcher", "TPR cn", "TPR de", "TPR sub", "TPR div",
-                      "PPV cn", "PPV de", "PPV sub", "PPV div", "Acc", "F1"});
-  for (MatcherKind kind : AllMatcherKinds()) {
-    if (kind == MatcherKind::kBooleanRule) continue;  // Table 6 covers ML
-    Result<MatcherRun> run = RunMatcher(*dataset, kind);
-    if (!run.ok()) {
-      std::cerr << MatcherKindName(kind) << ": " << run.status() << "\n";
-      continue;
-    }
-    if (!run->supported) {
-      table.AddRow({run->matcher_name, "-", "-", "-", "-", "-", "-", "-",
-                    "-", "-", "-"});
-      continue;
-    }
-    Result<std::vector<GroupRates>> breakdown = GroupBreakdown(*dataset, *run);
-    if (!breakdown.ok()) {
-      std::cerr << breakdown.status() << "\n";
-      return 1;
-    }
-    const ConfusionCounts* cn = nullptr;
-    const ConfusionCounts* de = nullptr;
-    for (const auto& g : *breakdown) {
-      if (g.group == "cn") cn = &g.counts;
-      if (g.group == "de") de = &g.counts;
-    }
-    if (cn == nullptr || de == nullptr) {
-      std::cerr << "missing country group in breakdown\n";
-      return 1;
-    }
-    auto fmt = [](const Result<double>& v) {
-      return v.ok() ? FormatDouble(*v, 2) : std::string("-");
-    };
-    // Between-group disparities (the paper's Table 6 convention; negative =
-    // the cn group does better).
-    double tpr_cn = TruePositiveRate(*cn).value_or(0.0);
-    double tpr_de = TruePositiveRate(*de).value_or(0.0);
-    double ppv_cn = PositivePredictiveValue(*cn).value_or(0.0);
-    double ppv_de = PositivePredictiveValue(*de).value_or(0.0);
-    auto disp = [](FairnessMeasure m, double suspect, double other,
-                   DisparityMode mode) {
-      Result<double> d = BetweenGroupDisparity(m, suspect, other, mode);
-      return d.ok() ? FormatDouble(*d, 2) : std::string("-");
-    };
-    table.AddRow(
-        {run->matcher_name, fmt(TruePositiveRate(*cn)),
-         fmt(TruePositiveRate(*de)),
-         disp(FairnessMeasure::kTruePositiveRateParity, tpr_cn, tpr_de,
-              DisparityMode::kSubtraction),
-         disp(FairnessMeasure::kTruePositiveRateParity, tpr_cn, tpr_de,
-              DisparityMode::kDivision),
-         fmt(PositivePredictiveValue(*cn)), fmt(PositivePredictiveValue(*de)),
-         disp(FairnessMeasure::kPositivePredictiveValueParity, ppv_cn, ppv_de,
-              DisparityMode::kSubtraction),
-         disp(FairnessMeasure::kPositivePredictiveValueParity, ppv_cn, ppv_de,
-              DisparityMode::kDivision),
-         FormatDouble(run->accuracy, 2), FormatDouble(run->f1, 2)});
-  }
-  std::cout << table.ToString() << "\n";
-  return 0;
-}
-
-}  // namespace
-}  // namespace fairem
+#include "bench/paper_bench.h"
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunRateTable(
+      argc, argv,
+      {.dataset = fairem::DatasetKind::kFacultyMatch,
+       .heading = "== Table 6: FacultyMatch — TPR / PPV per country ==\n"
+                  "cn pairs outnumber de pairs ~6x; cn names are "
+                  "intrinsically more similar\n\n",
+       .suspect = "cn",
+       .other = "de",
+       .suspect_column = "cn",
+       .other_column = "de",
+       .second = fairem::FairnessMeasure::kPositivePredictiveValueParity,
+       .skip_boolean_rule = true});  // Table 6 covers the ML matchers
 }

@@ -4,19 +4,13 @@
 // swept datasets. Expected shape: neural matchers are more sensitive
 // (larger values) than non-neural ones on the structured datasets (§5.3.4).
 
-#include <iostream>
-
+#include "bench/paper_bench.h"
 #include "src/core/threshold.h"
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
-#include "src/report/table_printer.h"
-#include "src/util/string_util.h"
 
 namespace fairem {
 namespace {
 
-int Run(const BenchFlags& flags) {
+Status Run(PaperBench& bench) {
   const std::vector<DatasetKind> kinds = {
       DatasetKind::kItunesAmazon, DatasetKind::kCameras,
       DatasetKind::kDblpAcm, DatasetKind::kDblpScholar};
@@ -34,36 +28,23 @@ int Run(const BenchFlags& flags) {
 
   for (FairnessMeasure measure : measures) {
     for (DatasetKind dk : kinds) {
-      Result<EMDataset> dataset = GenerateDataset(dk, flags.scale, flags.seed_offset);
-      if (!dataset.ok()) {
-        std::cerr << dataset.status() << "\n";
-        return 1;
-      }
-      Result<FairnessAuditor> auditor = MakeAuditor(*dataset);
-      if (!auditor.ok()) {
-        std::cerr << auditor.status() << "\n";
-        return 1;
-      }
+      FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(dk));
+      FAIREM_ASSIGN_OR_RETURN(const FairnessAuditor* auditor,
+                              bench.Auditor(*dataset));
       std::vector<std::string> row = {FairnessMeasureName(measure),
                                       DatasetKindName(dk)};
       for (MatcherKind kind : AllMatcherKinds()) {
         if (kind == MatcherKind::kDedupe) continue;
-        Result<MatcherRun> run = RunMatcher(*dataset, kind);
-        if (!run.ok() || !run->supported) {
+        Result<const MatcherRun*> run = bench.Run(*dataset, kind);
+        if (!run.ok() || !(*run)->supported) {
           row.push_back("-");
           continue;
         }
-        Result<std::vector<ThresholdPoint>> sweep =
-            SweepThresholds(*auditor, dataset->test, run->test_scores,
-                            measure, thresholds, AuditOptions{});
-        if (!sweep.ok()) {
-          row.push_back("-");
-          continue;
-        }
-        row.push_back(FormatDouble(ThresholdSensitivityL2(*sweep), 1));
-        std::cerr << "swept " << MatcherKindName(kind) << " on "
-                  << dataset->name << " (" << FairnessMeasureName(measure)
-                  << ")\n";
+        FAIREM_ASSIGN_OR_RETURN(
+            std::vector<ThresholdPoint> sweep,
+            SweepThresholds(*auditor, dataset->test, (*run)->test_scores,
+                            measure, thresholds, AuditOptions{}));
+        row.push_back(FormatDouble(ThresholdSensitivityL2(sweep), 1));
       }
       table.AddRow(std::move(row));
     }
@@ -71,12 +52,12 @@ int Run(const BenchFlags& flags) {
   std::cout << "== Table 7: threshold sensitivity (L2 of adjacent-threshold "
                "unfair-group deltas) ==\n\n"
             << table.ToString() << "\n";
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace fairem
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunPaperBench(argc, argv, fairem::Run);
 }

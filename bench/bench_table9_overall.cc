@@ -4,63 +4,45 @@
 // dirty data, non-neural F1 collapses on Shoes/Cameras, Dedupe does not
 // scale to the two social and two textual datasets ("-").
 
-#include <iostream>
-
-#include "src/datagen/benchmark_suite.h"
-#include "src/harness/bench_flags.h"
-#include "src/harness/experiment.h"
-#include "src/report/table_printer.h"
-#include "src/util/string_util.h"
+#include "bench/paper_bench.h"
 
 namespace fairem {
 namespace {
 
-int Run(const BenchFlags& flags) {
-  std::vector<DatasetKind> kinds = AllDatasetKinds();
-  std::vector<EMDataset> datasets;
+Status Run(PaperBench& bench) {
+  std::vector<const EMDataset*> datasets;
   std::vector<std::string> headers = {"Matcher"};
-  for (DatasetKind kind : kinds) {
-    Result<EMDataset> ds = GenerateDataset(kind, flags.scale, flags.seed_offset);
-    if (!ds.ok()) {
-      std::cerr << DatasetKindName(kind) << ": " << ds.status() << "\n";
-      return 1;
-    }
+  for (DatasetKind kind : AllDatasetKinds()) {
+    FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(kind));
     headers.push_back(std::string(DatasetKindName(kind)) + " Acc");
     headers.push_back("F1");
-    datasets.push_back(std::move(ds).value());
+    datasets.push_back(dataset);
   }
   std::cout << "== Table 9: overall performance (Acc / F1), all matchers x "
                "all datasets ==\n\n";
   TablePrinter table(std::move(headers));
   for (MatcherKind kind : AllMatcherKinds()) {
     std::vector<std::string> row = {MatcherKindName(kind)};
-    for (const auto& dataset : datasets) {
-      Result<MatcherRun> run = RunMatcher(dataset, kind);
+    for (const EMDataset* dataset : datasets) {
+      Result<const MatcherRun*> run = bench.Run(*dataset, kind);
       if (!run.ok()) {
-        std::cerr << MatcherKindName(kind) << " on " << dataset.name << ": "
-                  << run.status() << "\n";
-        row.push_back("ERR");
-        row.push_back("ERR");
-        continue;
+        row.insert(row.end(), {"ERR", "ERR"});
+      } else if (!(*run)->supported) {
+        row.insert(row.end(), {"-", "-"});
+      } else {
+        row.push_back(FormatDouble((*run)->accuracy, 2));
+        row.push_back(FormatDouble((*run)->f1, 2));
       }
-      if (!run->supported) {
-        row.push_back("-");
-        row.push_back("-");
-        continue;
-      }
-      row.push_back(FormatDouble(run->accuracy, 2));
-      row.push_back(FormatDouble(run->f1, 2));
     }
     table.AddRow(std::move(row));
-    std::cerr << "done: " << MatcherKindName(kind) << "\n";
   }
   std::cout << table.ToString() << "\n";
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace fairem
 
 int main(int argc, char** argv) {
-  return fairem::Run(fairem::ParseBenchFlags(argc, argv));
+  return fairem::RunPaperBench(argc, argv, fairem::Run);
 }

@@ -602,14 +602,4 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
   return grid.Render();
 }
 
-Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
-                                         bool pairwise,
-                                         const AuditOptions& options,
-                                         const std::vector<MatcherKind>& skip) {
-  GridRunOptions grid_options;
-  grid_options.audit = options;
-  grid_options.skip = skip;
-  return UnfairnessGridReport(dataset, pairwise, grid_options);
-}
-
 }  // namespace fairem

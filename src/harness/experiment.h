@@ -136,12 +136,6 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
                                          bool pairwise,
                                          const GridRunOptions& options);
 
-/// Back-compat convenience overload: audit options + skip list only.
-Result<std::string> UnfairnessGridReport(
-    const EMDataset& dataset, bool pairwise,
-    const AuditOptions& options = {},
-    const std::vector<MatcherKind>& skip = {});
-
 /// One audit grid cell end to end — train `kind` (or, with a checkpoint_dir,
 /// read its cached test scores), audit, and convert to the checkpointable
 /// representation (the exact bytes the grid sweep persists, so serve-daemon

@@ -94,10 +94,10 @@ TEST(HarnessTest, GroupBreakdownSumsToConsistentCounts) {
 TEST(HarnessTest, GridReportSkipsRequestedMatchers) {
   EMDataset ds =
       std::move(GenerateDataset(DatasetKind::kDblpScholar, 0.4)).value();
-  std::vector<MatcherKind> skip_all = AllMatcherKinds();
+  GridRunOptions options;
+  options.skip = AllMatcherKinds();
   std::string grid =
-      std::move(UnfairnessGridReport(ds, false, AuditOptions{}, skip_all))
-          .value();
+      std::move(UnfairnessGridReport(ds, false, options)).value();
   EXPECT_TRUE(grid.empty());
 }
 

@@ -106,9 +106,10 @@ TEST(IntegrationTest, DirtyDataSurvivesWholePipeline) {
 TEST(IntegrationTest, UnfairnessGridReportRenders) {
   EMDataset ds =
       std::move(GenerateDataset(DatasetKind::kDblpScholar, 0.4)).value();
+  GridRunOptions options;
+  options.skip = NeuralMatcherKinds();
   Result<std::string> grid =
-      UnfairnessGridReport(ds, /*pairwise=*/false, AuditOptions{},
-                           /*skip=*/NeuralMatcherKinds());
+      UnfairnessGridReport(ds, /*pairwise=*/false, options);
   ASSERT_TRUE(grid.ok()) << grid.status();
   // All groups appear as columns even when no cell is unfair.
   EXPECT_NE(grid->find("article"), std::string::npos);
