@@ -1,6 +1,7 @@
 #ifndef FAIREM_EMBED_SENTENCE_ENCODER_H_
 #define FAIREM_EMBED_SENTENCE_ENCODER_H_
 
+#include <forward_list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -14,13 +15,21 @@ namespace fairem {
 /// average of subword token vectors, a / (a + p(token)). High-frequency
 /// tokens ("the", venue boilerplate) are down-weighted. Plays the role of
 /// the sequence-model sentence representation the neural matchers consume.
+///
+/// FitFrequencies also builds the embedding table (DESIGN.md §19): each
+/// distinct corpus token's count, `Embed` vector and squared norm, so
+/// every later call reads a token's vector instead of re-hashing its
+/// q-grams. The table is read-only after the fit, so concurrent callers
+/// need no lock, and every result is bit-identical to embedding each token
+/// afresh.
 class SentenceEncoder {
  public:
   explicit SentenceEncoder(const SubwordEmbedding* embedding, double a = 1e-3)
       : embedding_(embedding), a_(a) {}
 
-  /// Learns token frequencies from a corpus of token lists. Optional; with
-  /// no fit, all tokens weigh equally.
+  /// Learns token frequencies from a corpus of token lists and embeds each
+  /// distinct token once. Optional; with no fit, all tokens weigh equally
+  /// and every lookup misses the table.
   void FitFrequencies(const std::vector<std::vector<std::string>>& corpus);
 
   /// L2-normalized weighted mean of token embeddings; zero vector for an
@@ -30,6 +39,11 @@ class SentenceEncoder {
   /// Cosine of the encodings of two token lists.
   double Similarity(const std::vector<std::string>& a,
                     const std::vector<std::string>& b) const;
+
+  /// The embedding of each token, in order: a copy of its table vector, or
+  /// `Embed(token)` for a token outside the fitted corpus.
+  std::vector<std::vector<float>> TokenVectors(
+      const std::vector<std::string>& tokens) const;
 
   const SubwordEmbedding& embedding() const { return *embedding_; }
 
@@ -47,10 +61,26 @@ class SentenceEncoder {
                              const std::vector<std::string>& b) const;
 
  private:
+  /// One token: its corpus count (0 outside the corpus), `Embed(token)`,
+  /// and that vector's SquaredNorm.
+  struct Entry {
+    double count = 0.0;
+    std::vector<float> vec;
+    double norm_sq = 0.0;
+  };
+
+  /// The entries of `tokens`, in order. A token outside the table is
+  /// embedded into a new entry in `*misses`. Adds the call's hits and
+  /// misses to the fairem.embed.table_* counters once.
+  std::vector<const Entry*> Lookup(const std::vector<std::string>& tokens,
+                                   std::forward_list<Entry>* misses) const;
+
+  /// SIF weight of a token seen `count` times.
+  double Weight(double count) const;
 
   const SubwordEmbedding* embedding_;  // not owned
   double a_;
-  std::unordered_map<std::string, double> freq_;
+  std::unordered_map<std::string, Entry> table_;
   double total_count_ = 0.0;
 };
 

@@ -55,8 +55,7 @@ std::vector<float> SubwordEmbedding::Embed(std::string_view token) const {
   // The whole-token direction, so identical tokens always align perfectly.
   AddHashedDirection(Fnv1a(lowered, options_.seed ^ 0x5bd1e995ULL), &vec);
   ++added;
-  double norm_sq = 0.0;
-  for (float v : vec) norm_sq += static_cast<double>(v) * v;
+  double norm_sq = SquaredNorm(vec);
   if (norm_sq > 0.0) {
     float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
     for (float& v : vec) v *= inv;
@@ -64,19 +63,27 @@ std::vector<float> SubwordEmbedding::Embed(std::string_view token) const {
   return vec;
 }
 
+double SubwordEmbedding::SquaredNorm(const std::vector<float>& v) {
+  double norm_sq = 0.0;
+  for (float x : v) norm_sq += static_cast<double>(x) * x;
+  return norm_sq;
+}
+
 double SubwordEmbedding::Cosine(const std::vector<float>& a,
                                 const std::vector<float>& b) {
+  return Cosine(a, SquaredNorm(a), b, SquaredNorm(b));
+}
+
+double SubwordEmbedding::Cosine(const std::vector<float>& a, double a_norm_sq,
+                                const std::vector<float>& b,
+                                double b_norm_sq) {
   if (a.size() != b.size()) return 0.0;
+  if (a_norm_sq == 0.0 || b_norm_sq == 0.0) return 0.0;
   double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
     dot += static_cast<double>(a[i]) * b[i];
-    na += static_cast<double>(a[i]) * a[i];
-    nb += static_cast<double>(b[i]) * b[i];
   }
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / std::sqrt(na * nb);
+  return dot / std::sqrt(a_norm_sq * b_norm_sq);
 }
 
 double SubwordEmbedding::TokenSimilarity(std::string_view a,

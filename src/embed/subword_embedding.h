@@ -40,6 +40,14 @@ class SubwordEmbedding {
   static double Cosine(const std::vector<float>& a,
                        const std::vector<float>& b);
 
+  /// Cosine given each vector's SquaredNorm: the same bits as Cosine(a, b)
+  /// without re-summing the norms.
+  static double Cosine(const std::vector<float>& a, double a_norm_sq,
+                       const std::vector<float>& b, double b_norm_sq);
+
+  /// Sum of squares in double precision, in index order.
+  static double SquaredNorm(const std::vector<float>& v);
+
   /// Convenience: cosine of the embeddings of two tokens.
   double TokenSimilarity(std::string_view a, std::string_view b) const;
 

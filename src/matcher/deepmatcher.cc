@@ -5,23 +5,13 @@
 #include "src/nn/vecops.h"
 
 namespace fairem {
-namespace {
-
-std::vector<nn::Vec> EmbedTokens(const SubwordEmbedding& embedding,
-                                 const std::vector<std::string>& tokens) {
-  std::vector<nn::Vec> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) out.push_back(embedding.Embed(t));
-  return out;
-}
-
-}  // namespace
 
 DeepMatcherMatcher::DeepMatcherMatcher() : NeuralMatcherBase() {}
 
 Status DeepMatcherMatcher::InitEncoder(const EMDataset& /*dataset*/,
                                        Rng* rng) {
-  gru_ = std::make_unique<nn::GruCell>(embedding().dim(), kHiddenDim, rng);
+  gru_ = std::make_unique<nn::GruCell>(sentence_encoder().embedding().dim(),
+                                       kHiddenDim, rng);
   return Status::OK();
 }
 
@@ -35,10 +25,10 @@ Result<std::vector<float>> DeepMatcherMatcher::EncodePair(
       PerAttributeTokens(dataset.table_b, right, dataset.matching_attrs));
   std::vector<float> features;
   features.reserve(attrs_a.size() * 3);
-  const size_t dim = static_cast<size_t>(embedding().dim());
+  const size_t dim = static_cast<size_t>(sentence_encoder().embedding().dim());
   for (size_t a = 0; a < attrs_a.size(); ++a) {
-    std::vector<nn::Vec> emb_a = EmbedTokens(embedding(), attrs_a[a]);
-    std::vector<nn::Vec> emb_b = EmbedTokens(embedding(), attrs_b[a]);
+    std::vector<nn::Vec> emb_a = sentence_encoder().TokenVectors(attrs_a[a]);
+    std::vector<nn::Vec> emb_b = sentence_encoder().TokenVectors(attrs_b[a]);
     // (1) Recurrent summaries.
     nn::Vec rnn_a = gru_->RunMean(emb_a);
     nn::Vec rnn_b = gru_->RunMean(emb_b);

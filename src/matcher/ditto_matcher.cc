@@ -41,17 +41,13 @@ Result<std::vector<float>> DittoMatcher::Encode(const EMDataset& dataset,
     drop(&tokens_a);
     drop(&tokens_b);
   }
-  const size_t dim = static_cast<size_t>(embedding().dim());
+  const size_t dim = static_cast<size_t>(sentence_encoder().embedding().dim());
   nn::Vec sent_a = sentence_encoder().Encode(tokens_a);
   nn::Vec sent_b = sentence_encoder().Encode(tokens_b);
-  std::vector<nn::Vec> emb_a;
-  std::vector<nn::Vec> emb_b;
-  emb_a.reserve(tokens_a.size());
-  for (const auto& t : tokens_a) emb_a.push_back(embedding().Embed(t));
-  emb_b.reserve(tokens_b.size());
-  for (const auto& t : tokens_b) emb_b.push_back(embedding().Embed(t));
-  nn::Vec pooled_a = nn::SelfAttentionPool(emb_a, dim);
-  nn::Vec pooled_b = nn::SelfAttentionPool(emb_b, dim);
+  nn::Vec pooled_a =
+      nn::SelfAttentionPool(sentence_encoder().TokenVectors(tokens_a), dim);
+  nn::Vec pooled_b =
+      nn::SelfAttentionPool(sentence_encoder().TokenVectors(tokens_b), dim);
   std::vector<float> features;
   features.push_back(nn::Cosine(sent_a, sent_b));
   features.push_back(nn::Cosine(pooled_a, pooled_b));

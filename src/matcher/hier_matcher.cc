@@ -9,14 +9,6 @@
 namespace fairem {
 namespace {
 
-std::vector<nn::Vec> EmbedAll(const SubwordEmbedding& embedding,
-                              const std::vector<std::string>& tokens) {
-  std::vector<nn::Vec> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) out.push_back(embedding.Embed(t));
-  return out;
-}
-
 /// For each token vector in `a`, its best cosine over the token vectors of
 /// the *whole other record* (cross-attribute token alignment), weighted by
 /// attention logits from `attention` and averaged.
@@ -46,7 +38,7 @@ HierMatcherMatcher::HierMatcherMatcher() : NeuralMatcherBase() {}
 Status HierMatcherMatcher::InitEncoder(const EMDataset& dataset, Rng* rng) {
   attr_attention_.clear();
   for (size_t a = 0; a < dataset.matching_attrs.size(); ++a) {
-    nn::Vec v(static_cast<size_t>(embedding().dim()));
+    nn::Vec v(static_cast<size_t>(sentence_encoder().embedding().dim()));
     for (float& x : v) x = static_cast<float>(rng->NextGaussian() * 0.5);
     attr_attention_.push_back(std::move(v));
   }
@@ -68,9 +60,9 @@ Result<std::vector<float>> HierMatcherMatcher::EncodePair(
   std::vector<nn::Vec> all_a;
   std::vector<nn::Vec> all_b;
   for (size_t a = 0; a < attrs_a.size(); ++a) {
-    emb_a[a] = EmbedAll(embedding(), attrs_a[a]);
+    emb_a[a] = sentence_encoder().TokenVectors(attrs_a[a]);
     all_a.insert(all_a.end(), emb_a[a].begin(), emb_a[a].end());
-    emb_b[a] = EmbedAll(embedding(), attrs_b[a]);
+    emb_b[a] = sentence_encoder().TokenVectors(attrs_b[a]);
     all_b.insert(all_b.end(), emb_b[a].begin(), emb_b[a].end());
   }
   std::vector<float> features;

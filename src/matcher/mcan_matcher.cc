@@ -8,14 +8,6 @@
 namespace fairem {
 namespace {
 
-std::vector<nn::Vec> EmbedAll(const SubwordEmbedding& embedding,
-                              const std::vector<std::string>& tokens) {
-  std::vector<nn::Vec> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) out.push_back(embedding.Embed(t));
-  return out;
-}
-
 float SigmoidF(float z) { return 1.0f / (1.0f + std::exp(-z)); }
 
 }  // namespace
@@ -23,7 +15,8 @@ float SigmoidF(float z) { return 1.0f / (1.0f + std::exp(-z)); }
 McanMatcher::McanMatcher() : NeuralMatcherBase() {}
 
 Status McanMatcher::InitEncoder(const EMDataset& /*dataset*/, Rng* rng) {
-  gru_ = std::make_unique<nn::GruCell>(embedding().dim(), kHiddenDim, rng);
+  gru_ = std::make_unique<nn::GruCell>(sentence_encoder().embedding().dim(),
+                                       kHiddenDim, rng);
   gate_.assign(3, 0.0f);
   for (float& g : gate_) g = static_cast<float>(rng->NextGaussian());
   return Status::OK();
@@ -38,7 +31,7 @@ Result<std::vector<float>> McanMatcher::EncodePair(const EMDataset& dataset,
   FAIREM_ASSIGN_OR_RETURN(
       auto attrs_b,
       PerAttributeTokens(dataset.table_b, right, dataset.matching_attrs));
-  const size_t dim = static_cast<size_t>(embedding().dim());
+  const size_t dim = static_cast<size_t>(sentence_encoder().embedding().dim());
 
   // Global context: GRU summary of the full serialized records.
   FAIREM_ASSIGN_OR_RETURN(
@@ -47,15 +40,15 @@ Result<std::vector<float>> McanMatcher::EncodePair(const EMDataset& dataset,
   FAIREM_ASSIGN_OR_RETURN(
       std::vector<std::string> full_b,
       SerializeRecord(dataset.table_b, right, dataset.matching_attrs));
-  nn::Vec global_a = gru_->RunMean(EmbedAll(embedding(), full_a));
-  nn::Vec global_b = gru_->RunMean(EmbedAll(embedding(), full_b));
+  nn::Vec global_a = gru_->RunMean(sentence_encoder().TokenVectors(full_a));
+  nn::Vec global_b = gru_->RunMean(sentence_encoder().TokenVectors(full_b));
   float global_sim = nn::Cosine(global_a, global_b);
 
   std::vector<float> features;
   features.reserve(attrs_a.size() * 2 + 1);
   for (size_t a = 0; a < attrs_a.size(); ++a) {
-    std::vector<nn::Vec> emb_a = EmbedAll(embedding(), attrs_a[a]);
-    std::vector<nn::Vec> emb_b = EmbedAll(embedding(), attrs_b[a]);
+    std::vector<nn::Vec> emb_a = sentence_encoder().TokenVectors(attrs_a[a]);
+    std::vector<nn::Vec> emb_b = sentence_encoder().TokenVectors(attrs_b[a]);
     // Self-attention context.
     nn::Vec self_a = nn::SelfAttentionPool(emb_a, dim);
     nn::Vec self_b = nn::SelfAttentionPool(emb_b, dim);

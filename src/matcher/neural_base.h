@@ -50,10 +50,9 @@ class NeuralMatcherBase : public Matcher {
   virtual Result<std::vector<float>> EncodePairForTraining(
       const EMDataset& dataset, size_t left, size_t right, Rng* rng) const;
 
-  /// The shared pre-trained embedding (fixed seed 42).
-  const SubwordEmbedding& embedding() const { return embedding_; }
-
-  /// SIF sentence encoder; frequencies fit on both tables during Fit.
+  /// SIF sentence encoder over the shared pre-trained embedding (fixed
+  /// seed 42); its frequencies and embedding table are fit on both tables
+  /// during Fit.
   const SentenceEncoder& sentence_encoder() const { return *sentence_encoder_; }
 
   const nn::Mlp& head() const { return head_; }

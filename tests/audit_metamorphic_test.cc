@@ -1,7 +1,8 @@
 // Metamorphic properties of the audit core (Algorithm 1): transformations
 // of the outcomes that must leave every AuditEntry unchanged, or change it
-// in one predictable way. Each property runs over seeded random scenarios,
-// for single and pairwise audits, both references and both disparity modes.
+// in one predictable way. Most properties run over seeded random
+// scenarios, for single and pairwise audits, both references and both
+// disparity modes; the zero-denominator rules use hand-built outcomes.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/core/audit.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace fairem {
@@ -26,6 +28,8 @@ struct Scenario {
   Table a{"a", std::move(Schema::Make({"grp"})).value()};
   Table b{"b", std::move(Schema::Make({"grp"})).value()};
   std::vector<PairOutcome> outcomes;
+
+  Scenario() = default;
 
   Scenario(uint64_t seed, const std::vector<std::string>& groups) {
     Rng rng(seed);
@@ -48,6 +52,13 @@ struct Scenario {
       outcomes.push_back({rng.NextBounded(rows), rng.NextBounded(rows),
                           rng.NextBool(error_rate) ? !truth : truth, truth});
     }
+  }
+
+  /// Appends record i, in `group`, to both tables.
+  void AddRecord(const std::string& group) {
+    const auto id = static_cast<int64_t>(a.num_rows());
+    EXPECT_TRUE(a.AppendValues(id, {group}).ok());
+    EXPECT_TRUE(b.AppendValues(id, {group}).ok());
   }
 
   FairnessAuditor Auditor() const {
@@ -195,6 +206,148 @@ TEST(AuditMetamorphicTest, SingleGroupDataMakesSingleAndPairwiseAgree) {
                         Audit(auditor, scenario.outcomes, pairwise, 10), 1,
                         Describe(seed, v), SelfPairLabel);
     }
+  }
+}
+
+/// Groups g0 and g1, each record in exactly one, and both records of
+/// every pair in the same group: each group's complement is the other.
+Scenario SplitScenario(uint64_t seed) {
+  Scenario s;
+  Rng rng(seed);
+  std::vector<std::vector<size_t>> rows(2);
+  const size_t records = 4 + rng.NextBounded(40);
+  for (size_t i = 0; i < records; ++i) {
+    const size_t g = i < 2 ? i : rng.NextBounded(2);
+    s.AddRecord(g == 0 ? "g0" : "g1");
+    rows[g].push_back(i);
+  }
+  const size_t pairs = 20 + rng.NextBounded(400);
+  const double match_rate = 0.05 + 0.9 * rng.NextDouble();
+  const double error_rate = 0.4 * rng.NextDouble();
+  for (size_t p = 0; p < pairs; ++p) {
+    const std::vector<size_t>& group = rows[rng.NextBounded(2)];
+    const bool truth = rng.NextBool(match_rate);
+    const size_t left = rng.Choice(group);
+    s.outcomes.push_back({left, rng.Choice(group),
+                          rng.NextBool(error_rate) ? !truth : truth, truth});
+  }
+  return s;
+}
+
+int Sign(double v) { return (v > 0.0) - (v < 0.0); }
+
+TEST(AuditMetamorphicTest, SwappingTwoGroupsNegatesSubtractionDisparity) {
+  const Variant v{false, AuditReference::kComplement,
+                  DisparityMode::kSubtraction};
+  int compared = 0;
+  for (uint64_t seed = 1; seed <= kScenarios; ++seed) {
+    const Scenario scenario = SplitScenario(seed);
+    const AuditReport report =
+        Audit(scenario.Auditor(), scenario.outcomes, v, 10);
+    for (FairnessMeasure m : kAllFairnessMeasures) {
+      if (m == FairnessMeasure::kEqualizedOdds) continue;
+      const AuditEntry* g0 = report.Find("g0", m);
+      const AuditEntry* g1 = report.Find("g1", m);
+      ASSERT_NE(g0, nullptr);
+      ASSERT_NE(g1, nullptr);
+      if (!g0->defined || !g1->defined) continue;
+      // Value equality: equal rates give +0 on both sides.
+      EXPECT_EQ(g0->signed_disparity, -g1->signed_disparity)
+          << Describe(seed, v) << " " << FairnessMeasureName(m);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+TEST(AuditMetamorphicTest, DivisionAndSubtractionAgreeOnDirection) {
+  int compared = 0;
+  for (uint64_t seed = 1; seed <= kScenarios; ++seed) {
+    const Scenario scenario(seed, kGroups);
+    const FairnessAuditor auditor = scenario.Auditor();
+    for (const Variant& sub : AllVariants()) {
+      if (sub.mode != DisparityMode::kSubtraction) continue;
+      const Variant div{sub.pairwise, sub.reference, DisparityMode::kDivision};
+      const AuditReport by_sub = Audit(auditor, scenario.outcomes, sub, 10);
+      const AuditReport by_div = Audit(auditor, scenario.outcomes, div, 10);
+      ASSERT_EQ(by_sub.entries.size(), by_div.entries.size());
+      for (size_t i = 0; i < by_sub.entries.size(); ++i) {
+        const AuditEntry& s = by_sub.entries[i];
+        const AuditEntry& d = by_div.entries[i];
+        ASSERT_EQ(s.group_label, d.group_label);
+        ASSERT_EQ(s.measure, d.measure);
+        if (s.measure == FairnessMeasure::kEqualizedOdds) continue;
+        if (!s.defined || !d.defined) continue;
+        EXPECT_EQ(Sign(s.signed_disparity), Sign(d.signed_disparity))
+            << Describe(seed, div) << " " << s.group_label << " "
+            << FairnessMeasureName(s.measure);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+TEST(AuditMetamorphicTest, ZeroDenominatorsFollowTheApplicabilityRules) {
+  Counter* undefined =
+      MetricsRegistry::Global().GetCounter("fairem.audit.cells_undefined");
+  for (DisparityMode mode :
+       {DisparityMode::kSubtraction, DisparityMode::kDivision}) {
+    // g1 has no true matches, so its true positive rate has no
+    // denominator; g0's and the overall rate have one.
+    Scenario no_matches;
+    for (const char* g : {"g0", "g0", "g1", "g1"}) no_matches.AddRecord(g);
+    no_matches.outcomes = {{0, 1, true, true},
+                           {1, 0, false, true},
+                           {0, 0, true, false},
+                           {2, 3, true, false},
+                           {3, 2, false, false}};
+    AuditOptions options;
+    options.measures = {FairnessMeasure::kTruePositiveRateParity};
+    options.mode = mode;
+    options.min_group_pairs = 1;
+    const uint64_t before = undefined->value();
+    const AuditReport report =
+        std::move(no_matches.Auditor().AuditSingle(no_matches.outcomes,
+                                                   options))
+            .value();
+    EXPECT_EQ(undefined->value() - before, 1u) << DisparityModeName(mode);
+    const AuditEntry* g1 =
+        report.Find("g1", FairnessMeasure::kTruePositiveRateParity);
+    ASSERT_NE(g1, nullptr);
+    EXPECT_FALSE(g1->defined) << DisparityModeName(mode);
+    EXPECT_FALSE(g1->unfair) << DisparityModeName(mode);
+    const AuditEntry* g0 =
+        report.Find("g0", FairnessMeasure::kTruePositiveRateParity);
+    ASSERT_NE(g0, nullptr);
+    EXPECT_TRUE(g0->defined) << DisparityModeName(mode);
+  }
+
+  // Nothing predicted a match: every true positive rate and every false
+  // positive rate is 0, so each division cell is 0/0.
+  Scenario all_missed;
+  for (const char* g : {"g0", "g0", "g1", "g1"}) all_missed.AddRecord(g);
+  all_missed.outcomes = {{0, 1, false, true},
+                         {1, 1, false, false},
+                         {2, 3, false, true},
+                         {3, 3, false, false}};
+  AuditOptions options;
+  options.measures = {FairnessMeasure::kTruePositiveRateParity,
+                      FairnessMeasure::kFalsePositiveRateParity};
+  options.mode = DisparityMode::kDivision;
+  options.min_group_pairs = 1;
+  const AuditReport report =
+      std::move(all_missed.Auditor().AuditSingle(all_missed.outcomes, options))
+          .value();
+  ASSERT_EQ(report.entries.size(), 4u);
+  for (const AuditEntry& e : report.entries) {
+    const std::string at =
+        e.group_label + " " + FairnessMeasureName(e.measure);
+    EXPECT_EQ(e.overall_value, 0.0) << at;
+    EXPECT_EQ(e.group_value, 0.0) << at;
+    EXPECT_TRUE(e.defined) << at;
+    EXPECT_EQ(e.disparity, 0.0) << at;
+    EXPECT_FALSE(e.unfair) << at;
   }
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+
 #include "src/embed/sentence_encoder.h"
 #include "src/embed/subword_embedding.h"
+#include "src/obs/metrics.h"
 
 namespace fairem {
 namespace {
@@ -117,6 +122,85 @@ TEST(SentenceEncoderTest, AlignmentEdgeCases) {
   EXPECT_DOUBLE_EQ(enc.AlignmentSimilarity({}, {}), 1.0);
   EXPECT_DOUBLE_EQ(enc.AlignmentSimilarity({"a"}, {}), 0.0);
   EXPECT_NEAR(enc.AlignmentSimilarity({"same"}, {"same"}), 1.0, 1e-5);
+}
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+void ExpectSameBits(const std::vector<float>& want,
+                    const std::vector<float>& got, const std::string& token) {
+  ASSERT_EQ(want.size(), got.size()) << token;
+  for (size_t d = 0; d < want.size(); ++d) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(want[d]), std::bit_cast<uint32_t>(got[d]))
+        << token << " dim " << d;
+  }
+}
+
+const std::vector<std::vector<std::string>> kCorpus = {
+    {"[col]", "title", "[val]", "Lineage", "tracing", "in", "the", "cloud"},
+    {"[col]", "title", "[val]", "the", "warehouse", "the", ""},
+    {"[col]", "venue", "[val]", "vldb", "2023"}};
+
+/// How often each token occurs in kCorpus.
+std::map<std::string, double> CorpusCounts() {
+  std::map<std::string, double> counts;
+  for (const auto& doc : kCorpus) {
+    for (const auto& tok : doc) counts[tok] += 1.0;
+  }
+  return counts;
+}
+
+TEST(SentenceEncoderTableTest, CorpusTokensReadEmbedBitsFromTheTable) {
+  SubwordEmbedding e;
+  SentenceEncoder enc(&e);
+  const std::map<std::string, double> distinct = CorpusCounts();
+  const uint64_t built = CounterValue("fairem.embed.table_tokens");
+  enc.FitFrequencies(kCorpus);
+  EXPECT_EQ(CounterValue("fairem.embed.table_tokens") - built,
+            distinct.size());
+  const uint64_t hits = CounterValue("fairem.embed.table_hits");
+  const uint64_t misses = CounterValue("fairem.embed.table_misses");
+  for (const auto& [tok, unused_count] : distinct) {
+    std::vector<std::vector<float>> vecs = enc.TokenVectors({tok});
+    ASSERT_EQ(vecs.size(), 1u);
+    ExpectSameBits(e.Embed(tok), vecs[0], tok);
+  }
+  EXPECT_EQ(CounterValue("fairem.embed.table_hits") - hits, distinct.size());
+  EXPECT_EQ(CounterValue("fairem.embed.table_misses"), misses);
+}
+
+TEST(SentenceEncoderTableTest, TokenOutsideCorpusEmbedsAndCountsOneMiss) {
+  SubwordEmbedding e;
+  SentenceEncoder enc(&e);
+  enc.FitFrequencies(kCorpus);
+  const uint64_t hits = CounterValue("fairem.embed.table_hits");
+  const uint64_t misses = CounterValue("fairem.embed.table_misses");
+  std::vector<std::vector<float>> vecs = enc.TokenVectors({"sigmod"});
+  ASSERT_EQ(vecs.size(), 1u);
+  ExpectSameBits(e.Embed("sigmod"), vecs[0], "sigmod");
+  EXPECT_EQ(CounterValue("fairem.embed.table_misses") - misses, 1u);
+  EXPECT_EQ(CounterValue("fairem.embed.table_hits"), hits);
+}
+
+TEST(SentenceEncoderTableTest, TokenWeightKeepsTheSifFormula) {
+  SubwordEmbedding e;
+  SentenceEncoder enc(&e);
+  const double a = 1e-3;
+  // Before any fit every token weighs 1.
+  EXPECT_EQ(std::bit_cast<uint64_t>(enc.TokenWeight("the")),
+            std::bit_cast<uint64_t>(1.0));
+  enc.FitFrequencies(kCorpus);
+  const std::map<std::string, double> counts = CorpusCounts();
+  double total = 0.0;
+  for (const auto& [tok, count] : counts) total += count;
+  for (const auto& [tok, count] : counts) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(enc.TokenWeight(tok)),
+              std::bit_cast<uint64_t>(a / (a + count / total)))
+        << tok;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(enc.TokenWeight("sigmod")),
+            std::bit_cast<uint64_t>(a / (a + 0.0)));
 }
 
 }  // namespace

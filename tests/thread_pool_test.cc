@@ -9,6 +9,7 @@
 
 #include "src/datagen/benchmark_suite.h"
 #include "src/feature/feature_gen.h"
+#include "src/matcher/matcher.h"
 #include "src/ml/random_forest.h"
 #include "src/util/rng.h"
 
@@ -193,6 +194,32 @@ TEST(ParallelDeterminismTest, RandomForestIdenticalAcrossIntraJobs) {
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(seq[i], par[i]) << "pair " << i;
+  }
+}
+
+/// Neural predict reads each matcher's embedding table from every pool
+/// thread, without a lock: the table must be read-only after Fit, and the
+/// scores the same bits at any --intra_jobs.
+TEST(ParallelDeterminismTest, NeuralPredictIdenticalAcrossIntraJobs) {
+  IntraJobsGuard guard;
+  EMDataset ds =
+      std::move(GenerateDataset(DatasetKind::kDblpAcm, 0.25)).value();
+  for (MatcherKind kind : NeuralMatcherKinds()) {
+    SCOPED_TRACE(MatcherKindName(kind));
+    SetIntraJobs(1);
+    std::unique_ptr<Matcher> matcher = CreateMatcher(kind);
+    Rng rng(1234);
+    ASSERT_TRUE(matcher->Fit(ds, &rng).ok());
+    std::vector<double> seq =
+        std::move(matcher->PredictScores(ds, ds.test)).value();
+    SetIntraJobs(4);
+    std::vector<double> par =
+        std::move(matcher->PredictScores(ds, ds.test)).value();
+    ASSERT_EQ(seq.size(), ds.test.size());
+    ASSERT_EQ(seq.size(), par.size());
+    for (size_t i = 0; i < seq.size(); ++i) {
+      EXPECT_EQ(seq[i], par[i]) << "pair " << i;
+    }
   }
 }
 
