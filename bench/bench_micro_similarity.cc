@@ -1,11 +1,14 @@
 // Bulk-throughput micro-bench of the pairwise similarity substrate: the
 // per-pair kernel costs that dominate feature generation and rule
 // evaluation, measured over deterministic synthetic pairs at feature-build
-// scale rather than single-pair google-benchmark loops. The scalar-vs-SIMD
-// smoke drill runs this binary twice (FAIREM_SIMD=off, then on) and gates
-// the kernel speedups with `fairem benchdiff` (DESIGN.md §17); the
-// BENCHVAL lines printed per drill are dispatch-invariant checksums the
-// drill compares byte for byte.
+// scale rather than single-pair google-benchmark loops. Every drill times
+// kernels of the 21-measure registry: the character kernels (lev_short,
+// lev_long, damerau), the token-set kernels over the prepared cache
+// (token_word, token_qgram) and the full sweep (all_measures). The
+// scalar-vs-SIMD smoke drill runs this binary twice (FAIREM_SIMD=off, then
+// on) and gates the kernel speedups with `fairem benchdiff` (DESIGN.md
+// §17); the BENCHVAL lines printed per drill are dispatch-invariant
+// checksums the drill compares byte for byte.
 //
 // Flags: the shared bench flags plus --pairs and --reps.
 
@@ -26,8 +29,6 @@
 #include "src/text/prepared.h"
 #include "src/text/simd.h"
 #include "src/text/similarity.h"
-#include "src/text/tfidf.h"
-#include "src/text/tokenize.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -243,26 +244,6 @@ int Run(int argc, char** argv) {
       total += ComputeSimilarity(m, name_a.Get(i), name_b.Get(i));
     }
     return total;
-  });
-
-  // TF-IDF cosine via the sorted sparse layout (same path in both dispatch
-  // modes; reported for trend, not gated).
-  TfIdfVectorizer vectorizer;
-  {
-    std::vector<std::vector<std::string>> corpus;
-    corpus.reserve(pairs);
-    for (size_t i = 0; i < pairs; ++i) {
-      corpus.push_back(AlnumTokenize(w.long_a[i]));
-    }
-    vectorizer.Fit(corpus);
-  }
-  std::vector<std::vector<std::string>> tokens_a(pairs), tokens_b(pairs);
-  for (size_t i = 0; i < pairs; ++i) {
-    tokens_a[i] = AlnumTokenize(w.long_a[i]);
-    tokens_b[i] = AlnumTokenize(w.long_b[i]);
-  }
-  RunDrill("tfidf", pairs, reps, [&](size_t i) {
-    return vectorizer.Similarity(tokens_a[i], tokens_b[i]);
   });
 
   // The full measure sweep on short raw strings: the per-pair cost profile

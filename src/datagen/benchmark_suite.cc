@@ -116,6 +116,13 @@ std::vector<DatasetKind> AllDatasetKinds() {
           DatasetKind::kShoes,        DatasetKind::kCameras};
 }
 
+Result<DatasetKind> ParseDatasetKind(const std::string& name) {
+  for (DatasetKind kind : AllDatasetKinds()) {
+    if (name == DatasetKindName(kind)) return kind;
+  }
+  return Status::NotFound("unknown dataset '" + name + "'");
+}
+
 Result<EMDataset> GenerateDataset(DatasetKind kind, double scale,
                                   uint64_t seed_offset) {
   Span span("fairem.datagen.generate");

@@ -30,6 +30,9 @@ const char* DatasetKindName(DatasetKind kind);
 /// All eight kinds in Table 4 order.
 std::vector<DatasetKind> AllDatasetKinds();
 
+/// The kind whose DatasetKindName is `name`; NotFound naming `name` if none.
+Result<DatasetKind> ParseDatasetKind(const std::string& name);
+
 /// Generates one benchmark dataset with its default (paper-shaped)
 /// configuration. `scale` multiplies the entity counts (1.0 = the library's
 /// laptop-scale defaults); `seed` shifts every generator seed for

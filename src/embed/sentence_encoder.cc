@@ -97,11 +97,6 @@ std::vector<float> SentenceEncoder::Encode(
   return acc;
 }
 
-double SentenceEncoder::Similarity(const std::vector<std::string>& a,
-                                   const std::vector<std::string>& b) const {
-  return SubwordEmbedding::Cosine(Encode(a), Encode(b));
-}
-
 std::vector<std::vector<float>> SentenceEncoder::TokenVectors(
     const std::vector<std::string>& tokens) const {
   std::forward_list<Entry> misses;

@@ -36,10 +36,6 @@ class SentenceEncoder {
   /// empty token list.
   std::vector<float> Encode(const std::vector<std::string>& tokens) const;
 
-  /// Cosine of the encodings of two token lists.
-  double Similarity(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) const;
-
   /// The embedding of each token, in order: a copy of its table vector, or
   /// `Embed(token)` for a token outside the fitted corpus.
   std::vector<std::vector<float>> TokenVectors(

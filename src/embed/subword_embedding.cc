@@ -86,9 +86,4 @@ double SubwordEmbedding::Cosine(const std::vector<float>& a, double a_norm_sq,
   return dot / std::sqrt(a_norm_sq * b_norm_sq);
 }
 
-double SubwordEmbedding::TokenSimilarity(std::string_view a,
-                                         std::string_view b) const {
-  return Cosine(Embed(a), Embed(b));
-}
-
 }  // namespace fairem

@@ -48,9 +48,6 @@ class SubwordEmbedding {
   /// Sum of squares in double precision, in index order.
   static double SquaredNorm(const std::vector<float>& v);
 
-  /// Convenience: cosine of the embeddings of two tokens.
-  double TokenSimilarity(std::string_view a, std::string_view b) const;
-
  private:
   /// Adds the pseudo-random direction of `hash` into `acc`.
   void AddHashedDirection(uint64_t hash, std::vector<float>* acc) const;

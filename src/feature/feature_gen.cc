@@ -92,18 +92,6 @@ class PreparedPair {
 
 }  // namespace
 
-const char* AttrTypeName(AttrType type) {
-  switch (type) {
-    case AttrType::kNumeric:
-      return "numeric";
-    case AttrType::kShortString:
-      return "short_string";
-    case AttrType::kLongString:
-      return "long_string";
-  }
-  return "unknown";
-}
-
 Result<AttrType> InferAttrType(const Table& a, const Table& b,
                                const std::string& attr) {
   FAIREM_ASSIGN_OR_RETURN(size_t col_a, a.schema().Index(attr));

@@ -21,8 +21,6 @@ enum class AttrType {
   kLongString,   // multi-token textual values (titles, descriptions)
 };
 
-const char* AttrTypeName(AttrType type);
-
 /// Infers the type of `attr` from the non-null values of both tables.
 Result<AttrType> InferAttrType(const Table& a, const Table& b,
                                const std::string& attr);

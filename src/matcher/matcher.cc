@@ -133,15 +133,16 @@ std::vector<MatcherKind> AllMatcherKinds() {
           MatcherKind::kHierMatcher, MatcherKind::kMcan};
 }
 
+Result<MatcherKind> ParseMatcherKind(const std::string& name) {
+  for (MatcherKind kind : AllMatcherKinds()) {
+    if (name == MatcherKindName(kind)) return kind;
+  }
+  return Status::NotFound("unknown matcher '" + name + "'");
+}
+
 std::vector<MatcherKind> NeuralMatcherKinds() {
   return {MatcherKind::kDeepMatcher, MatcherKind::kDitto, MatcherKind::kGnem,
           MatcherKind::kHierMatcher, MatcherKind::kMcan};
-}
-
-std::vector<MatcherKind> NonNeuralMatcherKinds() {
-  return {MatcherKind::kDedupe, MatcherKind::kDT,     MatcherKind::kSvm,
-          MatcherKind::kRF,     MatcherKind::kLogReg, MatcherKind::kLinReg,
-          MatcherKind::kNB};
 }
 
 }  // namespace fairem

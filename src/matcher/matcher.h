@@ -66,6 +66,9 @@ enum class MatcherKind {
 /// Table 3 display name ("BooleanRuleMatcher", "Ditto", ...).
 const char* MatcherKindName(MatcherKind kind);
 
+/// The kind whose MatcherKindName is `name`; NotFound naming `name` if none.
+Result<MatcherKind> ParseMatcherKind(const std::string& name);
+
 MatcherFamily FamilyOf(MatcherKind kind);
 
 /// Instantiates a matcher with its paper-default configuration.
@@ -76,9 +79,6 @@ std::vector<MatcherKind> AllMatcherKinds();
 
 /// The neural subset (Table 5 order).
 std::vector<MatcherKind> NeuralMatcherKinds();
-
-/// The non-neural ML subset.
-std::vector<MatcherKind> NonNeuralMatcherKinds();
 
 }  // namespace fairem
 

@@ -128,20 +128,4 @@ double DecisionTree::PredictScore(const std::vector<double>& x) const {
   return nodes_[static_cast<size_t>(node)].score;
 }
 
-std::vector<double> DecisionTree::FeatureImportances(
-    size_t num_features) const {
-  std::vector<double> importances(num_features, 0.0);
-  double total = 0.0;
-  for (const Node& n : nodes_) {
-    if (n.feature >= 0 && static_cast<size_t>(n.feature) < num_features) {
-      importances[static_cast<size_t>(n.feature)] += 1.0;
-      total += 1.0;
-    }
-  }
-  if (total > 0.0) {
-    for (double& v : importances) v /= total;
-  }
-  return importances;
-}
-
 }  // namespace fairem

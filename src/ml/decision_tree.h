@@ -36,10 +36,6 @@ class DecisionTree : public Classifier {
   /// Number of nodes in the fitted tree (0 before Fit). Exposed for tests.
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// How often each feature was chosen for a split, normalized to sum 1.
-  /// Used by the audit narratives ("the model put high weight on title").
-  std::vector<double> FeatureImportances(size_t num_features) const;
-
  private:
   struct Node {
     int feature = -1;       // -1 for leaf

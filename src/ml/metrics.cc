@@ -17,14 +17,6 @@ Result<double> Accuracy(const ConfusionCounts& c) {
   return Ratio(c.tp + c.tn, c.total(), "accuracy");
 }
 
-Result<double> Precision(const ConfusionCounts& c) {
-  return Ratio(c.tp, c.tp + c.fp, "precision");
-}
-
-Result<double> Recall(const ConfusionCounts& c) {
-  return Ratio(c.tp, c.tp + c.fn, "recall");
-}
-
 Result<double> F1Score(const ConfusionCounts& c) {
   // F1 = 2TP / (2TP + FP + FN); defined whenever any of TP/FP/FN exists.
   return Ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn, "f1");
@@ -64,19 +56,6 @@ Result<double> FalseOmissionRate(const ConfusionCounts& c) {
 
 Result<double> PositivePredictionRate(const ConfusionCounts& c) {
   return Ratio(c.tp + c.fp, c.total(), "positive_prediction_rate");
-}
-
-Result<ConfusionCounts> CountsFromScores(const std::vector<double>& scores,
-                                         const std::vector<int>& labels,
-                                         double threshold) {
-  if (scores.size() != labels.size()) {
-    return Status::InvalidArgument("scores/labels size mismatch");
-  }
-  ConfusionCounts c;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    c.Add(scores[i] >= threshold, labels[i] == 1);
-  }
-  return c;
 }
 
 }  // namespace fairem

@@ -2,7 +2,6 @@
 #define FAIREM_ML_METRICS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/util/result.h"
 
@@ -36,8 +35,6 @@ struct ConfusionCounts {
 /// audit layer skips groups where a measure is undefined (§3.5's
 /// inapplicable-measure cases) instead of producing NaNs.
 Result<double> Accuracy(const ConfusionCounts& c);
-Result<double> Precision(const ConfusionCounts& c);  // == PPV
-Result<double> Recall(const ConfusionCounts& c);     // == TPR
 Result<double> F1Score(const ConfusionCounts& c);
 Result<double> TruePositiveRate(const ConfusionCounts& c);
 Result<double> FalsePositiveRate(const ConfusionCounts& c);
@@ -49,12 +46,6 @@ Result<double> FalseDiscoveryRate(const ConfusionCounts& c);
 Result<double> FalseOmissionRate(const ConfusionCounts& c);
 /// Pr(h = 'M'): the positive-prediction rate used by statistical parity.
 Result<double> PositivePredictionRate(const ConfusionCounts& c);
-
-/// Confusion counts of thresholded scores vs labels. Scores >= `threshold`
-/// are predicted matches. Sizes must agree.
-Result<ConfusionCounts> CountsFromScores(const std::vector<double>& scores,
-                                         const std::vector<int>& labels,
-                                         double threshold);
 
 }  // namespace fairem
 

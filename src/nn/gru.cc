@@ -57,12 +57,6 @@ Vec GruCell::Step(const Vec& x, const Vec& h) const {
   return out;
 }
 
-Vec GruCell::RunFinal(const std::vector<Vec>& sequence) const {
-  Vec h(static_cast<size_t>(hidden_dim_), 0.0f);
-  for (const Vec& x : sequence) h = Step(x, h);
-  return h;
-}
-
 Vec GruCell::RunMean(const std::vector<Vec>& sequence) const {
   Vec h(static_cast<size_t>(hidden_dim_), 0.0f);
   Vec acc(static_cast<size_t>(hidden_dim_), 0.0f);

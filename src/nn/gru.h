@@ -27,12 +27,8 @@ class GruCell {
   /// hidden_dim entries.
   Vec Step(const Vec& x, const Vec& h) const;
 
-  /// Runs the cell over a sequence from a zero state and returns the final
-  /// hidden state; a zero vector for an empty sequence.
-  Vec RunFinal(const std::vector<Vec>& sequence) const;
-
-  /// Runs the cell and returns the mean of all hidden states (a smoother
-  /// sequence summary); a zero vector for an empty sequence.
+  /// Runs the cell over a sequence from a zero state and returns the mean
+  /// of all hidden states; a zero vector for an empty sequence.
   Vec RunMean(const std::vector<Vec>& sequence) const;
 
  private:

@@ -29,13 +29,6 @@ void Axpy(float scale, const Vec& b, Vec* a) {
   for (size_t i = 0; i < b.size(); ++i) (*a)[i] += scale * b[i];
 }
 
-Vec Sub(const Vec& a, const Vec& b) {
-  FAIREM_CHECK(a.size() == b.size(), "Sub size mismatch");
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
 float MeanAbsDiff(const Vec& a, const Vec& b) {
   FAIREM_CHECK(a.size() == b.size(), "MeanAbsDiff size mismatch");
   if (a.empty()) return 0.0f;
@@ -53,12 +46,6 @@ void SoftmaxInPlace(std::vector<float>* logits) {
     sum += v;
   }
   for (float& v : *logits) v /= sum;
-}
-
-void NormalizeInPlace(Vec* v) {
-  float n = Norm(*v);
-  if (n == 0.0f) return;
-  for (float& x : *v) x /= n;
 }
 
 Vec Mean(const std::vector<Vec>& vectors, size_t dim) {

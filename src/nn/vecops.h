@@ -21,17 +21,11 @@ float Cosine(const Vec& a, const Vec& b);
 /// a += scale * b (sizes must match).
 void Axpy(float scale, const Vec& b, Vec* a);
 
-/// Elementwise a - b.
-Vec Sub(const Vec& a, const Vec& b);
-
 /// Elementwise |a - b| averaged (normalized L1 distance).
 float MeanAbsDiff(const Vec& a, const Vec& b);
 
 /// In-place softmax; empty input is a no-op.
 void SoftmaxInPlace(std::vector<float>* logits);
-
-/// Scales `v` to unit L2 norm (no-op for the zero vector).
-void NormalizeInPlace(Vec* v);
 
 /// Mean of a list of equally sized vectors; empty list yields a zero vector
 /// of the given dim.

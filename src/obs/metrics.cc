@@ -392,10 +392,6 @@ std::string MetricsSnapshotToPrometheus(const MetricsSnapshot& snap) {
   return os.str();
 }
 
-std::string MetricsRegistry::ToJson() const {
-  return MetricsSnapshotToJson(Snapshot());
-}
-
 Status MetricsRegistry::WriteJsonFile(const std::string& path) const {
   return WriteFile(path, MetricsFormat::kJson);
 }

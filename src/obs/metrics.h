@@ -130,7 +130,7 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramData> histograms;
 };
 
-/// Snapshot serialization, shared by MetricsRegistry::ToJson and the
+/// Snapshot serialization, shared by MetricsRegistry::WriteJsonFile and the
 /// cross-process telemetry wire format. Histograms carry derived "mean",
 /// "p50", "p95", "p99" keys alongside the raw buckets so humans and
 /// `fairem benchdiff` get latency quantiles without recomputing.
@@ -181,13 +181,10 @@ class MetricsRegistry {
   /// on the global registry) rather than crashing the merge.
   void Merge(const MetricsSnapshot& delta);
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} — stable key
-  /// order (std::map), so diffs of successive BENCH_*.json files are clean.
-  std::string ToJson() const;
-
-  /// Writes ToJson() to `path` atomically and durably (temp + fsync +
-  /// rename, like checkpoint Save): a SIGKILLed run never leaves a
-  /// truncated BENCH_*.json behind.
+  /// Writes MetricsSnapshotToJson(Snapshot()) to `path` atomically and
+  /// durably (temp + fsync + rename, like checkpoint Save): a SIGKILLed run
+  /// never leaves a truncated BENCH_*.json behind. Keys are in stable order
+  /// (std::map), so diffs of successive BENCH_*.json files are clean.
   Status WriteJsonFile(const std::string& path) const;
 
   /// WriteJsonFile generalized over --metrics_format.

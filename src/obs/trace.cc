@@ -46,28 +46,6 @@ std::vector<uint64_t>& ThreadSpanStack() {
   return stack;
 }
 
-void AppendJsonEscaped(std::ostringstream* os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *os << "\\\"";
-        break;
-      case '\\':
-        *os << "\\\\";
-        break;
-      case '\n':
-        *os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *os << ' ';
-        } else {
-          *os << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::string TraceContext::TraceIdHex() const {
@@ -238,12 +216,6 @@ std::vector<WireSpan> ParseWireSpans(const JsonValue& array) {
   return out;
 }
 
-std::vector<WireSpan> ParseWireSpansJson(const std::string& json) {
-  Result<JsonValue> root = JsonParse(json);
-  if (!root.ok()) return {};
-  return ParseWireSpans(*root);
-}
-
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer;
   return *tracer;
@@ -252,13 +224,6 @@ Tracer& Tracer::Global() {
 Tracer::Tracer()
     : epoch_(std::chrono::steady_clock::now()),
       epoch_unix_us_(UnixMicrosNow()) {}
-
-uint64_t Tracer::NowNs() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
 
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -346,24 +311,23 @@ std::string Tracer::ChromeTraceJson() const {
     first = false;
     auto label = labels.find(track);
     os << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << track
-       << ", \"args\": {\"name\": \"";
-    AppendJsonEscaped(&os,
-                      label != labels.end()
-                          ? label->second
-                          : (track == 1 ? std::string("fairem")
-                                        : "fairem worker " +
-                                              std::to_string(track)));
-    os << "\"}}";
+       << ", \"args\": {\"name\": ";
+    AppendJsonString(&os, label != labels.end()
+                              ? label->second
+                              : (track == 1 ? std::string("fairem")
+                                            : "fairem worker " +
+                                                  std::to_string(track)));
+    os << "}}";
   }
   for (const TraceEvent& e : events) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "  {\"name\": \"";
-    AppendJsonEscaped(&os, e.name);
+    os << "  {\"name\": ";
+    AppendJsonString(&os, e.name);
     // Complete ("X") events; timestamps/durations are microseconds. The
     // Chrome "pid" field is our track id: 1 for this process, a worker's
     // real pid for imported spans.
-    os << "\", \"cat\": \"fairem\", \"ph\": \"X\", \"ts\": "
+    os << ", \"cat\": \"fairem\", \"ph\": \"X\", \"ts\": "
        << static_cast<double>(e.start_ns) / 1000.0
        << ", \"dur\": " << static_cast<double>(e.duration_ns) / 1000.0
        << ", \"pid\": " << (e.track_id == 0 ? 1 : e.track_id)
@@ -371,11 +335,10 @@ std::string Tracer::ChromeTraceJson() const {
     os << "\"span_id\": " << e.id << ", \"parent_id\": " << e.parent_id
        << ", \"depth\": " << e.depth;
     for (const auto& [key, value] : e.args) {
-      os << ", \"";
-      AppendJsonEscaped(&os, key);
-      os << "\": \"";
-      AppendJsonEscaped(&os, value);
-      os << "\"";
+      os << ", ";
+      AppendJsonString(&os, key);
+      os << ": ";
+      AppendJsonString(&os, value);
     }
     os << "}}";
   }

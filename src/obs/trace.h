@@ -84,10 +84,6 @@ std::string SerializeWireSpans(const std::vector<WireSpan>& spans);
 /// that carried it.
 std::vector<WireSpan> ParseWireSpans(const JsonValue& array);
 
-/// ParseWireSpans over raw JSON text; a document that fails to parse at
-/// all yields the empty vector.
-std::vector<WireSpan> ParseWireSpansJson(const std::string& json);
-
 /// One completed span. Ids are unique per process; parent_id is 0 for root
 /// spans. Times are nanoseconds on the monotonic clock, relative to the
 /// tracer's epoch (its construction).
@@ -170,9 +166,6 @@ class Tracer {
   /// Per-span-name aggregate — name, call count, total/mean wall seconds —
   /// as an aligned text table, for end-of-run stderr summaries.
   std::string FlatSummary() const;
-
-  /// Nanoseconds since the tracer's epoch on the monotonic clock.
-  uint64_t NowNs() const;
 
  private:
   friend class Span;

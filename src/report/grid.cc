@@ -6,13 +6,6 @@
 
 namespace fairem {
 
-void UnfairnessGrid::Mark(const std::string& marker,
-                          const AuditReport& report) {
-  for (const auto& entry : report.entries) {
-    MarkCell(marker, entry.group_label, entry.measure, entry.unfair);
-  }
-}
-
 void UnfairnessGrid::MarkCell(const std::string& marker,
                               const std::string& group,
                               FairnessMeasure measure, bool unfair) {

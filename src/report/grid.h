@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/audit.h"
 #include "src/core/measures.h"
 
 namespace fairem {
@@ -17,18 +16,14 @@ namespace fairem {
 /// unfair for that (group, measure).
 class UnfairnessGrid {
  public:
-  /// Columns are taken from the union of group labels seen in marked
-  /// reports, in first-seen order.
+  /// Columns are the group labels passed to MarkCell, in first-seen order.
   UnfairnessGrid() = default;
 
-  /// Adds every unfair cell of `report` under the matcher's marker (use
-  /// MatcherMarker for the paper's Figure 5 codes).
-  void Mark(const std::string& marker, const AuditReport& report);
-
-  /// One audit entry's worth of Mark: registers `group` in column order and,
-  /// when `unfair`, marks the (group, measure) cell. Mark() is a loop over
-  /// this, and checkpoint replay (src/robust) reuses it to reproduce a
-  /// marked grid byte-identically without re-auditing.
+  /// One audit entry: registers `group` in column order and, when
+  /// `unfair`, marks the (group, measure) cell under the matcher's marker
+  /// (MatcherMarker gives the paper's Figure 5 codes). The grid sweep
+  /// (src/harness) replays every cell through this, fresh or checkpointed,
+  /// so a resumed grid renders byte-identically without re-auditing.
   void MarkCell(const std::string& marker, const std::string& group,
                 FairnessMeasure measure, bool unfair);
 

@@ -45,20 +45,4 @@ std::string TablePrinter::ToString() const {
   return out;
 }
 
-std::string TablePrinter::ToMarkdown() const {
-  std::string out = "|";
-  for (const auto& h : headers_) out += " " + h + " |";
-  out += "\n|";
-  for (size_t c = 0; c < headers_.size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& row : rows_) {
-    out += "|";
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      out += " " + (c < row.size() ? row[c] : std::string()) + " |";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace fairem

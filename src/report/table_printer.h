@@ -6,8 +6,8 @@
 
 namespace fairem {
 
-/// Column-aligned ASCII (and markdown) tables for the bench harnesses that
-/// regenerate the paper's tables.
+/// Column-aligned ASCII tables for the bench harnesses that regenerate the
+/// paper's tables.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers)
@@ -18,9 +18,6 @@ class TablePrinter {
 
   /// Aligned plain-text rendering with a header separator.
   std::string ToString() const;
-
-  /// GitHub-flavoured markdown rendering.
-  std::string ToMarkdown() const;
 
   size_t num_rows() const { return rows_.size(); }
 

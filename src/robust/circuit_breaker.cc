@@ -65,16 +65,4 @@ void CircuitBreaker::Open(double now_s) {
   ++times_opened_;
 }
 
-const char* CircuitBreaker::StateName(State state) {
-  switch (state) {
-    case State::kClosed:
-      return "closed";
-    case State::kHalfOpen:
-      return "half-open";
-    case State::kOpen:
-      return "open";
-  }
-  return "unknown";
-}
-
 }  // namespace fairem

@@ -59,8 +59,6 @@ class CircuitBreaker {
   /// Lifetime count of kClosed/kHalfOpen -> kOpen transitions.
   uint64_t times_opened() const { return times_opened_; }
 
-  static const char* StateName(State state);
-
  private:
   void Open(double now_s);
 

@@ -17,13 +17,6 @@
 namespace fairem {
 namespace {
 
-Result<MatcherKind> MatcherForName(const std::string& name) {
-  for (MatcherKind kind : AllMatcherKinds()) {
-    if (name == MatcherKindName(kind)) return kind;
-  }
-  return Status::NotFound("unknown matcher '" + name + "'");
-}
-
 struct ServeMetrics {
   Counter* shed_queue_full;
   Counter* shed_draining;
@@ -189,7 +182,7 @@ class ServeDaemon : public DaemonFront {
       Respond(conn_id, response);
       return;
     }
-    Result<MatcherKind> matcher = MatcherForName(request.matcher);
+    Result<MatcherKind> matcher = ParseMatcherKind(request.matcher);
     if (!matcher.ok()) {
       response.status = matcher.status();
       Respond(conn_id, response);

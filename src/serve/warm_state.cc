@@ -7,16 +7,6 @@
 #include "src/obs/trace.h"
 
 namespace fairem {
-namespace {
-
-Result<DatasetKind> KindForName(const std::string& name) {
-  for (DatasetKind kind : AllDatasetKinds()) {
-    if (name == DatasetKindName(kind)) return kind;
-  }
-  return Status::NotFound("unknown dataset '" + name + "'");
-}
-
-}  // namespace
 
 Result<WarmState> WarmState::Warm(const WarmStateOptions& options) {
   static Counter* cells_preloaded = MetricsRegistry::Global().GetCounter(
@@ -32,7 +22,7 @@ Result<WarmState> WarmState::Warm(const WarmStateOptions& options) {
     kinds = AllDatasetKinds();
   } else {
     for (const std::string& name : options.datasets) {
-      FAIREM_ASSIGN_OR_RETURN(DatasetKind kind, KindForName(name));
+      FAIREM_ASSIGN_OR_RETURN(DatasetKind kind, ParseDatasetKind(name));
       kinds.push_back(kind);
     }
   }

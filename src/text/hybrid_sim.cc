@@ -1,27 +1,10 @@
 #include "src/text/hybrid_sim.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/text/kernel_scratch.h"
 
 namespace fairem {
-
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b,
-                            CharSimilarityFn inner) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& ta : a) {
-    double best = 0.0;
-    for (const auto& tb : b) {
-      best = std::max(best, inner(ta, tb));
-    }
-    total += best;
-  }
-  return total / static_cast<double>(a.size());
-}
 
 double SymmetricMongeElkan(const std::vector<std::string>& a,
                            const std::vector<std::string>& b,
@@ -41,8 +24,7 @@ double SymmetricMongeElkan(const std::vector<std::string>& a,
       m[i * bn + j] = inner(a[i], b[j]);
     }
   }
-  // max in the same scan order as MongeElkanSimilarity's inner loops, so
-  // ties and NaN-free maxima resolve identically.
+  // Row maxima give ME(a, b), column maxima ME(b, a).
   double total_ab = 0.0;
   for (size_t i = 0; i < an; ++i) {
     double best = 0.0;
@@ -57,60 +39,6 @@ double SymmetricMongeElkan(const std::vector<std::string>& a,
   }
   return 0.5 * (total_ab / static_cast<double>(an) +
                 total_ba / static_cast<double>(bn));
-}
-
-double SoftTfIdfSimilarity(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b,
-                           const TfIdfVectorizer& vectorizer,
-                           CharSimilarityFn inner, double theta) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  // Per-token effective weight: corpus idf, or — for out-of-vocabulary
-  // tokens (typos are by definition unseen) — the idf of the closest
-  // in-vocabulary partner on the other side, so a misspelled rare token
-  // still carries its partner's rarity.
-  auto effective_weights = [&](const std::vector<std::string>& from,
-                               const std::vector<std::string>& to) {
-    std::vector<double> weights;
-    weights.reserve(from.size());
-    for (const auto& tf : from) {
-      double w = vectorizer.Idf(tf);
-      if (w == 0.0) {
-        for (const auto& tt : to) {
-          if (inner(tf, tt) >= theta) {
-            w = std::max(w, vectorizer.Idf(tt));
-          }
-        }
-      }
-      weights.push_back(w);
-    }
-    return weights;
-  };
-  std::vector<double> wa = effective_weights(a, b);
-  std::vector<double> wb = effective_weights(b, a);
-  double norm_a = 0.0;
-  double norm_b = 0.0;
-  for (double w : wa) norm_a += w * w;
-  for (double w : wb) norm_b += w * w;
-  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
-  // Accumulate soft matches: token of `a` close to some token of `b`.
-  double numerator = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double best_sim = 0.0;
-    double best_weight = 0.0;
-    for (size_t j = 0; j < b.size(); ++j) {
-      double s = inner(a[i], b[j]);
-      if (s >= theta && s > best_sim) {
-        best_sim = s;
-        best_weight = wb[j];
-      }
-    }
-    if (best_sim > 0.0) {
-      numerator += wa[i] * best_weight * best_sim;
-    }
-  }
-  double result = numerator / (std::sqrt(norm_a) * std::sqrt(norm_b));
-  return std::clamp(result, 0.0, 1.0);
 }
 
 }  // namespace fairem

@@ -5,34 +5,18 @@
 #include <string_view>
 #include <vector>
 
-#include "src/text/tfidf.h"
-
 namespace fairem {
 
 /// Signature of a secondary (character-level) similarity used inside hybrid
 /// token measures.
 using CharSimilarityFn = double (*)(std::string_view, std::string_view);
 
-/// Monge-Elkan similarity: for each token of `a`, the best `inner` match in
-/// `b`, averaged over `a`'s tokens. Asymmetric by definition; see
-/// SymmetricMongeElkan for the symmetrized variant. Returns 1 when both
-/// inputs are empty and 0 when exactly one is.
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b,
-                            CharSimilarityFn inner);
-
-/// mean(MongeElkan(a, b), MongeElkan(b, a)).
+/// Symmetric Monge-Elkan similarity: mean(ME(a, b), ME(b, a)), where
+/// ME(a, b) averages, over `a`'s tokens, the best `inner` match in `b`.
+/// Returns 1 when both inputs are empty and 0 when exactly one is.
 double SymmetricMongeElkan(const std::vector<std::string>& a,
                            const std::vector<std::string>& b,
                            CharSimilarityFn inner);
-
-/// Soft TF-IDF (Cohen et al.): TF-IDF cosine where tokens with secondary
-/// similarity >= `theta` count as partial matches weighted by that
-/// similarity. Requires a fitted vectorizer.
-double SoftTfIdfSimilarity(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b,
-                           const TfIdfVectorizer& vectorizer,
-                           CharSimilarityFn inner, double theta = 0.9);
 
 }  // namespace fairem
 

@@ -61,13 +61,6 @@ const char* SimilarityMeasureName(SimilarityMeasure m) {
   return "unknown";
 }
 
-Result<SimilarityMeasure> ParseSimilarityMeasure(std::string_view name) {
-  for (SimilarityMeasure m : kAllSimilarityMeasures) {
-    if (name == SimilarityMeasureName(m)) return m;
-  }
-  return Status::NotFound("unknown similarity measure: " + std::string(name));
-}
-
 double ComputeSimilarity(SimilarityMeasure m, std::string_view a,
                          std::string_view b) {
   switch (m) {

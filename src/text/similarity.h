@@ -4,8 +4,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/util/result.h"
-
 namespace fairem {
 
 /// The catalogue of similarity measures usable in rule predicates and
@@ -37,9 +35,6 @@ enum class SimilarityMeasure {
 
 /// Short stable name, e.g. "jaro_winkler".
 const char* SimilarityMeasureName(SimilarityMeasure m);
-
-/// Parses a name produced by SimilarityMeasureName.
-Result<SimilarityMeasure> ParseSimilarityMeasure(std::string_view name);
 
 /// Computes `m` between two attribute values; all results are in [0, 1].
 double ComputeSimilarity(SimilarityMeasure m, std::string_view a,

@@ -57,11 +57,6 @@ double CosineTokenSimilarity(const std::vector<std::string>& a,
   return CosineFromSetSizes(s.a, s.b, s.intersection);
 }
 
-int TokenOverlapCount(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b) {
-  return static_cast<int>(ComputeSizes(a, b).intersection);
-}
-
 double JaccardFromSetSizes(size_t a, size_t b, size_t intersection) {
   size_t uni = a + b - intersection;
   if (uni == 0) return 1.0;

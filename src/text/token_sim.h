@@ -27,10 +27,6 @@ double OverlapCoefficient(const std::vector<std::string>& a,
 double CosineTokenSimilarity(const std::vector<std::string>& a,
                              const std::vector<std::string>& b);
 
-/// Raw intersection size |A ∩ B| (set semantics).
-int TokenOverlapCount(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b);
-
 /// The exact similarity formulas above, over precomputed cardinalities.
 /// Every representation of a token set (string vectors, interned u32 ids,
 /// bitsets) funnels through these, which is why the interned fast paths

@@ -69,15 +69,4 @@ std::vector<std::string> QGrams(std::string_view s, int q, bool pad) {
   return grams;
 }
 
-std::vector<std::string> WordBigrams(std::string_view s) {
-  std::vector<std::string> tokens = AlnumTokenize(s);
-  std::vector<std::string> bigrams;
-  if (tokens.size() < 2) return bigrams;
-  bigrams.reserve(tokens.size() - 1);
-  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-    bigrams.push_back(tokens[i] + " " + tokens[i + 1]);
-  }
-  return bigrams;
-}
-
 }  // namespace fairem

@@ -24,10 +24,6 @@ std::vector<std::string> AlnumTokenize(std::string_view s);
 /// produce grams. q must be >= 1.
 std::vector<std::string> QGrams(std::string_view s, int q, bool pad = true);
 
-/// Word-level bigrams over alnum tokens ("new york city" ->
-/// {"new york", "york city"}). Useful for product-title matching.
-std::vector<std::string> WordBigrams(std::string_view s);
-
 }  // namespace fairem
 
 #endif  // FAIREM_TEXT_TOKENIZE_H_

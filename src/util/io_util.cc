@@ -28,26 +28,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-Status ReadFull(int fd, void* buf, size_t n) {
-  char* p = static_cast<char*>(buf);
-  size_t got = 0;
-  while (got < n) {
-    ssize_t r = ::read(fd, p + got, n - got);
-    if (r > 0) {
-      got += static_cast<size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      return Status(StatusCode::kUnavailable,
-                    "eof after " + std::to_string(got) + " of " +
-                        std::to_string(n) + " bytes");
-    }
-    if (errno == EINTR) continue;
-    return ErrnoStatus("read", errno);
-  }
-  return Status::OK();
-}
-
 Status WriteFull(int fd, const void* data, size_t n) {
   const char* p = static_cast<const char*>(data);
   size_t written = 0;

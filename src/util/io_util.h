@@ -26,10 +26,6 @@ namespace fairem {
 /// behind every deadline, timeout, and latency in the daemons and retries.
 double MonotonicSeconds();
 
-/// Reads exactly `n` bytes into `buf`, looping over EINTR and partial
-/// reads. Blocking fds only (an EAGAIN on a nonblocking fd is kIOError).
-Status ReadFull(int fd, void* buf, size_t n);
-
 /// Writes all of `data`, looping over EINTR and partial writes.
 Status WriteFull(int fd, const void* data, size_t n);
 Status WriteFull(int fd, const std::string& data);
@@ -51,7 +47,7 @@ Status WriteFullDeadline(int fd, const void* data, size_t n,
 /// with no readable data maps to kUnavailable.
 Status PollFd(int fd, short events, double timeout_s);
 
-/// Whole-file read through ReadFull (open + fstat-free loop to EOF), so
+/// Whole-file read (open + fstat-free loop to EOF, retrying EINTR), so
 /// sidecar and checkpoint loads share the signal-safe path. NotFound when
 /// the file does not exist.
 Result<std::string> ReadFileToString(const std::string& path);

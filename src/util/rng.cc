@@ -90,6 +90,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return indices;
 }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }
-
 }  // namespace fairem

@@ -57,10 +57,6 @@ class Rng {
   /// (k is clamped to n). Result order is random.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Forks a child generator whose stream is decorrelated from this one;
-  /// useful for giving sub-components independent deterministic streams.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool have_gaussian_ = false;

@@ -64,10 +64,6 @@ std::string SanitizeForFilename(std::string_view key) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool IsValidUtf8(std::string_view s) {
   size_t i = 0;
   while (i < s.size()) {

@@ -24,9 +24,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// inside a metric name.
 std::string SanitizeForFilename(std::string_view key);
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// True if `s` is well-formed UTF-8 (rejects overlong encodings, surrogate
 /// code points, and values beyond U+10FFFF). ASCII is always valid.
 bool IsValidUtf8(std::string_view s);

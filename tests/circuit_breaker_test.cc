@@ -112,14 +112,5 @@ TEST(CircuitBreakerTest, DegenerateOptionsAreClamped) {
   EXPECT_FALSE(breaker.AllowRequest(0.0));
 }
 
-TEST(CircuitBreakerTest, StateNames) {
-  EXPECT_STREQ(CircuitBreaker::StateName(CircuitBreaker::State::kClosed),
-               "closed");
-  EXPECT_STREQ(CircuitBreaker::StateName(CircuitBreaker::State::kHalfOpen),
-               "half-open");
-  EXPECT_STREQ(CircuitBreaker::StateName(CircuitBreaker::State::kOpen),
-               "open");
-}
-
 }  // namespace
 }  // namespace fairem

@@ -149,17 +149,6 @@ TEST(DecisionTreeTest, PureLeafScores) {
   EXPECT_GT(tree.num_nodes(), 1u);
 }
 
-TEST(DecisionTreeTest, FeatureImportancesSumToOne) {
-  DecisionTree tree;
-  std::vector<std::vector<double>> x;
-  std::vector<int> y;
-  MakeSeparable(&x, &y, 50, 9);
-  Rng rng(3);
-  ASSERT_TRUE(tree.Fit(x, y, &rng).ok());
-  std::vector<double> imp = tree.FeatureImportances(2);
-  EXPECT_NEAR(imp[0] + imp[1], 1.0, 1e-9);
-}
-
 TEST(DecisionTreeTest, ConstantLabelsYieldConstantScore) {
   DecisionTree tree;
   std::vector<std::vector<double>> x = {{0.1}, {0.5}, {0.9}};

@@ -141,6 +141,17 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+TEST(SuiteTest, ParseDatasetKindInvertsNames) {
+  for (DatasetKind kind : AllDatasetKinds()) {
+    Result<DatasetKind> parsed = ParseDatasetKind(DatasetKindName(kind));
+    ASSERT_TRUE(parsed.ok()) << DatasetKindName(kind);
+    EXPECT_EQ(*parsed, kind);
+  }
+  Result<DatasetKind> unknown = ParseDatasetKind("dblp-acm");
+  ASSERT_TRUE(unknown.status().IsNotFound());
+  EXPECT_EQ(unknown.status().message(), "unknown dataset 'dblp-acm'");
+}
+
 TEST(GeneratorShapeTest, Table4Properties) {
   // Dataset-specific shape constraints from Table 4.
   EMDataset cricket =

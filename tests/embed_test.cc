@@ -26,26 +26,28 @@ TEST(SubwordEmbeddingTest, UnitNormAndCaseInsensitive) {
   double norm_sq = 0.0;
   for (float x : v) norm_sq += static_cast<double>(x) * x;
   EXPECT_NEAR(norm_sq, 1.0, 1e-5);
-  EXPECT_NEAR(e.TokenSimilarity("Brown", "brown"), 1.0, 1e-6);
+  EXPECT_NEAR(SubwordEmbedding::Cosine(v, e.Embed("brown")), 1.0, 1e-6);
 }
 
 TEST(SubwordEmbeddingTest, EmptyTokenIsZeroVector) {
   SubwordEmbedding e;
   std::vector<float> v = e.Embed("");
   for (float x : v) EXPECT_FLOAT_EQ(x, 0.0f);
-  EXPECT_DOUBLE_EQ(e.TokenSimilarity("", "x"), 0.0);
+  EXPECT_DOUBLE_EQ(SubwordEmbedding::Cosine(v, e.Embed("x")), 0.0);
 }
 
 TEST(SubwordEmbeddingTest, SurfaceSimilarTokensAreClose) {
   // The pre-trained-embedding property the paper's neural FPs rely on:
   // shared n-grams => high cosine.
   SubwordEmbedding e;
-  double near = e.TokenSimilarity("brown", "browne");
-  double far = e.TokenSimilarity("brown", "zhang");
+  const std::vector<float> brown = e.Embed("brown");
+  double near = SubwordEmbedding::Cosine(brown, e.Embed("browne"));
+  double far = SubwordEmbedding::Cosine(brown, e.Embed("zhang"));
   EXPECT_GT(near, 0.45);
   EXPECT_LT(far, 0.4);
-  EXPECT_GT(e.TokenSimilarity("efficient", "effective"),
-            e.TokenSimilarity("efficient", "banana"));
+  const std::vector<float> efficient = e.Embed("efficient");
+  EXPECT_GT(SubwordEmbedding::Cosine(efficient, e.Embed("effective")),
+            SubwordEmbedding::Cosine(efficient, e.Embed("banana")));
 }
 
 TEST(SubwordEmbeddingTest, DifferentSeedsGiveDifferentSpaces) {
@@ -66,7 +68,8 @@ TEST(SentenceEncoderTest, IdenticalSentencesScoreOne) {
   SubwordEmbedding e;
   SentenceEncoder enc(&e);
   std::vector<std::string> s = {"lineage", "tracing"};
-  EXPECT_NEAR(enc.Similarity(s, s), 1.0, 1e-5);
+  std::vector<float> v = enc.Encode(s);
+  EXPECT_NEAR(SubwordEmbedding::Cosine(v, v), 1.0, 1e-5);
 }
 
 TEST(SentenceEncoderTest, EmptySentenceIsZero) {
@@ -74,7 +77,7 @@ TEST(SentenceEncoderTest, EmptySentenceIsZero) {
   SentenceEncoder enc(&e);
   std::vector<float> v = enc.Encode({});
   for (float x : v) EXPECT_FLOAT_EQ(x, 0.0f);
-  EXPECT_DOUBLE_EQ(enc.Similarity({}, {"a"}), 0.0);
+  EXPECT_DOUBLE_EQ(SubwordEmbedding::Cosine(v, enc.Encode({"a"})), 0.0);
 }
 
 TEST(SentenceEncoderTest, SifDownweightsFrequentTokens) {
@@ -90,10 +93,11 @@ TEST(SentenceEncoderTest, SifDownweightsFrequentTokens) {
   EXPECT_GT(enc.TokenWeight("warehouse"), 0.1);
   // Sentences sharing only the frequent token barely align; sharing the
   // rare token aligns strongly.
+  const std::vector<float> anchor = enc.Encode({"the", "warehouse"});
   double via_the =
-      enc.Similarity({"the", "warehouse"}, {"the", "streaming"});
+      SubwordEmbedding::Cosine(anchor, enc.Encode({"the", "streaming"}));
   double via_rare =
-      enc.Similarity({"the", "warehouse"}, {"a", "warehouse"});
+      SubwordEmbedding::Cosine(anchor, enc.Encode({"a", "warehouse"}));
   EXPECT_GT(via_rare, via_the);
 }
 

@@ -74,7 +74,17 @@ TEST(RegistryTest, NamesAndFamiliesForAll13) {
   EXPECT_EQ(non_neural, 7);
   EXPECT_EQ(neural, 5);
   EXPECT_EQ(NeuralMatcherKinds().size(), 5u);
-  EXPECT_EQ(NonNeuralMatcherKinds().size(), 7u);
+}
+
+TEST(RegistryTest, ParseMatcherKindInvertsNames) {
+  for (MatcherKind kind : AllMatcherKinds()) {
+    Result<MatcherKind> parsed = ParseMatcherKind(MatcherKindName(kind));
+    ASSERT_TRUE(parsed.ok()) << MatcherKindName(kind);
+    EXPECT_EQ(*parsed, kind);
+  }
+  Result<MatcherKind> unknown = ParseMatcherKind("ditto");
+  ASSERT_TRUE(unknown.status().IsNotFound());
+  EXPECT_EQ(unknown.status().message(), "unknown matcher 'ditto'");
 }
 
 class MatcherContract : public ::testing::TestWithParam<MatcherKind> {};

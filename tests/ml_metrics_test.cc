@@ -39,8 +39,6 @@ TEST(ConfusionTest, MergeSums) {
 TEST(MetricsTest, KnownValues) {
   ConfusionCounts c = Sample();
   EXPECT_DOUBLE_EQ(*Accuracy(c), 0.8);
-  EXPECT_DOUBLE_EQ(*Precision(c), 0.75);
-  EXPECT_DOUBLE_EQ(*Recall(c), 0.75);
   EXPECT_DOUBLE_EQ(*F1Score(c), 0.75);
   EXPECT_DOUBLE_EQ(*TruePositiveRate(c), 0.75);
   EXPECT_NEAR(*FalsePositiveRate(c), 2.0 / 12.0, 1e-12);
@@ -66,8 +64,9 @@ TEST(MetricsTest, ComplementaryPairsSumToOne) {
 TEST(MetricsTest, EmptyDenominatorsAreUndefined) {
   ConfusionCounts no_positives;
   no_positives.tn = 5;
-  EXPECT_TRUE(Recall(no_positives).status().IsUndefinedStatistic());
-  EXPECT_TRUE(Precision(no_positives).status().IsUndefinedStatistic());
+  EXPECT_TRUE(TruePositiveRate(no_positives).status().IsUndefinedStatistic());
+  EXPECT_TRUE(
+      PositivePredictiveValue(no_positives).status().IsUndefinedStatistic());
   EXPECT_TRUE(FalseDiscoveryRate(no_positives).status()
                   .IsUndefinedStatistic());
   ConfusionCounts empty;
@@ -81,32 +80,11 @@ TEST(MetricsTest, AllMatchesDataset) {
   c.tp = 95;
   c.fn = 5;
   EXPECT_DOUBLE_EQ(*Accuracy(c), 0.95);
-  EXPECT_DOUBLE_EQ(*Recall(c), 0.95);
+  EXPECT_DOUBLE_EQ(*TruePositiveRate(c), 0.95);
   EXPECT_TRUE(FalsePositiveRate(c).status().IsUndefinedStatistic());
   // NPV is defined (the 5 false negatives are predicted non-matches) and
   // zero: none of the predicted non-matches is a true non-match.
   EXPECT_DOUBLE_EQ(*NegativePredictiveValue(c), 0.0);
-}
-
-TEST(CountsFromScoresTest, ThresholdingWorks) {
-  std::vector<double> scores = {0.9, 0.4, 0.6, 0.1};
-  std::vector<int> labels = {1, 1, 0, 0};
-  Result<ConfusionCounts> c = CountsFromScores(scores, labels, 0.5);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->tp, 1);
-  EXPECT_EQ(c->fn, 1);
-  EXPECT_EQ(c->fp, 1);
-  EXPECT_EQ(c->tn, 1);
-}
-
-TEST(CountsFromScoresTest, ThresholdIsInclusive) {
-  Result<ConfusionCounts> c = CountsFromScores({0.5}, {1}, 0.5);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->tp, 1);
-}
-
-TEST(CountsFromScoresTest, SizeMismatchIsError) {
-  EXPECT_FALSE(CountsFromScores({0.5}, {1, 0}, 0.5).ok());
 }
 
 }  // namespace

@@ -81,8 +81,8 @@ TEST(GruTest, DeterministicAndShapeCorrect) {
   GruCell g1(4, 8, &rng1);
   GruCell g2(4, 8, &rng2);
   std::vector<Vec> seq = {{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}};
-  Vec h1 = g1.RunFinal(seq);
-  Vec h2 = g2.RunFinal(seq);
+  Vec h1 = g1.RunMean(seq);
+  Vec h2 = g2.RunMean(seq);
   ASSERT_EQ(h1.size(), 8u);
   for (size_t i = 0; i < h1.size(); ++i) EXPECT_FLOAT_EQ(h1[i], h2[i]);
 }
@@ -90,9 +90,8 @@ TEST(GruTest, DeterministicAndShapeCorrect) {
 TEST(GruTest, EmptySequenceGivesZeroState) {
   Rng rng(5);
   GruCell g(4, 6, &rng);
-  Vec h = g.RunFinal({});
-  for (float v : h) EXPECT_FLOAT_EQ(v, 0.0f);
   Vec m = g.RunMean({});
+  ASSERT_EQ(m.size(), 6u);
   for (float v : m) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
@@ -101,8 +100,8 @@ TEST(GruTest, OrderSensitive) {
   GruCell g(2, 8, &rng);
   std::vector<Vec> ab = {{1, 0}, {0, 1}};
   std::vector<Vec> ba = {{0, 1}, {1, 0}};
-  Vec h_ab = g.RunFinal(ab);
-  Vec h_ba = g.RunFinal(ba);
+  Vec h_ab = g.RunMean(ab);
+  Vec h_ba = g.RunMean(ba);
   float diff = 0.0f;
   for (size_t i = 0; i < h_ab.size(); ++i) {
     diff += std::fabs(h_ab[i] - h_ba[i]);
@@ -113,11 +112,14 @@ TEST(GruTest, OrderSensitive) {
 TEST(GruTest, StatesStayBounded) {
   Rng rng(9);
   GruCell g(3, 5, &rng);
-  std::vector<Vec> seq(200, Vec{1.0f, -1.0f, 0.5f});
-  Vec h = g.RunFinal(seq);
-  for (float v : h) {
-    EXPECT_GE(v, -1.0f);
-    EXPECT_LE(v, 1.0f);
+  const Vec x = {1.0f, -1.0f, 0.5f};
+  Vec h(5, 0.0f);
+  for (int step = 0; step < 200; ++step) {
+    h = g.Step(x, h);
+    for (float v : h) {
+      EXPECT_GE(v, -1.0f);
+      EXPECT_LE(v, 1.0f);
+    }
   }
 }
 

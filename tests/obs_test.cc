@@ -285,7 +285,7 @@ TEST_F(ObsTest, MetricsJsonParsesAndRoundTrips) {
   h->Observe(0.05);
   h->Observe(2.0);
 
-  std::string json = registry.ToJson();
+  std::string json = MetricsSnapshotToJson(registry.Snapshot());
   JsonValue root;
   ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
   ASSERT_EQ(root.kind, JsonValue::kObject);

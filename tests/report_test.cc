@@ -22,39 +22,13 @@ TEST(TablePrinterTest, ShortRowsArePadded) {
   TablePrinter printer({"a", "b", "c"});
   printer.AddRow({"only one"});
   EXPECT_NO_FATAL_FAILURE(printer.ToString());
-  EXPECT_NO_FATAL_FAILURE(printer.ToMarkdown());
-}
-
-TEST(TablePrinterTest, MarkdownShape) {
-  TablePrinter printer({"x", "y"});
-  printer.AddRow({"1", "2"});
-  std::string md = printer.ToMarkdown();
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
-AuditReport ReportWithUnfairCell(const std::string& group,
-                                 FairnessMeasure m) {
-  AuditReport report;
-  AuditEntry e;
-  e.group_label = group;
-  e.measure = m;
-  e.defined = true;
-  e.unfair = true;
-  e.disparity = 0.5;
-  report.entries.push_back(e);
-  AuditEntry fair = e;
-  fair.group_label = group + "_fair";
-  fair.unfair = false;
-  report.entries.push_back(fair);
-  return report;
 }
 
 TEST(UnfairnessGridTest, MarksOnlyUnfairCells) {
   UnfairnessGrid grid;
-  grid.Mark("DI", ReportWithUnfairCell(
-                      "Country", FairnessMeasure::kTruePositiveRateParity));
+  const FairnessMeasure m = FairnessMeasure::kTruePositiveRateParity;
+  grid.MarkCell("DI", "Country", m, /*unfair=*/true);
+  grid.MarkCell("DI", "Country_fair", m, /*unfair=*/false);
   EXPECT_EQ(grid.num_marks(), 1u);
   std::string out = grid.Render();
   EXPECT_NE(out.find("Country"), std::string::npos);
@@ -65,11 +39,10 @@ TEST(UnfairnessGridTest, MarksOnlyUnfairCells) {
 
 TEST(UnfairnessGridTest, MultipleMarkersJoinWithCommas) {
   UnfairnessGrid grid;
-  AuditReport r =
-      ReportWithUnfairCell("G", FairnessMeasure::kAccuracyParity);
-  grid.Mark("DI", r);
-  grid.Mark("GN", r);
-  grid.Mark("DI", r);  // duplicate ignored
+  const FairnessMeasure m = FairnessMeasure::kAccuracyParity;
+  grid.MarkCell("DI", "G", m, /*unfair=*/true);
+  grid.MarkCell("GN", "G", m, /*unfair=*/true);
+  grid.MarkCell("DI", "G", m, /*unfair=*/true);  // duplicate ignored
   EXPECT_EQ(grid.num_marks(), 2u);
   EXPECT_NE(grid.Render().find("DI,GN"), std::string::npos);
 }

@@ -111,15 +111,5 @@ TEST(RngTest, SampleClampsToPopulation) {
   EXPECT_EQ(rng.SampleWithoutReplacement(5, 50).size(), 5u);
 }
 
-TEST(RngTest, ForkDecorrelates) {
-  Rng a(41);
-  Rng child = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.Next() == child.Next()) ++same;
-  }
-  EXPECT_LT(same, 3);
-}
-
 }  // namespace
 }  // namespace fairem

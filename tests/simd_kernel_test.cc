@@ -15,7 +15,6 @@
 #include "src/obs/metrics.h"
 #include "src/text/edit_distance.h"
 #include "src/text/simd.h"
-#include "src/text/tfidf.h"
 #include "src/text/tokenize.h"
 #include "src/util/rng.h"
 
@@ -279,33 +278,6 @@ TEST(SimdKernelTest, JaroIsSymmetric) {
         << "\"" << a << "\" vs \"" << b << "\"";
   }
   EXPECT_EQ(JaroSimilarity("abab", "baba"), JaroSimilarity("baba", "abab"));
-}
-
-TEST(SimdKernelTest, TfIdfSortedAgreesWithLegacyTransform) {
-  std::vector<std::vector<std::string>> corpus = {
-      {"deep", "entity", "matching", "survey"},
-      {"fairness", "entity", "matching"},
-      {"query", "processing", "survey"},
-      {"deep", "learning", "for", "matching"},
-  };
-  TfIdfVectorizer v;
-  v.Fit(corpus);
-  for (const auto& da : corpus) {
-    SortedSparseVector sa = v.TransformSorted(da);
-    ASSERT_TRUE(std::is_sorted(sa.ids.begin(), sa.ids.end()));
-    for (const auto& db : corpus) {
-      const double legacy = TfIdfVectorizer::Cosine(v.Transform(da),
-                                                    v.Transform(db));
-      const double merged =
-          TfIdfVectorizer::CosineSorted(sa, v.TransformSorted(db));
-      // The two layouts accumulate in different orders; equality is only
-      // up to float rounding (tfidf is not a dispatch-gated grid measure).
-      EXPECT_NEAR(legacy, merged, 1e-12);
-      EXPECT_EQ(merged, v.Similarity(da, db));
-    }
-  }
-  EXPECT_EQ(0.0, v.Similarity({"outofvocab"}, corpus[0]));
-  EXPECT_EQ(0.0, v.Similarity({}, corpus[0]));
 }
 
 TEST(SimdKernelTest, TelemetryCountersAdvance) {

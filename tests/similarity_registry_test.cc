@@ -8,14 +8,6 @@ namespace {
 class RegistryProperty
     : public ::testing::TestWithParam<SimilarityMeasure> {};
 
-TEST_P(RegistryProperty, NameRoundTrips) {
-  SimilarityMeasure m = GetParam();
-  Result<SimilarityMeasure> parsed =
-      ParseSimilarityMeasure(SimilarityMeasureName(m));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, m);
-}
-
 TEST_P(RegistryProperty, BoundedAndSymmetric) {
   SimilarityMeasure m = GetParam();
   const std::vector<std::string> samples = {"",       "3.5",    "2003",
@@ -38,10 +30,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(std::begin(kAllSimilarityMeasures),
                         std::end(kAllSimilarityMeasures)),
     [](const auto& info) { return SimilarityMeasureName(info.param); });
-
-TEST(RegistryTest, UnknownNameIsNotFound) {
-  EXPECT_TRUE(ParseSimilarityMeasure("bogus").status().IsNotFound());
-}
 
 TEST(RegistryTest, NumericMeasureSemantics) {
   EXPECT_DOUBLE_EQ(

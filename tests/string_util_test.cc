@@ -33,12 +33,6 @@ TEST(StringUtilTest, JoinRoundTripsSplit) {
   EXPECT_EQ(Join({}, ","), "");
 }
 
-TEST(StringUtilTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_TRUE(StartsWith("foo", ""));
-  EXPECT_FALSE(StartsWith("fo", "foo"));
-}
-
 TEST(StringUtilTest, ParseDoubleAcceptsNumbers) {
   double v = 0.0;
   EXPECT_TRUE(ParseDouble("3.5", &v));

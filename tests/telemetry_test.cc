@@ -132,7 +132,8 @@ TEST(MergeTest, MergeIsOrderIndependent) {
   ba.Merge(a);
   // Counters add and histograms add bucket-wise, so arrival order — which
   // the parallel supervisor cannot control — must not matter.
-  EXPECT_EQ(ab.ToJson(), ba.ToJson());
+  EXPECT_EQ(MetricsSnapshotToJson(ab.Snapshot()),
+            MetricsSnapshotToJson(ba.Snapshot()));
 }
 
 TEST(MergeTest, BoundsMismatchWarnsAndSkipsInsteadOfCrashing) {

@@ -34,11 +34,6 @@ TEST(CosineTest, GeometricMeanNormalization) {
   EXPECT_DOUBLE_EQ(CosineTokenSimilarity({"x"}, {}), 0.0);
 }
 
-TEST(OverlapCountTest, SetSemantics) {
-  EXPECT_EQ(TokenOverlapCount({"a", "a", "b"}, {"a", "b", "b", "c"}), 2);
-  EXPECT_EQ(TokenOverlapCount({}, {}), 0);
-}
-
 using SetSim = double (*)(const Tokens&, const Tokens&);
 
 class TokenSimilarityProperty

@@ -48,13 +48,6 @@ TEST(TokenizeTest, QGramCountMatchesFormula) {
   }
 }
 
-TEST(TokenizeTest, WordBigrams) {
-  EXPECT_EQ(WordBigrams("new york city"),
-            (std::vector<std::string>{"new york", "york city"}));
-  EXPECT_TRUE(WordBigrams("single").empty());
-  EXPECT_TRUE(WordBigrams("").empty());
-}
-
 TEST(TokenizeTest, CountWhitespaceTokensAgreesWithTokenize) {
   for (std::string_view s :
        {"", " ", "a", "a b", "  a  b  ", "one\ttwo\nthree", "trailing ",

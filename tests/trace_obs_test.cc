@@ -1,10 +1,11 @@
 // Unit tests for the tracing observability pieces around the wire
 // (DESIGN.md §16): histogram exemplars (slowest trace id per bucket and
 // their snapshot JSON), the slow-query log (wide-event round trip, the
-// threshold + token-bucket write policy), and the `fairem tracetop`
-// aggregation (hop shares, critical path, share-drift gate). The wire
-// format itself is covered by telemetry_frame_corpus_test; the
-// cross-process assembly by trace_e2e_test.
+// threshold + token-bucket write policy), the `fairem tracetop`
+// aggregation (hop shares, critical path, share-drift gate), and control
+// bytes in the Chrome trace export. The wire format itself is covered by
+// telemetry_frame_corpus_test; the cross-process assembly by
+// trace_e2e_test.
 
 #include <gtest/gtest.h>
 
@@ -320,6 +321,28 @@ TEST(TraceTopTest, CompareHopSharesFlagsOnlyRealDrift) {
   EXPECT_TRUE(CompareHopShares(before, after, 0.0004, 0.01).empty());
   // With min_share lowered beneath them, the same movement is drift.
   EXPECT_EQ(CompareHopShares(before, after, 0.0004, 0.0).size(), 2u);
+}
+
+// --- Chrome trace export -------------------------------------------------
+
+TEST(ChromeTraceTest, ControlBytesInNamesAndArgsRoundTrip) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.set_enabled(true);
+  const std::string raw = "a\tb\x01";
+  {
+    Span span("span" + raw);
+    span.AddArg("key" + raw, raw);
+  }
+  tracer.set_enabled(false);
+  Result<JsonValue> root = JsonParse(tracer.ChromeTraceJson());
+  tracer.Clear();
+  ASSERT_TRUE(root.ok()) << root.status();
+  const JsonValue& events = root->members.at("traceEvents");
+  ASSERT_EQ(events.items.size(), 2u);  // process_name metadata, the span
+  const JsonValue& span = events.items[1];
+  EXPECT_EQ(span.members.at("name").scalar, "span" + raw);
+  EXPECT_EQ(span.members.at("args").members.at("key" + raw).scalar, raw);
 }
 
 }  // namespace

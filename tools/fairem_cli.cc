@@ -94,21 +94,8 @@ struct CliOptions {
   bool verbose = false;
 };
 
-Result<DatasetKind> ParseDatasetKind(const std::string& name) {
-  for (DatasetKind kind : AllDatasetKinds()) {
-    if (name == DatasetKindName(kind)) return kind;
-  }
-  return Status::NotFound("unknown dataset '" + name +
-                          "'; run `fairem list`");
-}
-
-Result<MatcherKind> ParseMatcherKind(const std::string& name) {
-  for (MatcherKind kind : AllMatcherKinds()) {
-    if (name == MatcherKindName(kind)) return kind;
-  }
-  return Status::NotFound("unknown matcher '" + name +
-                          "'; run `fairem list`");
-}
+/// Appended to an unknown dataset or matcher name's NotFound.
+constexpr char kListHint[] = "; run `fairem list`";
 
 int List(const CliOptions&, const Args&) {
   std::cout << "datasets (Table 4):\n";
@@ -126,7 +113,7 @@ int List(const CliOptions&, const Args&) {
 int Generate(const CliOptions& o, const Args& args) {
   Result<DatasetKind> kind = ParseDatasetKind(args[0]);
   if (!kind.ok()) {
-    std::cerr << kind.status() << "\n";
+    std::cerr << kind.status() << kListHint << "\n";
     return 1;
   }
   Result<EMDataset> dataset = GenerateDataset(*kind, o.scale, o.seed);
@@ -156,7 +143,7 @@ int Audit(const CliOptions& o, const Args& args) {
   if (o.threshold >= 0.0) dataset->default_threshold = o.threshold;
   Result<MatcherKind> kind = ParseMatcherKind(args[1]);
   if (!kind.ok()) {
-    std::cerr << kind.status() << "\n";
+    std::cerr << kind.status() << kListHint << "\n";
     return 1;
   }
   Result<MatcherRun> run = RunMatcher(*dataset, *kind);
@@ -202,12 +189,12 @@ int Pipeline(const CliOptions& o, const Args& args) {
   SetIntraJobs(o.intra_jobs);
   Result<DatasetKind> kind = ParseDatasetKind(args[0]);
   if (!kind.ok()) {
-    std::cerr << kind.status() << "\n";
+    std::cerr << kind.status() << kListHint << "\n";
     return 1;
   }
   Result<MatcherKind> matcher_kind = ParseMatcherKind(args[1]);
   if (!matcher_kind.ok()) {
-    std::cerr << matcher_kind.status() << "\n";
+    std::cerr << matcher_kind.status() << kListHint << "\n";
     return 1;
   }
 
@@ -306,7 +293,7 @@ int Grid(const CliOptions& o, const Args& args) {
   options.intra_jobs = o.intra_jobs;
   Result<DatasetKind> kind = ParseDatasetKind(args[0]);
   if (!kind.ok()) {
-    std::cerr << kind.status() << "\n";
+    std::cerr << kind.status() << kListHint << "\n";
     return 1;
   }
   Result<EMDataset> dataset = GenerateDataset(*kind, o.scale, o.seed);
