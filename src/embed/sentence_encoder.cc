@@ -9,25 +9,43 @@
 namespace fairem {
 namespace {
 
-struct TableCounters {
+struct EmbedCounters {
   Counter* tokens;  // entries built by FitFrequencies
   Counter* hits;
   Counter* misses;
+  Counter* align_cosines;  // cosines AlignmentSimilarity computed
 };
 
-const TableCounters& Counters() {
-  static const TableCounters counters = [] {
+const EmbedCounters& Counters() {
+  static const EmbedCounters counters = [] {
     MetricsRegistry& reg = MetricsRegistry::Global();
-    return TableCounters{reg.GetCounter("fairem.embed.table_tokens"),
+    return EmbedCounters{reg.GetCounter("fairem.embed.table_tokens"),
                          reg.GetCounter("fairem.embed.table_hits"),
-                         reg.GetCounter("fairem.embed.table_misses")};
+                         reg.GetCounter("fairem.embed.table_misses"),
+                         reg.GetCounter("fairem.embed.align_cosines")};
   }();
   return counters;
 }
 
 // Registered at load time, so every snapshot carries the keys, at zero
 // before any neural matcher fits.
-[[maybe_unused]] const TableCounters& kEagerCounters = Counters();
+[[maybe_unused]] const EmbedCounters& kEagerCounters = Counters();
+
+/// The distinct pointers of `entries` in first-seen order, into `*distinct`,
+/// and each element's position there. The lists are short (a record's
+/// tokens), so a linear scan beats hashing.
+template <typename T>
+std::vector<uint32_t> DistinctSlots(const std::vector<const T*>& entries,
+                                    std::vector<const T*>* distinct) {
+  std::vector<uint32_t> slots;
+  slots.reserve(entries.size());
+  for (const T* entry : entries) {
+    auto it = std::find(distinct->begin(), distinct->end(), entry);
+    slots.push_back(static_cast<uint32_t>(it - distinct->begin()));
+    if (it == distinct->end()) distinct->push_back(entry);
+  }
+  return slots;
+}
 
 }  // namespace
 
@@ -59,8 +77,7 @@ double SentenceEncoder::TokenWeight(const std::string& token) const {
 }
 
 std::vector<const SentenceEncoder::Entry*> SentenceEncoder::Lookup(
-    const std::vector<std::string>& tokens,
-    std::forward_list<Entry>* misses) const {
+    const std::vector<std::string>& tokens, Misses* misses) const {
   std::vector<const Entry*> out;
   out.reserve(tokens.size());
   uint64_t missed = 0;
@@ -70,9 +87,12 @@ std::vector<const SentenceEncoder::Entry*> SentenceEncoder::Lookup(
       out.push_back(&it->second);
       continue;
     }
-    Entry& entry = misses->emplace_front();
-    entry.vec = embedding_->Embed(tok);
-    entry.norm_sq = SubwordEmbedding::SquaredNorm(entry.vec);
+    auto [miss, embedded] = misses->try_emplace(tok);
+    Entry& entry = miss->second;
+    if (embedded) {
+      entry.vec = embedding_->Embed(tok);
+      entry.norm_sq = SubwordEmbedding::SquaredNorm(entry.vec);
+    }
     out.push_back(&entry);
     ++missed;
   }
@@ -84,7 +104,7 @@ std::vector<const SentenceEncoder::Entry*> SentenceEncoder::Lookup(
 std::vector<float> SentenceEncoder::Encode(
     const std::vector<std::string>& tokens) const {
   std::vector<float> acc(static_cast<size_t>(embedding_->dim()), 0.0f);
-  std::forward_list<Entry> misses;
+  Misses misses;
   for (const Entry* entry : Lookup(tokens, &misses)) {
     float w = static_cast<float>(Weight(entry->count));
     for (size_t d = 0; d < acc.size(); ++d) acc[d] += w * entry->vec[d];
@@ -99,7 +119,7 @@ std::vector<float> SentenceEncoder::Encode(
 
 std::vector<std::vector<float>> SentenceEncoder::TokenVectors(
     const std::vector<std::string>& tokens) const {
-  std::forward_list<Entry> misses;
+  Misses misses;
   std::vector<std::vector<float>> out;
   out.reserve(tokens.size());
   for (const Entry* entry : Lookup(tokens, &misses)) out.push_back(entry->vec);
@@ -110,27 +130,45 @@ double SentenceEncoder::AlignmentSimilarity(
     const std::vector<std::string>& a, const std::vector<std::string>& b) const {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  std::forward_list<Entry> misses;
+  Misses misses;
   const std::vector<const Entry*> entries_a = Lookup(a, &misses);
   const std::vector<const Entry*> entries_b = Lookup(b, &misses);
-  auto one_side = [&](const std::vector<const Entry*>& from,
-                      const std::vector<const Entry*>& to) {
+  std::vector<const Entry*> distinct_a;
+  std::vector<const Entry*> distinct_b;
+  const std::vector<uint32_t> slots_a = DistinctSlots(entries_a, &distinct_a);
+  const std::vector<uint32_t> slots_b = DistinctSlots(entries_b, &distinct_b);
+  // Each distinct token's best cosine on the other side. A duplicate adds
+  // no new value to a max, and Cosine is symmetric to the bit, so one
+  // cosine per distinct pair serves both directions. `best` starts at +0.0,
+  // so a +0.0/-0.0 tie cannot depend on the order of the scan.
+  std::vector<double> best_a(distinct_a.size(), 0.0);
+  std::vector<double> best_b(distinct_b.size(), 0.0);
+  for (size_t i = 0; i < distinct_a.size(); ++i) {
+    const Entry* f = distinct_a[i];
+    for (size_t j = 0; j < distinct_b.size(); ++j) {
+      const Entry* t = distinct_b[j];
+      const double cosine =
+          SubwordEmbedding::Cosine(f->vec, f->norm_sq, t->vec, t->norm_sq);
+      best_a[i] = std::max(best_a[i], cosine);
+      best_b[j] = std::max(best_b[j], cosine);
+    }
+  }
+  Counters().align_cosines->Increment(distinct_a.size() * distinct_b.size());
+  // The SIF-weighted means run over the tokens in their original order.
+  auto one_side = [&](const std::vector<const Entry*>& entries,
+                      const std::vector<uint32_t>& slots,
+                      const std::vector<double>& best) {
     double weighted = 0.0;
     double total_weight = 0.0;
-    for (const Entry* f : from) {
-      double best = 0.0;
-      for (const Entry* t : to) {
-        best = std::max(best, SubwordEmbedding::Cosine(f->vec, f->norm_sq,
-                                                       t->vec, t->norm_sq));
-      }
-      double w = Weight(f->count);
-      weighted += w * best;
+    for (size_t k = 0; k < entries.size(); ++k) {
+      double w = Weight(entries[k]->count);
+      weighted += w * best[slots[k]];
       total_weight += w;
     }
     return total_weight > 0.0 ? weighted / total_weight : 0.0;
   };
-  return 0.5 * (one_side(entries_a, entries_b) +
-                one_side(entries_b, entries_a));
+  return 0.5 * (one_side(entries_a, slots_a, best_a) +
+                one_side(entries_b, slots_b, best_b));
 }
 
 }  // namespace fairem

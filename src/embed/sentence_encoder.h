@@ -1,7 +1,6 @@
 #ifndef FAIREM_EMBED_SENTENCE_ENCODER_H_
 #define FAIREM_EMBED_SENTENCE_ENCODER_H_
 
-#include <forward_list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,6 +52,11 @@ class SentenceEncoder {
   /// barely count, so one mismatched content token is visible even when
   /// the rest of the records agree. 1 when both lists are empty, 0 when
   /// exactly one is.
+  ///
+  /// Computes one cosine per pair of distinct tokens of the two lists and
+  /// reads it in both directions (DESIGN.md §20), adding that count to
+  /// `fairem.embed.align_cosines`. The result has the bits of comparing
+  /// every token with every token.
   double AlignmentSimilarity(const std::vector<std::string>& a,
                              const std::vector<std::string>& b) const;
 
@@ -65,11 +69,15 @@ class SentenceEncoder {
     double norm_sq = 0.0;
   };
 
-  /// The entries of `tokens`, in order. A token outside the table is
-  /// embedded into a new entry in `*misses`. Adds the call's hits and
-  /// misses to the fairem.embed.table_* counters once.
+  /// Entries of the tokens outside the table, embedded for one call; one
+  /// per distinct token, so equal tokens share an entry.
+  using Misses = std::unordered_map<std::string, Entry>;
+
+  /// The entries of `tokens`, in order. A token outside the table is read
+  /// from, or embedded into, `*misses`. Adds the call's hits and misses to
+  /// the fairem.embed.table_* counters once.
   std::vector<const Entry*> Lookup(const std::vector<std::string>& tokens,
-                                   std::forward_list<Entry>* misses) const;
+                                   Misses* misses) const;
 
   /// SIF weight of a token seen `count` times.
   double Weight(double count) const;

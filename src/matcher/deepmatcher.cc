@@ -1,5 +1,7 @@
 #include "src/matcher/deepmatcher.h"
 
+#include <algorithm>
+
 #include "src/matcher/serialize.h"
 #include "src/nn/attention.h"
 #include "src/nn/vecops.h"
@@ -15,14 +17,32 @@ Status DeepMatcherMatcher::InitEncoder(const EMDataset& /*dataset*/,
   return Status::OK();
 }
 
+size_t DeepMatcherMatcher::SummaryWidth(const EMDataset& dataset) const {
+  return kHiddenDim * dataset.matching_attrs.size();
+}
+
+Status DeepMatcherMatcher::SummarizeRecord(
+    const Table& table, size_t row, const std::vector<std::string>& attrs,
+    float* out) const {
+  FAIREM_ASSIGN_OR_RETURN(auto tokens, PerAttributeTokens(table, row, attrs));
+  for (const auto& attr_tokens : tokens) {
+    nn::Vec rnn = gru_->RunMean(sentence_encoder().TokenVectors(attr_tokens));
+    out = std::copy(rnn.begin(), rnn.end(), out);
+  }
+  return Status::OK();
+}
+
 Result<std::vector<float>> DeepMatcherMatcher::EncodePair(
-    const EMDataset& dataset, size_t left, size_t right) const {
+    const EMDataset& dataset, const RecordSummaries& summaries, size_t left,
+    size_t right) const {
   FAIREM_ASSIGN_OR_RETURN(
       auto attrs_a,
       PerAttributeTokens(dataset.table_a, left, dataset.matching_attrs));
   FAIREM_ASSIGN_OR_RETURN(
       auto attrs_b,
       PerAttributeTokens(dataset.table_b, right, dataset.matching_attrs));
+  const std::span<const float> summary_a = summaries.Left(left);
+  const std::span<const float> summary_b = summaries.Right(right);
   std::vector<float> features;
   features.reserve(attrs_a.size() * 3);
   const size_t dim = static_cast<size_t>(sentence_encoder().embedding().dim());
@@ -30,8 +50,9 @@ Result<std::vector<float>> DeepMatcherMatcher::EncodePair(
     std::vector<nn::Vec> emb_a = sentence_encoder().TokenVectors(attrs_a[a]);
     std::vector<nn::Vec> emb_b = sentence_encoder().TokenVectors(attrs_b[a]);
     // (1) Recurrent summaries.
-    nn::Vec rnn_a = gru_->RunMean(emb_a);
-    nn::Vec rnn_b = gru_->RunMean(emb_b);
+    const size_t at = a * kHiddenDim;
+    nn::Vec rnn_a(summary_a.begin() + at, summary_a.begin() + at + kHiddenDim);
+    nn::Vec rnn_b(summary_b.begin() + at, summary_b.begin() + at + kHiddenDim);
     features.push_back(nn::Cosine(rnn_a, rnn_b));
     // (2) Decomposable attention alignment.
     features.push_back(nn::AlignmentSimilarity(emb_a, emb_b));

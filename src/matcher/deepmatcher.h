@@ -16,7 +16,8 @@ namespace fairem {
 /// the per-attribute comparison features (GRU-summary cosine, alignment
 /// similarity, bag-of-embeddings cosine) feed the trainable head. Attribute
 /// structure is preserved — the trait that makes DeepMatcher-style models
-/// competitive on structured data.
+/// competitive on structured data. A record's per-attribute GRU means are
+/// its summary, computed once per batch.
 class DeepMatcherMatcher : public NeuralMatcherBase {
  public:
   DeepMatcherMatcher();
@@ -25,8 +26,14 @@ class DeepMatcherMatcher : public NeuralMatcherBase {
 
  protected:
   Status InitEncoder(const EMDataset& dataset, Rng* rng) override;
-  Result<std::vector<float>> EncodePair(const EMDataset& dataset, size_t left,
+  Result<std::vector<float>> EncodePair(const EMDataset& dataset,
+                                        const RecordSummaries& summaries,
+                                        size_t left,
                                         size_t right) const override;
+  size_t SummaryWidth(const EMDataset& dataset) const override;
+  Status SummarizeRecord(const Table& table, size_t row,
+                         const std::vector<std::string>& attrs,
+                         float* out) const override;
 
  private:
   static constexpr int kHiddenDim = 24;

@@ -61,14 +61,15 @@ Result<std::vector<float>> DittoMatcher::Encode(const EMDataset& dataset,
   return features;
 }
 
-Result<std::vector<float>> DittoMatcher::EncodePair(const EMDataset& dataset,
-                                                    size_t left,
-                                                    size_t right) const {
+Result<std::vector<float>> DittoMatcher::EncodePair(
+    const EMDataset& dataset, const RecordSummaries& /*summaries*/,
+    size_t left, size_t right) const {
   return Encode(dataset, left, right, nullptr);
 }
 
 Result<std::vector<float>> DittoMatcher::EncodePairForTraining(
-    const EMDataset& dataset, size_t left, size_t right, Rng* rng) const {
+    const EMDataset& dataset, const RecordSummaries& /*summaries*/,
+    size_t left, size_t right, Rng* rng) const {
   return Encode(dataset, left, right, rng);
 }
 

@@ -25,11 +25,13 @@ class DittoMatcher : public NeuralMatcherBase {
 
  protected:
   Status InitEncoder(const EMDataset& dataset, Rng* rng) override;
-  Result<std::vector<float>> EncodePair(const EMDataset& dataset, size_t left,
+  Result<std::vector<float>> EncodePair(const EMDataset& dataset,
+                                        const RecordSummaries& summaries,
+                                        size_t left,
                                         size_t right) const override;
-  Result<std::vector<float>> EncodePairForTraining(const EMDataset& dataset,
-                                                   size_t left, size_t right,
-                                                   Rng* rng) const override;
+  Result<std::vector<float>> EncodePairForTraining(
+      const EMDataset& dataset, const RecordSummaries& summaries, size_t left,
+      size_t right, Rng* rng) const override;
 
  private:
   /// Sequence summarization cap.

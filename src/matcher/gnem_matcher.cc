@@ -89,17 +89,18 @@ Status GnemMatcher::InitEncoder(const EMDataset& dataset, Rng* /*rng*/) {
 }
 
 Result<std::vector<float>> GnemMatcher::EncodePairForTraining(
-    const EMDataset& dataset, size_t left, size_t right, Rng* /*rng*/) const {
+    const EMDataset& dataset, const RecordSummaries& summaries, size_t left,
+    size_t right, Rng* /*rng*/) const {
   if (train_cache_ready_) {
     auto it = train_index_.find(PairKey(left, right));
     if (it != train_index_.end()) return train_features_[it->second];
   }
-  return EncodePair(dataset, left, right);
+  return EncodePair(dataset, summaries, left, right);
 }
 
-Result<std::vector<float>> GnemMatcher::EncodePair(const EMDataset& dataset,
-                                                   size_t left,
-                                                   size_t right) const {
+Result<std::vector<float>> GnemMatcher::EncodePair(
+    const EMDataset& dataset, const RecordSummaries& /*summaries*/,
+    size_t left, size_t right) const {
   // Isolated pair: self-loop-only neighbourhood (the node is its own set).
   FAIREM_ASSIGN_OR_RETURN(std::vector<float> f,
                           NodeFeatures(dataset, left, right));
@@ -119,6 +120,7 @@ Result<std::vector<double>> GnemMatcher::PredictScores(
   for (size_t i = 0; i < pairs.size(); ++i) {
     scores[i] = head().Predict(features[i]);
   }
+  CountPairsEncoded(pairs.size());
   return scores;
 }
 

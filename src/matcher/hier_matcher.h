@@ -24,7 +24,9 @@ class HierMatcherMatcher : public NeuralMatcherBase {
 
  protected:
   Status InitEncoder(const EMDataset& dataset, Rng* rng) override;
-  Result<std::vector<float>> EncodePair(const EMDataset& dataset, size_t left,
+  Result<std::vector<float>> EncodePair(const EMDataset& dataset,
+                                        const RecordSummaries& summaries,
+                                        size_t left,
                                         size_t right) const override;
 
  private:

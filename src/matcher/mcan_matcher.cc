@@ -1,5 +1,6 @@
 #include "src/matcher/mcan_matcher.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/matcher/serialize.h"
@@ -22,9 +23,23 @@ Status McanMatcher::InitEncoder(const EMDataset& /*dataset*/, Rng* rng) {
   return Status::OK();
 }
 
-Result<std::vector<float>> McanMatcher::EncodePair(const EMDataset& dataset,
-                                                   size_t left,
-                                                   size_t right) const {
+size_t McanMatcher::SummaryWidth(const EMDataset& /*dataset*/) const {
+  return kHiddenDim;
+}
+
+Status McanMatcher::SummarizeRecord(const Table& table, size_t row,
+                                    const std::vector<std::string>& attrs,
+                                    float* out) const {
+  FAIREM_ASSIGN_OR_RETURN(std::vector<std::string> full,
+                          SerializeRecord(table, row, attrs));
+  nn::Vec global = gru_->RunMean(sentence_encoder().TokenVectors(full));
+  std::copy(global.begin(), global.end(), out);
+  return Status::OK();
+}
+
+Result<std::vector<float>> McanMatcher::EncodePair(
+    const EMDataset& dataset, const RecordSummaries& summaries, size_t left,
+    size_t right) const {
   FAIREM_ASSIGN_OR_RETURN(
       auto attrs_a,
       PerAttributeTokens(dataset.table_a, left, dataset.matching_attrs));
@@ -34,15 +49,10 @@ Result<std::vector<float>> McanMatcher::EncodePair(const EMDataset& dataset,
   const size_t dim = static_cast<size_t>(sentence_encoder().embedding().dim());
 
   // Global context: GRU summary of the full serialized records.
-  FAIREM_ASSIGN_OR_RETURN(
-      std::vector<std::string> full_a,
-      SerializeRecord(dataset.table_a, left, dataset.matching_attrs));
-  FAIREM_ASSIGN_OR_RETURN(
-      std::vector<std::string> full_b,
-      SerializeRecord(dataset.table_b, right, dataset.matching_attrs));
-  nn::Vec global_a = gru_->RunMean(sentence_encoder().TokenVectors(full_a));
-  nn::Vec global_b = gru_->RunMean(sentence_encoder().TokenVectors(full_b));
-  float global_sim = nn::Cosine(global_a, global_b);
+  const std::span<const float> summary_a = summaries.Left(left);
+  const std::span<const float> summary_b = summaries.Right(right);
+  float global_sim = nn::Cosine(nn::Vec(summary_a.begin(), summary_a.end()),
+                                nn::Vec(summary_b.begin(), summary_b.end()));
 
   std::vector<float> features;
   features.reserve(attrs_a.size() * 2 + 1);

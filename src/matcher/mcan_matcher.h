@@ -15,7 +15,8 @@ namespace fairem {
 /// attention — self-attention (within an attribute), pair-attention
 /// (across the two records' attribute values), global-attention (over the
 /// whole record), combined through a gating mechanism that mixes the
-/// contexts per attribute.
+/// contexts per attribute. A record's whole-record GRU mean is its summary,
+/// computed once per batch.
 class McanMatcher : public NeuralMatcherBase {
  public:
   McanMatcher();
@@ -24,8 +25,14 @@ class McanMatcher : public NeuralMatcherBase {
 
  protected:
   Status InitEncoder(const EMDataset& dataset, Rng* rng) override;
-  Result<std::vector<float>> EncodePair(const EMDataset& dataset, size_t left,
+  Result<std::vector<float>> EncodePair(const EMDataset& dataset,
+                                        const RecordSummaries& summaries,
+                                        size_t left,
                                         size_t right) const override;
+  size_t SummaryWidth(const EMDataset& dataset) const override;
+  Status SummarizeRecord(const Table& table, size_t row,
+                         const std::vector<std::string>& attrs,
+                         float* out) const override;
 
  private:
   static constexpr int kHiddenDim = 20;

@@ -18,10 +18,12 @@ float Dot(const Vec& a, const Vec& b) {
 float Norm(const Vec& a) { return std::sqrt(Dot(a, a)); }
 
 float Cosine(const Vec& a, const Vec& b) {
-  float na = Norm(a);
-  float nb = Norm(b);
-  if (na == 0.0f || nb == 0.0f) return 0.0f;
-  return Dot(a, b) / (na * nb);
+  return Cosine(a, Norm(a), b, Norm(b));
+}
+
+float Cosine(const Vec& a, float a_norm, const Vec& b, float b_norm) {
+  if (a_norm == 0.0f || b_norm == 0.0f) return 0.0f;
+  return Dot(a, b) / (a_norm * b_norm);
 }
 
 void Axpy(float scale, const Vec& b, Vec* a) {

@@ -18,6 +18,11 @@ float Norm(const Vec& a);
 /// Cosine similarity (0 if either vector is all-zero).
 float Cosine(const Vec& a, const Vec& b);
 
+/// Cosine given each vector's Norm: the same bits as Cosine(a, b) without
+/// re-summing the norms. Symmetric to the bit: Cosine(b, nb, a, na) forms
+/// the same products in the same order.
+float Cosine(const Vec& a, float a_norm, const Vec& b, float b_norm);
+
 /// a += scale * b (sizes must match).
 void Axpy(float scale, const Vec& b, Vec* a);
 

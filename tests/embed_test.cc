@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <set>
 
 #include "src/embed/sentence_encoder.h"
 #include "src/embed/subword_embedding.h"
 #include "src/obs/metrics.h"
+#include "src/util/rng.h"
 
 namespace fairem {
 namespace {
@@ -205,6 +208,116 @@ TEST(SentenceEncoderTableTest, TokenWeightKeepsTheSifFormula) {
   }
   EXPECT_EQ(std::bit_cast<uint64_t>(enc.TokenWeight("sigmod")),
             std::bit_cast<uint64_t>(a / (a + 0.0)));
+}
+
+/// The alignment as a nested loop over every token of each side against
+/// every token of the other: the reference the distinct-pair kernel must
+/// match bit for bit.
+double ReferenceAlignment(const SentenceEncoder& enc,
+                          const std::vector<std::string>& a,
+                          const std::vector<std::string>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const std::vector<std::vector<float>> vecs_a = enc.TokenVectors(a);
+  const std::vector<std::vector<float>> vecs_b = enc.TokenVectors(b);
+  auto one_side = [&](const std::vector<std::string>& from,
+                      const std::vector<std::vector<float>>& from_vecs,
+                      const std::vector<std::vector<float>>& to_vecs) {
+    double weighted = 0.0;
+    double total_weight = 0.0;
+    for (size_t i = 0; i < from.size(); ++i) {
+      double best = 0.0;
+      for (const auto& t : to_vecs) {
+        best = std::max(best, SubwordEmbedding::Cosine(from_vecs[i], t));
+      }
+      double w = enc.TokenWeight(from[i]);
+      weighted += w * best;
+      total_weight += w;
+    }
+    return total_weight > 0.0 ? weighted / total_weight : 0.0;
+  };
+  return 0.5 * (one_side(a, vecs_a, vecs_b) + one_side(b, vecs_b, vecs_a));
+}
+
+/// Serialized-record-like token lists: `[col]` and `[val]` repeat, content
+/// tokens repeat, and about one token in eight is outside `kCorpus` (a
+/// table miss; "" embeds to the zero vector).
+std::vector<std::vector<std::string>> DuplicateHeavyLists() {
+  const std::vector<std::string> corpus_tokens = {
+      "[col]", "[val]", "title", "venue", "Lineage", "tracing",
+      "the",   "cloud", "vldb",  "2023",  "warehouse"};
+  const std::vector<std::string> outside = {"sigmod", "browne", "kdd", ""};
+  Rng rng(7);
+  std::vector<std::vector<std::string>> lists = {
+      {}, {"[col]"}, {"sigmod"}, {""}, {"[col]", "[col]", "[val]", "[val]"}};
+  for (int i = 0; i < 120; ++i) {
+    std::vector<std::string> list;
+    const int64_t len = rng.NextInt(1, 44);
+    for (int64_t k = 0; k < len; ++k) {
+      const double u = rng.NextDouble();
+      if (u < 0.35) {
+        list.push_back(u < 0.175 ? "[col]" : "[val]");
+      } else if (u < 0.47) {
+        list.push_back(rng.Choice(outside));
+      } else {
+        list.push_back(rng.Choice(corpus_tokens));
+      }
+    }
+    lists.push_back(std::move(list));
+  }
+  return lists;
+}
+
+void ExpectAlignmentMatchesReference(
+    const SentenceEncoder& enc,
+    const std::vector<std::vector<std::string>>& lists) {
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (size_t j : {i, (i * 7 + 3) % lists.size(), (i + 1) % lists.size()}) {
+      const double want = ReferenceAlignment(enc, lists[i], lists[j]);
+      const double got = enc.AlignmentSimilarity(lists[i], lists[j]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(got))
+          << "lists " << i << " and " << j << ": " << want << " vs " << got;
+    }
+  }
+}
+
+TEST(SentenceEncoderAlignmentTest, DistinctPairsMatchTheNestedLoopBitForBit) {
+  SubwordEmbedding e;
+  SentenceEncoder enc(&e);
+  const std::vector<std::vector<std::string>> lists = DuplicateHeavyLists();
+  // Before any fit: every token misses and weighs 1.
+  ExpectAlignmentMatchesReference(enc, lists);
+  // After: table hits with SIF weights, and the outside tokens still miss.
+  enc.FitFrequencies(kCorpus);
+  ExpectAlignmentMatchesReference(enc, lists);
+}
+
+TEST(SentenceEncoderAlignmentTest, CountsOneCosinePerDistinctTokenPair) {
+  SubwordEmbedding e;
+  SentenceEncoder enc(&e);
+  enc.FitFrequencies(kCorpus);
+  const std::vector<std::string> a = {"[col]", "title", "[val]", "the",
+                                      "cloud", "[col]", "venue", "[val]",
+                                      "vldb",  "the"};
+  const std::vector<std::string> b = {"[col]", "title", "[val]", "the",
+                                      "the",   "sigmod", "sigmod"};
+  const size_t distinct_a = std::set<std::string>(a.begin(), a.end()).size();
+  const size_t distinct_b = std::set<std::string>(b.begin(), b.end()).size();
+  ASSERT_EQ(distinct_a, 7u);
+  ASSERT_EQ(distinct_b, 5u);
+  const uint64_t cosines = CounterValue("fairem.embed.align_cosines");
+  const uint64_t misses = CounterValue("fairem.embed.table_misses");
+  enc.AlignmentSimilarity(a, b);
+  EXPECT_EQ(CounterValue("fairem.embed.align_cosines") - cosines,
+            distinct_a * distinct_b);
+  // Each lookup outside the table still counts a miss.
+  EXPECT_EQ(CounterValue("fairem.embed.table_misses") - misses, 2u);
+  // Empty and one-sided lists compare no token.
+  enc.AlignmentSimilarity({}, {});
+  enc.AlignmentSimilarity(a, {});
+  enc.AlignmentSimilarity({}, b);
+  EXPECT_EQ(CounterValue("fairem.embed.align_cosines") - cosines,
+            distinct_a * distinct_b);
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "src/datagen/benchmark_suite.h"
 #include "src/matcher/dedupe_matcher.h"
 #include "src/matcher/ml_matchers.h"
 #include "src/matcher/rule_matcher.h"
 #include "src/matcher/serialize.h"
+#include "src/obs/metrics.h"
 
 namespace fairem {
 namespace {
@@ -220,6 +225,107 @@ TEST(SerializeTest, NullCellsSerializeToNoValueTokens) {
 TEST(MatcherFamilyTest, Names) {
   EXPECT_STREQ(MatcherFamilyName(MatcherFamily::kRuleBased), "rule-based");
   EXPECT_STREQ(MatcherFamilyName(MatcherFamily::kNeural), "neural");
+}
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+/// The cosines one SentenceEncoder::AlignmentSimilarity computes: distinct
+/// tokens of `a` times distinct tokens of `b`, none when either is empty.
+uint64_t AlignCosines(const std::vector<std::string>& a,
+                      const std::vector<std::string>& b) {
+  if (a.empty() || b.empty()) return 0;
+  return std::set<std::string>(a.begin(), a.end()).size() *
+         std::set<std::string>(b.begin(), b.end()).size();
+}
+
+/// The cosines of the alignments `kind` runs over `pairs`: one alignment
+/// per matching attribute (DeepMatcher, HierMatcher, MCAN), or one over the
+/// serialized records (GNEM; Ditto, which caps each stream at 48 tokens).
+uint64_t ExpectedCosines(MatcherKind kind, const EMDataset& ds,
+                         const std::vector<LabeledPair>& pairs) {
+  uint64_t total = 0;
+  for (const LabeledPair& p : pairs) {
+    if (kind == MatcherKind::kGnem || kind == MatcherKind::kDitto) {
+      std::vector<std::string> a =
+          std::move(SerializeRecord(ds.table_a, p.left, ds.matching_attrs))
+              .value();
+      std::vector<std::string> b =
+          std::move(SerializeRecord(ds.table_b, p.right, ds.matching_attrs))
+              .value();
+      if (kind == MatcherKind::kDitto) {
+        a.resize(std::min<size_t>(a.size(), 48));
+        b.resize(std::min<size_t>(b.size(), 48));
+      }
+      total += AlignCosines(a, b);
+      continue;
+    }
+    auto a = std::move(PerAttributeTokens(ds.table_a, p.left,
+                                          ds.matching_attrs))
+                 .value();
+    auto b = std::move(PerAttributeTokens(ds.table_b, p.right,
+                                          ds.matching_attrs))
+                 .value();
+    for (size_t k = 0; k < a.size(); ++k) total += AlignCosines(a[k], b[k]);
+  }
+  return total;
+}
+
+/// Distinct left rows plus distinct right rows of `pairs`.
+uint64_t DistinctRecords(const std::vector<LabeledPair>& pairs) {
+  std::set<size_t> lefts;
+  std::set<size_t> rights;
+  for (const LabeledPair& p : pairs) {
+    lefts.insert(p.left);
+    rights.insert(p.right);
+  }
+  return lefts.size() + rights.size();
+}
+
+TEST(NeuralCountersTest, FitAndPredictMoveEachCounterByItsCount) {
+  const EMDataset ds =
+      std::move(GenerateDataset(DatasetKind::kDblpAcm, 0.25)).value();
+  const char* kRecords = "fairem.neural.records_summarized";
+  const char* kPairs = "fairem.neural.pairs_encoded";
+  const char* kCosines = "fairem.embed.align_cosines";
+  for (MatcherKind kind : NeuralMatcherKinds()) {
+    SCOPED_TRACE(MatcherKindName(kind));
+    // DeepMatcher's per-attribute and MCAN's whole-record GRU means are
+    // per-record summaries; the other three keep none.
+    const bool summarizes =
+        kind == MatcherKind::kDeepMatcher || kind == MatcherKind::kMcan;
+    std::unique_ptr<Matcher> matcher = CreateMatcher(kind);
+    Rng rng(1234);
+    uint64_t records = CounterValue(kRecords);
+    uint64_t pairs = CounterValue(kPairs);
+    uint64_t cosines = CounterValue(kCosines);
+    ASSERT_TRUE(matcher->Fit(ds, &rng).ok());
+    EXPECT_EQ(CounterValue(kPairs) - pairs, ds.train.size());
+    EXPECT_EQ(CounterValue(kRecords) - records,
+              summarizes ? DistinctRecords(ds.train) : 0u);
+    // Ditto's training dropout draws which tokens it aligns from the rng.
+    if (kind != MatcherKind::kDitto) {
+      EXPECT_EQ(CounterValue(kCosines) - cosines,
+                ExpectedCosines(kind, ds, ds.train));
+    }
+    records = CounterValue(kRecords);
+    pairs = CounterValue(kPairs);
+    cosines = CounterValue(kCosines);
+    ASSERT_TRUE(matcher->PredictScores(ds, ds.test).ok());
+    EXPECT_EQ(CounterValue(kPairs) - pairs, ds.test.size());
+    EXPECT_EQ(CounterValue(kRecords) - records,
+              summarizes ? DistinctRecords(ds.test) : 0u);
+    EXPECT_EQ(CounterValue(kCosines) - cosines,
+              ExpectedCosines(kind, ds, ds.test));
+    // A ScorePair call is a batch of one pair.
+    records = CounterValue(kRecords);
+    pairs = CounterValue(kPairs);
+    ASSERT_TRUE(
+        matcher->ScorePair(ds, ds.test[0].left, ds.test[0].right).ok());
+    EXPECT_EQ(CounterValue(kPairs) - pairs, 1u);
+    EXPECT_EQ(CounterValue(kRecords) - records, summarizes ? 2u : 0u);
+  }
 }
 
 }  // namespace
