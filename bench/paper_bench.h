@@ -11,7 +11,8 @@
 //
 // The body reads its datasets, auditors and matcher runs from a
 // PaperBench, which generates each dataset, builds each auditor and fits
-// each (dataset, matcher) once per bench. One policy covers a failed run:
+// each (dataset, matcher) once per bench (its RunStore). A grid bench fits
+// its runs once for both of its grids. One policy covers a failed run:
 // it is printed on stderr and listed in an "errors (runs unavailable):"
 // block after the bench's stdout, the bench draws or leaves out its cell,
 // and the bench still exits 0. A failure the body returns (datagen, audit,
@@ -68,29 +69,29 @@ class PaperBench {
   }
 
   /// `kind` fitted on `dataset` and scored on its test split, on first use.
-  /// A failed run is printed on stderr and kept for the errors block; asking
-  /// again returns the same failure without a refit.
+  /// A failed run is printed on stderr and listed in the errors block once;
+  /// asking again returns the same failure without a refit.
   Result<const MatcherRun*> Run(const EMDataset& dataset, MatcherKind kind) {
-    const auto key = std::make_pair(dataset.name, kind);
-    auto it = runs_.find(key);
-    if (it == runs_.end()) {
-      it = runs_.emplace(key, RunMatcher(dataset, kind)).first;
-      if (!it->second.ok()) {
-        errors_.push_back(std::string(MatcherKindName(kind)) + " on " +
-                          dataset.name + ": " +
-                          it->second.status().ToString());
-        std::cerr << errors_.back() << "\n";
-      }
+    const std::string run_name =
+        std::string(MatcherKindName(kind)) + " on " + dataset.name;
+    for (const auto& [failed, status] : errors_) {
+      if (failed == run_name) return status;
     }
-    if (!it->second.ok()) return it->second.status();
-    return &*it->second;
+    Result<const MatcherRun*> run = runs_.Run(dataset, kind);
+    if (!run.ok()) {
+      errors_.emplace_back(run_name, run.status());
+      std::cerr << run_name << ": " << run.status() << "\n";
+    }
+    return run;
   }
 
   /// The failed runs, one per line under a heading; empty when none failed.
   std::string ErrorsBlock() const {
     if (errors_.empty()) return "";
     std::string out = "errors (runs unavailable):\n";
-    for (const std::string& error : errors_) out += "  " + error + "\n";
+    for (const auto& [failed, status] : errors_) {
+      out += "  " + failed + ": " + status.ToString() + "\n";
+    }
     return out;
   }
 
@@ -98,8 +99,8 @@ class PaperBench {
   BenchFlags flags_;
   std::map<DatasetKind, EMDataset> datasets_;
   std::map<std::string, FairnessAuditor> auditors_;
-  std::map<std::pair<std::string, MatcherKind>, Result<MatcherRun>> runs_;
-  std::vector<std::string> errors_;
+  RunStore runs_;  // memory only, matcher seed 1234 as RunMatcher's default
+  std::vector<std::pair<std::string, Status>> errors_;
 };
 
 /// Parses the flags, runs `body` and writes the snapshot; returns the
@@ -137,11 +138,13 @@ inline int RunPaperBench(int argc, char** argv,
   return exit_code;
 }
 
-/// Prints one unfairness-grid figure (UnfairnessGridReport) under `title`.
+/// Prints one unfairness-grid figure (UnfairnessGridReport, keeping its
+/// runs in `runs` when given) under `title`.
 inline Status PrintGrid(const EMDataset& dataset, bool pairwise,
-                        const GridRunOptions& options, const char* title) {
-  FAIREM_ASSIGN_OR_RETURN(std::string grid,
-                          UnfairnessGridReport(dataset, pairwise, options));
+                        const GridRunOptions& options, const char* title,
+                        RunStore* runs = nullptr) {
+  FAIREM_ASSIGN_OR_RETURN(
+      std::string grid, UnfairnessGridReport(dataset, pairwise, options, runs));
   std::cout << "== " << title << " ==\n"
             << (grid.empty() ? "(no unfair cells)\n" : grid) << "\n";
   return Status::OK();
@@ -161,6 +164,9 @@ inline constexpr char kGridMarkers[] =
 /// run the sweep under the process-isolated supervisor
 /// (src/robust/supervisor.h), whose workers ship their metrics and spans
 /// back (DESIGN.md §11), so the snapshot is the same under --jobs 1 and N.
+/// Both grids read one RunStore built from the same options: in process
+/// the pairwise grid audits the single grid's runs; supervised workers
+/// share them only through --checkpoint_dir's `scores/`.
 inline int RunGridBench(int argc, char** argv, DatasetKind kind,
                         const char* single_title,
                         const char* pairwise_title) {
@@ -174,9 +180,12 @@ inline int RunGridBench(int argc, char** argv, DatasetKind kind,
   auto body = [&](PaperBench& bench) -> Status {
     options.intra_jobs = bench.flags().intra_jobs;
     FAIREM_ASSIGN_OR_RETURN(const EMDataset* dataset, bench.Dataset(kind));
-    FAIREM_RETURN_NOT_OK(PrintGrid(*dataset, false, options, single_title));
+    RunStore runs(options);
+    FAIREM_RETURN_NOT_OK(
+        PrintGrid(*dataset, false, options, single_title, &runs));
     if (pairwise_title != nullptr) {
-      FAIREM_RETURN_NOT_OK(PrintGrid(*dataset, true, options, pairwise_title));
+      FAIREM_RETURN_NOT_OK(
+          PrintGrid(*dataset, true, options, pairwise_title, &runs));
     }
     std::cout << kGridMarkers;
     return Status::OK();

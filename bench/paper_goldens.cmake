@@ -1,12 +1,15 @@
 # Golden lane for the 14 benches on the paper-bench driver
 # (bench/paper_bench.h). Each runs at --scale 0.25 and must exit 0, print
 # bench/golden/<bench>.txt byte for byte on stdout, and leave
-# BENCH_<bench>.json in the work dir. Two more cases pin two fixes: Table 5
-# at --scale 0.05 --seed 1 prints "-" for a disparity of an undefined rate,
-# and Figures 2/3 under --intra_jobs 2 print the same stdout with the flag
-# reaching the thread pool (fairem.pool.workers 1). The Table 7 and
-# Figure 14 snapshots must show each dataset generated and each
-# (dataset, matcher) fitted once. Invoked by CTest:
+# BENCH_<bench>.json in the work dir. Three more cases pin three fixes:
+# Table 5 at --scale 0.05 --seed 1 prints "-" for a disparity of an
+# undefined rate, Figures 2/3 under --intra_jobs 2 print the same stdout
+# with the flag reaching the thread pool (fairem.pool.workers 1), and
+# Figures 6/7 under --jobs 2 print each grid once (forked workers must not
+# inherit unflushed stdout). The Table 7 and Figure 14 snapshots must show
+# each dataset generated and each (dataset, matcher) fitted once, and the
+# Figures 6/7 snapshot each matcher fitted once for both grids. Invoked by
+# CTest:
 #   cmake -DBENCH_DIR=<dir> -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir> -P <this>
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -59,12 +62,15 @@ foreach(bench bench_table7_sensitivity bench_fig14_threshold_maps)
 endforeach()
 expect_metric(bench_table7_sensitivity fairem.harness.matcher_runs 48)
 expect_metric(bench_fig14_threshold_maps fairem.harness.matcher_runs 51)
+expect_metric(bench_fig6_7_dblp_acm fairem.harness.matcher_runs 13)
 
 expect_golden(table5_undefined_rate bench_table5_nofly_scale0.05_seed1
               bench_table5_nofly --scale 0.05 --seed 1)
 expect_golden(fig2_3_intra_jobs bench_fig2_3_social_grids
               bench_fig2_3_social_grids --scale 0.25 --intra_jobs 2)
 expect_metric(bench_fig2_3_social_grids fairem.pool.workers 1)
+expect_golden(fig6_7_jobs2 bench_fig6_7_dblp_acm
+              bench_fig6_7_dblp_acm --scale 0.25 --jobs 2)
 
 if(failures)
   list(JOIN failures "\n" report)

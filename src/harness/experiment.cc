@@ -20,104 +20,22 @@
 namespace fairem {
 namespace {
 
-/// One report's view of the score cache (DESIGN.md §18): each supported
-/// matcher's test scores under `<checkpoint_dir>/scores/`, keyed by
-/// (dataset, matcher) and valid only for the same matcher seed and
-/// DatasetFingerprint. Disabled without a checkpoint dir. The fingerprint
-/// is computed on the first lookup, so a report replayed entirely from cell
-/// checkpoints never pays for it.
-class ScoreCache {
- public:
-  ScoreCache(const EMDataset& dataset, const GridRunOptions& options)
-      : dataset_(dataset),
-        seed_(options.seed),
-        store_(options.checkpoint_dir.empty()
-                   ? ""
-                   : options.checkpoint_dir + "/scores") {}
+/// Fills `run`'s confusion counts, accuracy and F1 from its test scores at
+/// the dataset's default threshold; a non-finite score is an error.
+Status TallyRun(const EMDataset& dataset, MatcherRun* run) {
+  FAIREM_ASSIGN_OR_RETURN(std::vector<PairOutcome> outcomes,
+                          MakeOutcomes(dataset.test, run->test_scores,
+                                       dataset.default_threshold));
+  run->counts = OverallCounts(outcomes);
+  run->accuracy = Accuracy(run->counts).value_or(0.0);
+  run->f1 = F1Score(run->counts).value_or(0.0);
+  return Status::OK();
+}
 
-  bool enabled() const { return store_.enabled(); }
+}  // namespace
 
-  uint64_t fingerprint() {
-    if (!fingerprint_) fingerprint_ = DatasetFingerprint(dataset_);
-    return *fingerprint_;
-  }
-
-  /// The cached test scores of `matcher`, or nullopt on a miss: no entry,
-  /// or one that is corrupt, of the wrong length, or computed under another
-  /// seed or dataset (stale).
-  std::optional<std::vector<double>> Load(const std::string& matcher) {
-    static Counter* hits = MetricsRegistry::Global().GetCounter(
-        "fairem.harness.score_cache_hits");
-    static Counter* misses = MetricsRegistry::Global().GetCounter(
-        "fairem.harness.score_cache_misses");
-    static Counter* stale = MetricsRegistry::Global().GetCounter(
-        "fairem.harness.score_cache_stale");
-    if (!enabled()) return std::nullopt;
-    const std::string key = dataset_.name + "." + matcher;
-    Result<std::string> payload = store_.Load(key);
-    if (!payload.ok()) {
-      misses->Increment();
-      if (!payload.status().IsNotFound()) {
-        FAIREM_LOG(WARN) << "score cache load failed, refitting"
-                         << LogKv("key", key)
-                         << LogKv("status", payload.status().ToString());
-      }
-      return std::nullopt;
-    }
-    Result<ScoreCacheEntry> entry = ScoreEntryFromJson(*payload);
-    if (const char* reason = StaleReason(entry, matcher)) {
-      misses->Increment();
-      stale->Increment();
-      FAIREM_LOG(INFO) << "stale score cache entry, refitting"
-                       << LogKv("key", key)
-                       << LogKv("reason", entry.ok()
-                                              ? std::string(reason)
-                                              : entry.status().ToString());
-      return std::nullopt;
-    }
-    hits->Increment();
-    return std::move(entry->scores);
-  }
-
-  /// Durably saves a fitted run's scores. A failed save only WARNs: it
-  /// costs the next report a refit, never this cell.
-  void Save(const std::string& matcher, const std::vector<double>& scores) {
-    if (!enabled()) return;
-    const std::string key = dataset_.name + "." + matcher;
-    ScoreCacheEntry entry{dataset_.name, matcher, seed_, fingerprint(),
-                          scores};
-    if (Status st = store_.Save(key, ScoreEntryToJson(entry)); !st.ok()) {
-      FAIREM_LOG(WARN) << "score cache save failed" << LogKv("key", key)
-                       << LogKv("status", st.ToString());
-    }
-  }
-
- private:
-  /// Why `entry` cannot stand in for a fit of `matcher`; nullptr if it can.
-  const char* StaleReason(const Result<ScoreCacheEntry>& entry,
-                          const std::string& matcher) {
-    if (!entry.ok()) return "corrupt";
-    if (entry->dataset != dataset_.name || entry->matcher != matcher) {
-      return "wrong key";
-    }
-    if (entry->seed != seed_) return "seed changed";
-    if (entry->fingerprint != fingerprint()) return "dataset changed";
-    if (entry->scores.size() != dataset_.test.size()) return "wrong length";
-    return nullptr;
-  }
-
-  const EMDataset& dataset_;
-  uint64_t seed_;
-  CheckpointStore store_;
-  std::optional<uint64_t> fingerprint_;
-};
-
-/// RunMatcher behind the score cache: a valid cached entry stands in for
-/// Fit + PredictScores (no fit span, no matcher_fit/matcher_predict
-/// failpoint, no matcher_runs increment); a miss fits and then saves.
-Result<MatcherRun> RunMatcherCached(const EMDataset& dataset,
-                                    MatcherKind kind, uint64_t seed,
-                                    ScoreCache* cache) {
+Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
+                              uint64_t seed) {
   static Counter* runs =
       MetricsRegistry::Global().GetCounter("fairem.harness.matcher_runs");
   static Counter* unsupported = MetricsRegistry::Global().GetCounter(
@@ -139,72 +57,139 @@ Result<MatcherRun> RunMatcherCached(const EMDataset& dataset,
     unsupported->Increment();
     return run;
   }
-  std::optional<std::vector<double>> cached =
-      cache == nullptr ? std::nullopt : cache->Load(run.matcher_name);
-  if (cached) {
-    run.test_scores = std::move(*cached);
-  } else {
-    runs->Increment();
-    Rng rng(seed ^ (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL));
-    // Generic and per-matcher injection sites, so fault-injection runs can
-    // target "all fits" (matcher_fit=error(0.05)) or a single system
-    // (matcher_fit.Ditto=crash(1)).
-    FAIREM_FAILPOINT("matcher_fit");
-    FAIREM_FAILPOINT("matcher_fit." + run.matcher_name);
-    {
-      // fit_seconds comes from the span's own monotonic clock, so the
-      // harness-reported number and the trace event can never disagree.
-      Span span("fairem.matcher.fit", &run.fit_seconds);
-      span.AddArg("matcher", run.matcher_name);
-      span.AddArg("dataset", dataset.name);
-      FAIREM_RETURN_NOT_OK(matcher->Fit(dataset, &rng));
-    }
-    fit_hist->Observe(run.fit_seconds);
-    MetricsRegistry::Global()
-        .GetHistogram("fairem.matcher." + run.matcher_name + ".fit_seconds")
-        ->Observe(run.fit_seconds);
-    FAIREM_FAILPOINT("matcher_predict");
-    FAIREM_FAILPOINT("matcher_predict." + run.matcher_name);
-    {
-      Span span("fairem.matcher.predict", &run.predict_seconds);
-      span.AddArg("matcher", run.matcher_name);
-      span.AddArg("dataset", dataset.name);
-      span.AddArg("pairs", std::to_string(dataset.test.size()));
-      FAIREM_ASSIGN_OR_RETURN(run.test_scores,
-                              matcher->PredictScores(dataset, dataset.test));
-    }
-    predict_hist->Observe(run.predict_seconds);
-    MetricsRegistry::Global()
-        .GetHistogram("fairem.matcher." + run.matcher_name +
-                      ".predict_seconds")
-        ->Observe(run.predict_seconds);
+  runs->Increment();
+  Rng rng(seed ^ (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL));
+  // Generic and per-matcher injection sites, so fault-injection runs can
+  // target "all fits" (matcher_fit=error(0.05)) or a single system
+  // (matcher_fit.Ditto=crash(1)).
+  FAIREM_FAILPOINT("matcher_fit");
+  FAIREM_FAILPOINT("matcher_fit." + run.matcher_name);
+  {
+    // fit_seconds comes from the span's own monotonic clock, so the
+    // harness-reported number and the trace event can never disagree.
+    Span span("fairem.matcher.fit", &run.fit_seconds);
+    span.AddArg("matcher", run.matcher_name);
+    span.AddArg("dataset", dataset.name);
+    FAIREM_RETURN_NOT_OK(matcher->Fit(dataset, &rng));
   }
-  FAIREM_ASSIGN_OR_RETURN(std::vector<PairOutcome> outcomes,
-                          MakeOutcomes(dataset.test, run.test_scores,
-                                       dataset.default_threshold));
-  run.counts = OverallCounts(outcomes);
-  run.accuracy = Accuracy(run.counts).value_or(0.0);
-  run.f1 = F1Score(run.counts).value_or(0.0);
-  // Only a fresh run that MakeOutcomes accepted (every score finite) is
-  // saved, before the caller audits it.
-  if (!cached && cache != nullptr) {
-    cache->Save(run.matcher_name, run.test_scores);
+  fit_hist->Observe(run.fit_seconds);
+  MetricsRegistry::Global()
+      .GetHistogram("fairem.matcher." + run.matcher_name + ".fit_seconds")
+      ->Observe(run.fit_seconds);
+  FAIREM_FAILPOINT("matcher_predict");
+  FAIREM_FAILPOINT("matcher_predict." + run.matcher_name);
+  {
+    Span span("fairem.matcher.predict", &run.predict_seconds);
+    span.AddArg("matcher", run.matcher_name);
+    span.AddArg("dataset", dataset.name);
+    span.AddArg("pairs", std::to_string(dataset.test.size()));
+    FAIREM_ASSIGN_OR_RETURN(run.test_scores,
+                            matcher->PredictScores(dataset, dataset.test));
   }
+  predict_hist->Observe(run.predict_seconds);
+  MetricsRegistry::Global()
+      .GetHistogram("fairem.matcher." + run.matcher_name + ".predict_seconds")
+      ->Observe(run.predict_seconds);
+  FAIREM_RETURN_NOT_OK(TallyRun(dataset, &run));
   FAIREM_LOG(DEBUG) << "matcher run complete"
                     << LogKv("matcher", run.matcher_name)
                     << LogKv("dataset", dataset.name)
-                    << LogKv("cached", cached ? "true" : "false")
                     << LogKv("fit_s", FormatDouble(run.fit_seconds, 4))
                     << LogKv("predict_s", FormatDouble(run.predict_seconds, 4))
                     << LogKv("f1", FormatDouble(run.f1, 3));
   return run;
 }
 
-}  // namespace
+RunStore::RunStore(const GridRunOptions& options)
+    : seed_(options.seed),
+      scores_(options.checkpoint_dir.empty()
+                  ? ""
+                  : options.checkpoint_dir + "/scores") {}
 
-Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
-                              uint64_t seed) {
-  return RunMatcherCached(dataset, kind, seed, /*cache=*/nullptr);
+Result<const MatcherRun*> RunStore::Run(const EMDataset& dataset,
+                                        MatcherKind kind) {
+  const auto key = std::make_pair(dataset.name, kind);
+  auto it = runs_.find(key);
+  if (it == runs_.end()) {
+    Result<MatcherRun> run = Miss(dataset, kind);
+    if (!run.ok() && IsRetryableStatus(run.status())) return run.status();
+    it = runs_.emplace(key, std::move(run)).first;
+  }
+  if (!it->second.ok()) return it->second.status();
+  return &*it->second;
+}
+
+void RunStore::Forget(const EMDataset& dataset, MatcherKind kind) {
+  runs_.erase({dataset.name, kind});
+}
+
+void RunStore::PrepareFork(const EMDataset& dataset) {
+  if (scores_.enabled()) Fingerprint(dataset);
+}
+
+uint64_t RunStore::Fingerprint(const EMDataset& dataset) {
+  auto [it, inserted] = fingerprints_.try_emplace(dataset.name, 0);
+  if (inserted) it->second = DatasetFingerprint(dataset);
+  return it->second;
+}
+
+Result<MatcherRun> RunStore::Miss(const EMDataset& dataset, MatcherKind kind) {
+  static Counter* hits = MetricsRegistry::Global().GetCounter(
+      "fairem.harness.score_cache_hits");
+  static Counter* misses = MetricsRegistry::Global().GetCounter(
+      "fairem.harness.score_cache_misses");
+  static Counter* stale = MetricsRegistry::Global().GetCounter(
+      "fairem.harness.score_cache_stale");
+  // An unsupported matcher neither reads nor writes an entry.
+  if (!scores_.enabled() || !CreateMatcher(kind)->SupportsDataset(dataset)) {
+    return RunMatcher(dataset, kind, seed_);
+  }
+  const std::string matcher = MatcherKindName(kind);
+  const std::string key = dataset.name + "." + matcher;
+  // A valid entry stands in for the fit. Anything else is a miss: no entry,
+  // or a stale one (corrupt, of the wrong length, or computed under another
+  // seed or dataset).
+  Result<std::string> payload = scores_.Load(key);
+  if (payload.ok()) {
+    Result<ScoreCacheEntry> entry = ScoreEntryFromJson(*payload);
+    const char* reason =
+        !entry.ok() ? "corrupt"
+        : entry->dataset != dataset.name || entry->matcher != matcher
+            ? "wrong key"
+        : entry->seed != seed_                      ? "seed changed"
+        : entry->fingerprint != Fingerprint(dataset) ? "dataset changed"
+        : entry->scores.size() != dataset.test.size() ? "wrong length"
+                                                      : nullptr;
+    if (reason == nullptr) {
+      hits->Increment();
+      MatcherRun run;
+      run.kind = kind;
+      run.matcher_name = matcher;
+      run.test_scores = std::move(entry->scores);
+      FAIREM_RETURN_NOT_OK(TallyRun(dataset, &run));
+      return run;
+    }
+    stale->Increment();
+    FAIREM_LOG(INFO) << "stale score cache entry, refitting"
+                     << LogKv("key", key)
+                     << LogKv("reason", entry.ok() ? std::string(reason)
+                                                   : entry.status().ToString());
+  } else if (!payload.status().IsNotFound()) {
+    FAIREM_LOG(WARN) << "score cache load failed, refitting"
+                     << LogKv("key", key)
+                     << LogKv("status", payload.status().ToString());
+  }
+  misses->Increment();
+  // Only a run that MakeOutcomes accepted (every score finite) is saved. A
+  // failed save only WARNs: it costs the next report a refit, never this run.
+  FAIREM_ASSIGN_OR_RETURN(MatcherRun run, RunMatcher(dataset, kind, seed_));
+  const ScoreCacheEntry entry{dataset.name, matcher, seed_,
+                              Fingerprint(dataset), run.test_scores};
+  if (Status st = scores_.Save(key, ScoreEntryToJson(entry)); !st.ok()) {
+    FAIREM_LOG(WARN) << "score cache save failed" << LogKv("key", key)
+                     << LogKv("status", st.ToString());
+  }
+  return run;
 }
 
 Result<FairnessAuditor> MakeAuditor(const EMDataset& dataset) {
@@ -270,31 +255,30 @@ Status ApplyCellToGrid(const GridCellCheckpoint& cell, UnfairnessGrid* grid) {
   return Status::OK();
 }
 
-/// One grid cell end to end: train (or read the scores from `scores`) +
-/// audit, converted to the checkpointable representation. Failures
-/// propagate as Status for the retry wrapper.
+/// One grid cell end to end: the run from `runs` + its audit, converted to
+/// the checkpointable representation. Failures propagate as Status for the
+/// retry wrapper.
 Result<GridCellCheckpoint> RunGridCell(const EMDataset& dataset,
                                        MatcherKind kind, bool pairwise,
                                        const GridRunOptions& options,
-                                       ScoreCache* scores) {
+                                       RunStore* runs) {
   FAIREM_FAILPOINT("grid_cell");
   GridCellCheckpoint cell;
   cell.matcher = MatcherKindName(kind);
-  FAIREM_ASSIGN_OR_RETURN(
-      MatcherRun run, RunMatcherCached(dataset, kind, options.seed, scores));
-  cell.marker = MatcherMarker(run.matcher_name);
-  cell.supported = run.supported;
-  if (!run.supported) return cell;
+  FAIREM_ASSIGN_OR_RETURN(const MatcherRun* run, runs->Run(dataset, kind));
+  cell.marker = MatcherMarker(run->matcher_name);
+  cell.supported = run->supported;
+  if (!run->supported) return cell;
   FAIREM_ASSIGN_OR_RETURN(
       AuditReport report,
-      pairwise ? AuditRunPairwise(dataset, run, options.audit)
-               : AuditRunSingle(dataset, run, options.audit));
+      pairwise ? AuditRunPairwise(dataset, *run, options.audit)
+               : AuditRunSingle(dataset, *run, options.audit));
   cell.marks.reserve(report.entries.size());
   for (const auto& entry : report.entries) {
     cell.marks.push_back({entry.group_label, FairnessMeasureName(entry.measure),
                           entry.unfair});
   }
-  FAIREM_LOG(INFO) << "audited matcher" << LogKv("matcher", run.matcher_name)
+  FAIREM_LOG(INFO) << "audited matcher" << LogKv("matcher", run->matcher_name)
                    << LogKv("dataset", dataset.name)
                    << LogKv("mode", pairwise ? "pairwise" : "single")
                    << LogKv("unfair_cells", report.UnfairEntries().size());
@@ -331,8 +315,8 @@ GridCellCheckpoint MakeErrorCell(MatcherKind kind, const Status& status) {
 Result<GridCellCheckpoint> RunAuditCell(const EMDataset& dataset,
                                         MatcherKind kind, bool pairwise,
                                         const GridRunOptions& options) {
-  ScoreCache scores(dataset, options);
-  return RunGridCell(dataset, kind, pairwise, options, &scores);
+  RunStore runs(options);
+  return RunGridCell(dataset, kind, pairwise, options, &runs);
 }
 
 void RegisterGridRunFlags(FlagSet* flags, GridRunOptions* options) {
@@ -360,7 +344,8 @@ std::string AuditCellKey(const std::string& dataset_name, MatcherKind kind,
 
 Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
                                          bool pairwise,
-                                         const GridRunOptions& options) {
+                                         const GridRunOptions& options,
+                                         RunStore* runs) {
   static Counter* checkpoint_hits = MetricsRegistry::Global().GetCounter(
       "fairem.robust.checkpoint_cells_loaded");
   static Counter* checkpoint_writes = MetricsRegistry::Global().GetCounter(
@@ -373,9 +358,11 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
   // Applied before any forking so supervised workers inherit the setting;
   // they rebuild their own pool lazily (the parent's is abandoned at fork).
   SetIntraJobs(options.intra_jobs);
-  const char* mode = pairwise ? "pairwise" : "single";
   CheckpointStore store(options.checkpoint_dir);
-  ScoreCache scores(dataset, options);
+  // A report that owns its store forgets each run once its cell is done, so
+  // it holds one run at a time.
+  std::optional<RunStore> own_runs;
+  if (runs == nullptr) runs = &own_runs.emplace(options);
   // SIGINT/SIGTERM now request a cooperative stop: workers are reaped,
   // completed state stays on disk, and the report returns Cancelled.
   ShutdownGuard shutdown_guard;
@@ -386,10 +373,8 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
         options.skip.end()) {
       continue;
     }
-    CellSlot slot;
-    slot.kind = kind;
-    slot.key = dataset.name + "." + mode + "." + MatcherKindName(kind);
-    slots.push_back(std::move(slot));
+    slots.push_back(
+        {kind, AuditCellKey(dataset.name, kind, pairwise), false, {}});
   }
 
   // Phase 1: replay whatever a previous run already persisted.
@@ -423,39 +408,43 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
   ProgressReporter reporter(slots.size(), options.jobs,
                             /*min_interval_seconds=*/0.5,
                             /*emit_stderr=*/options.progress);
-  size_t progress_done = 0;
-  size_t progress_failed = 0;
-  for (const CellSlot& slot : slots) {
-    if (slot.resolved) {
-      ++progress_done;
-      if (slot.cell.error) ++progress_failed;
-    }
-  }
   auto progress_base = [&]() {
     ProgressSnapshot snap;
     snap.total = slots.size();
-    snap.done = progress_done;
-    snap.failed = progress_failed;
+    for (const CellSlot& slot : slots) {
+      if (!slot.resolved) continue;
+      ++snap.done;
+      if (slot.cell.error) ++snap.failed;
+    }
     return snap;
   };
   reporter.Update(progress_base());
+  // A broken checkpoint dir degrades resumability, not the report.
+  auto persist = [&](const CellSlot& slot) {
+    if (!store.enabled()) return;
+    if (Status st = store.Save(slot.key, GridCellToJson(slot.cell));
+        !st.ok()) {
+      FAIREM_LOG(WARN) << "checkpoint save failed" << LogKv("key", slot.key)
+                       << LogKv("status", st.ToString());
+    } else {
+      checkpoint_writes->Increment();
+    }
+  };
 
   // Phase 2: run the remaining cells — forked workers under the supervisor,
   // or in-process with RetryCall.
   if (UseSupervisedExecutor(options)) {
     std::vector<size_t> todo;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].resolved) todo.push_back(i);
-    }
     std::vector<Supervisor::Task> tasks;
-    tasks.reserve(todo.size());
-    for (size_t i : todo) {
+    for (size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].resolved) continue;
+      todo.push_back(i);
       Supervisor::Task task;
       task.key = slots[i].key;
       task.run = [&, i]() -> Result<std::string> {
         FAIREM_ASSIGN_OR_RETURN(
             GridCellCheckpoint cell,
-            RunGridCell(dataset, slots[i].kind, pairwise, options, &scores));
+            RunGridCell(dataset, slots[i].kind, pairwise, options, runs));
         std::string json = GridCellToJson(cell);
         // The worker persists its own cell (the supervisor also gets the
         // payload over the pipe, so a broken store degrades resumability
@@ -473,7 +462,7 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
     }
     // Fingerprint the dataset once, before forking, rather than once per
     // worker.
-    if (scores.enabled() && !todo.empty()) scores.fingerprint();
+    if (!todo.empty()) runs->PrepareFork(dataset);
     SupervisorOptions sup;
     sup.jobs = options.jobs;
     sup.cell_timeout_s = options.cell_timeout_s;
@@ -482,13 +471,12 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
     // The supervisor reports its own task universe; shift it by the cells
     // already replayed from checkpoints so the line reads against the full
     // grid.
-    const size_t base_done = progress_done;
-    const size_t base_failed = progress_failed;
+    const ProgressSnapshot base = progress_base();
     sup.on_progress = [&](const ProgressSnapshot& snap) {
       ProgressSnapshot adjusted = snap;
       adjusted.total = slots.size();
-      adjusted.done += base_done;
-      adjusted.failed += base_failed;
+      adjusted.done += base.done;
+      adjusted.failed += base.failed;
       reporter.Update(adjusted);
     };
     Supervisor supervisor(sup);
@@ -523,15 +511,7 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
                         << LogKv("outcome", TaskOutcomeKindName(outcome.kind))
                         << LogKv("attempts", outcome.attempts)
                         << LogKv("status", slot.cell.status);
-      if (store.enabled()) {
-        if (Status st = store.Save(slot.key, GridCellToJson(slot.cell));
-            !st.ok()) {
-          FAIREM_LOG(WARN) << "checkpoint save failed" << LogKv("key", slot.key)
-                           << LogKv("status", st.ToString());
-        } else {
-          checkpoint_writes->Increment();
-        }
-      }
+      persist(slot);
     }
   } else {
     for (CellSlot& slot : slots) {
@@ -547,11 +527,12 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
         return RetryCall(options.retry,
                          [&]() {
                            return RunGridCell(dataset, slot.kind, pairwise,
-                                              options, &scores);
+                                              options, runs);
                          },
                          options.seed ^ (static_cast<uint64_t>(slot.kind) + 1) *
                                             0x9e3779b97f4a7c15ULL);
       }();
+      if (own_runs) runs->Forget(dataset, slot.kind);
       if (cell.ok()) {
         slot.cell = std::move(*cell);
       } else {
@@ -564,33 +545,14 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
                           << LogKv("status", slot.cell.status);
       }
       slot.resolved = true;
-      ++progress_done;
-      if (slot.cell.error) ++progress_failed;
-      {
-        ProgressSnapshot snap = progress_base();
-        snap.last_cell_seconds = cell_seconds;
-        reporter.Update(snap);
-      }
-      if (store.enabled()) {
-        if (Status st = store.Save(slot.key, GridCellToJson(slot.cell));
-            !st.ok()) {
-          // A broken checkpoint dir degrades resumability, not the report.
-          FAIREM_LOG(WARN) << "checkpoint save failed" << LogKv("key", slot.key)
-                           << LogKv("status", st.ToString());
-        } else {
-          checkpoint_writes->Increment();
-        }
-      }
+      ProgressSnapshot snap = progress_base();
+      snap.last_cell_seconds = cell_seconds;
+      reporter.Update(snap);
+      persist(slot);
     }
   }
 
   // Final (forced) progress line: every slot is resolved by now.
-  progress_done = 0;
-  progress_failed = 0;
-  for (const CellSlot& slot : slots) {
-    ++progress_done;
-    if (slot.cell.error) ++progress_failed;
-  }
   reporter.Update(progress_base(), /*force=*/true);
 
   // Phase 3: apply in sweep order — column order is first-seen, so this is

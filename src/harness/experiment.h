@@ -1,7 +1,9 @@
 #ifndef FAIREM_HARNESS_EXPERIMENT_H_
 #define FAIREM_HARNESS_EXPERIMENT_H_
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/audit.h"
@@ -35,7 +37,8 @@ struct MatcherRun {
 
 /// Trains `kind` on `dataset` with the given seed and scores the test
 /// split. Unsupported (matcher, dataset) combinations return a MatcherRun
-/// with supported = false rather than an error.
+/// with supported = false rather than an error. Every call fits; a RunStore
+/// fits each (dataset, matcher) once.
 Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
                               uint64_t seed = 1234);
 
@@ -73,11 +76,12 @@ struct GridRunOptions {
   /// When non-empty, each completed cell is persisted here atomically
   /// (temp + rename JSON) and an interrupted run resumes by replaying the
   /// persisted cells instead of re-running them. Cells that failed after
-  /// retries are persisted too. Each fitted matcher's test scores are also
-  /// cached under `scores/` (DESIGN.md §18), so the other audit mode, or a
-  /// cell whose file was deleted, re-audits without a refit. Delete a
-  /// cell's file to re-audit it from the cached scores; to force a refit,
-  /// also delete `scores/<dataset>.<matcher>.json`.
+  /// retries are persisted too. The RunStore built from these options also
+  /// keeps each fitted matcher's test scores under `scores/` (DESIGN.md
+  /// §18), so the other audit mode, or a cell whose file was deleted,
+  /// re-audits without a refit. Delete a cell's file to re-audit it from
+  /// the stored scores; to force a refit, also delete
+  /// `scores/<dataset>.<matcher>.json`.
   std::string checkpoint_dir;
   /// Seed forwarded to RunMatcher and the retry jitter.
   uint64_t seed = 1234;
@@ -105,6 +109,47 @@ struct GridRunOptions {
   bool progress = false;
 };
 
+/// The one home of fitted runs (DESIGN.md §18). `Run` fits a (dataset,
+/// matcher) once and keeps the MatcherRun until the store dies or forgets
+/// it, keyed by dataset name and matcher, so a store holds one draw per
+/// dataset name. With a checkpoint directory a memo miss first reads
+/// the run's test scores from `<checkpoint_dir>/scores/`, valid only for the
+/// same matcher seed and DatasetFingerprint, and a fit writes them there.
+/// Nothing is process-global: the memo dies with its owner (a report, a
+/// bench, a serve query).
+class RunStore {
+ public:
+  /// Fits with `options.seed`; reads and writes `scores/` only when
+  /// `options.checkpoint_dir` is set.
+  explicit RunStore(const GridRunOptions& options = {});
+  // Run hands out pointers into the memo, and sweeps hold the store's
+  // address.
+  RunStore(const RunStore&) = delete;
+  RunStore& operator=(const RunStore&) = delete;
+
+  /// `kind` on `dataset`: memoized, else read from `scores/`, else fitted by
+  /// RunMatcher. A retryable failure (IsRetryableStatus) is not kept, so a
+  /// retry fits again; any other failure is returned again on every ask.
+  Result<const MatcherRun*> Run(const EMDataset& dataset, MatcherKind kind);
+
+  /// Drops `kind` on `dataset` from the memo, freeing its scores; a later
+  /// ask reads `scores/` or fits again.
+  void Forget(const EMDataset& dataset, MatcherKind kind);
+
+  /// Fingerprints `dataset` now when the store has a directory, so that
+  /// workers forked afterwards inherit it instead of each hashing it.
+  void PrepareFork(const EMDataset& dataset);
+
+ private:
+  Result<MatcherRun> Miss(const EMDataset& dataset, MatcherKind kind);
+  uint64_t Fingerprint(const EMDataset& dataset);
+
+  uint64_t seed_;
+  CheckpointStore scores_;
+  std::map<std::pair<std::string, MatcherKind>, Result<MatcherRun>> runs_;
+  std::map<std::string, uint64_t> fingerprints_;
+};
+
 /// Registers the grid-sweep flags into `options`: --checkpoint_dir,
 /// --retry_attempts, --jobs, --cell_timeout_s, --cell_max_rss_mb and
 /// --progress. --intra_jobs is RegisterIntraJobsFlag's.
@@ -121,7 +166,7 @@ void RegisterGridRunFlags(FlagSet* flags, GridRunOptions* options);
 /// checkpoint_dir — every finished cell is persisted so a killed run
 /// resumes where it stopped (checkpoint hits are counted in
 /// fairem.robust.checkpoint_cells_loaded), and every fitted matcher's test
-/// scores are cached, so the report of the other mode into the same dir
+/// scores are stored, so the report of the other mode into the same dir
 /// audits without refitting (fairem.harness.score_cache_{hits,misses,stale}).
 ///
 /// With `options.jobs` > 1 (or a cell timeout / rlimit set) the sweep runs
@@ -132,12 +177,20 @@ void RegisterGridRunFlags(FlagSet* flags, GridRunOptions* options);
 /// applied to the grid in deterministic sweep order regardless of worker
 /// completion order, so the rendered report is byte-identical to a
 /// sequential run for all healthy cells.
+///
+/// `runs`, when given, is the caller's store, built from the same options:
+/// the report keeps its runs there, so a report of the other mode over the
+/// same store audits them without a refit. Supervised workers fit in their
+/// own memory, so they share runs only through a checkpoint directory.
+/// Without one the report builds its own store and keeps no run past its
+/// cell.
 Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
                                          bool pairwise,
-                                         const GridRunOptions& options);
+                                         const GridRunOptions& options,
+                                         RunStore* runs = nullptr);
 
 /// One audit grid cell end to end — train `kind` (or, with a checkpoint_dir,
-/// read its cached test scores), audit, and convert to the checkpointable
+/// read its stored test scores), audit, and convert to the checkpointable
 /// representation (the exact bytes the grid sweep persists, so serve-daemon
 /// cell responses and grid checkpoints interoperate). Failures propagate as
 /// Status for retry wrappers.

@@ -44,7 +44,7 @@ Result<std::vector<float>> DeepMatcherMatcher::EncodePair(
   const std::span<const float> summary_a = summaries.Left(left);
   const std::span<const float> summary_b = summaries.Right(right);
   std::vector<float> features;
-  features.reserve(attrs_a.size() * 3);
+  features.reserve(attrs_a.size() * 4);
   const size_t dim = static_cast<size_t>(sentence_encoder().embedding().dim());
   for (size_t a = 0; a < attrs_a.size(); ++a) {
     std::vector<nn::Vec> emb_a = sentence_encoder().TokenVectors(attrs_a[a]);

@@ -95,7 +95,7 @@ Result<std::vector<float>> HierMatcherMatcher::EncodePair(
     }
   }
   std::vector<float> features;
-  features.reserve(attrs_a.size() * 2 + 2);
+  features.reserve(attrs_a.size() * 3 + 2);
   float min_sim = 1.0f;
   float sum_sim = 0.0f;
   for (size_t a = 0; a < attrs_a.size(); ++a) {

@@ -55,7 +55,7 @@ Result<std::vector<float>> McanMatcher::EncodePair(
                                 nn::Vec(summary_b.begin(), summary_b.end()));
 
   std::vector<float> features;
-  features.reserve(attrs_a.size() * 2 + 1);
+  features.reserve(attrs_a.size() * 3 + 1);
   for (size_t a = 0; a < attrs_a.size(); ++a) {
     std::vector<nn::Vec> emb_a = sentence_encoder().TokenVectors(attrs_a[a]);
     std::vector<nn::Vec> emb_b = sentence_encoder().TokenVectors(attrs_b[a]);

@@ -9,9 +9,11 @@
 #endif
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <utility>
 
 #include "src/obs/log.h"
@@ -183,6 +185,12 @@ Result<WorkerProcess> WorkerProcess::Spawn(
     return Status::IOError(std::string("pipe failed: ") +
                            std::strerror(errno));
   }
+  // The child inherits every unflushed stdio buffer, and its first
+  // std::cerr write flushes the tied std::cout: without this, stdout the
+  // parent has not flushed yet (a bench's first grid) prints once more per
+  // worker when stdout is not a terminal.
+  std::cout.flush();
+  std::fflush(nullptr);
   pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);

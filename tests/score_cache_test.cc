@@ -1,6 +1,7 @@
-// The checkpointed test-score cache (DESIGN.md §18): the entry codec, the
-// invalidation rules, and byte-identity of cached reports against uncached
-// ones, sequentially and under the supervised executor.
+// The run store (DESIGN.md §18): its in-process memo under both audit
+// modes and its failure policy; its checkpointed test scores' entry codec
+// and invalidation rules; and byte-identity of stored reports against
+// fresh ones, sequentially and under the supervised executor.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -134,8 +135,8 @@ EMDataset Faculty(uint64_t seed_offset = 0) {
 }
 
 std::string Report(const EMDataset& ds, bool pairwise,
-                   const GridRunOptions& options) {
-  return std::move(UnfairnessGridReport(ds, pairwise, options)).value();
+                   const GridRunOptions& options, RunStore* runs = nullptr) {
+  return std::move(UnfairnessGridReport(ds, pairwise, options, runs)).value();
 }
 
 /// Uncached reference: the same options without a checkpoint dir.
@@ -404,6 +405,130 @@ TEST(ScoreCacheTest, ErrorAndUnsupportedCellsWriteNoEntry) {
             std::set<std::string>{"FacultyMatch.DTMatcher.json"});
   // The unsupported cell never consults the cache.
   EXPECT_EQ(run.misses(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The run store's memo
+
+// Both modes over one memory-only store fit each supported matcher once, and
+// each report matches a fresh three-argument report byte for byte.
+TEST(RunStoreTest, BothModesOverOneStoreFitEachMatcherOnce) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options;
+  options.audit.reference = AuditReference::kComplement;
+  const std::string single_expected = Report(ds, false, options);
+  const std::string pairwise_expected = Report(ds, true, options);
+
+  RunStore runs(options);
+  CacheCounters run;
+  const uint64_t unsupported_before =
+      CounterValue("fairem.harness.unsupported_runs");
+  EXPECT_EQ(Report(ds, false, options, &runs), single_expected);
+  EXPECT_EQ(Report(ds, true, options, &runs), pairwise_expected);
+  // Dedupe does not support FacultyMatch (Table 9's "-"): 12 fits, and the
+  // unsupported run is kept like any other.
+  EXPECT_EQ(run.fits(), AllMatcherKinds().size() - 1);
+  EXPECT_EQ(CounterValue("fairem.harness.unsupported_runs"),
+            unsupported_before + 1);
+  // Memory only: scores/ is never consulted.
+  EXPECT_EQ(run.misses(), 0u);
+  EXPECT_EQ(run.hits(), 0u);
+
+  // Asking again hands out the kept run, bit for bit RunMatcher's.
+  const MatcherRun* nb = std::move(runs.Run(ds, MatcherKind::kNB)).value();
+  EXPECT_EQ(std::move(runs.Run(ds, MatcherKind::kNB)).value(), nb);
+  EXPECT_EQ(run.fits(), AllMatcherKinds().size() - 1);
+  const MatcherRun fresh =
+      std::move(RunMatcher(ds, MatcherKind::kNB, options.seed)).value();
+  ASSERT_EQ(nb->test_scores.size(), fresh.test_scores.size());
+  for (size_t i = 0; i < fresh.test_scores.size(); ++i) {
+    EXPECT_EQ(Bits(nb->test_scores[i]), Bits(fresh.test_scores[i]));
+  }
+
+  // A forgotten run is fitted again on the next ask.
+  const uint64_t fits_before = run.fits();
+  runs.Forget(ds, MatcherKind::kNB);
+  ASSERT_TRUE(runs.Run(ds, MatcherKind::kNB).ok());
+  EXPECT_EQ(run.fits(), fits_before + 1);
+}
+
+// An injected fit error is retryable, so the store does not keep it: once
+// the failpoint is cleared, the same store fits and succeeds.
+TEST(RunStoreTest, RetryableFailureIsNotKept) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = SmallGridOptions();
+  options.retry.max_attempts = 1;
+  const std::string pairwise_expected = Report(ds, true, options);
+
+  RunStore runs(options);
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Configure("matcher_fit=error(1)").ok());
+  Result<const MatcherRun*> failed = runs.Run(ds, MatcherKind::kDT);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(IsRetryableStatus(failed.status()));
+  const std::string failed_report = Report(ds, false, options, &runs);
+  FailpointRegistry::Global().Clear();
+  EXPECT_NE(failed_report.find("DTMatcher: Internal: injected failure"),
+            std::string::npos);
+
+  CacheCounters run;
+  ASSERT_TRUE(runs.Run(ds, MatcherKind::kDT).ok());
+  EXPECT_EQ(Report(ds, true, options, &runs), pairwise_expected);
+  EXPECT_EQ(run.fits(), 4u);
+}
+
+// With a directory the memo sits in front of scores/: a memo miss reads the
+// entry and moves the hit, miss and stale counters as a report does, and a
+// memo hit reads nothing.
+TEST(RunStoreTest, MemoMissReadsTheScoresDirectory) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = SmallGridOptions();
+  TempCheckpointDir dir("fairem_run_store");
+  options.checkpoint_dir = dir.path();
+  const MatcherRun fresh =
+      std::move(RunMatcher(ds, MatcherKind::kDT, options.seed)).value();
+  {
+    RunStore first(options);
+    CacheCounters run;
+    ASSERT_TRUE(first.Run(ds, MatcherKind::kDT).ok());
+    ASSERT_TRUE(first.Run(ds, MatcherKind::kDT).ok());
+    EXPECT_EQ(run.misses(), 1u);
+    EXPECT_EQ(run.hits(), 0u);
+    EXPECT_EQ(run.fits(), 1u);
+  }
+  const std::string entry_path = ScorePath(options, ds, "DTMatcher");
+  const std::string good = ReadFile(entry_path);
+  {
+    RunStore second(options);
+    CacheCounters run;
+    ASSERT_TRUE(
+        FailpointRegistry::Global().Configure("matcher_fit=error(1)").ok());
+    const MatcherRun* dt =
+        std::move(second.Run(ds, MatcherKind::kDT)).value();
+    ASSERT_TRUE(second.Run(ds, MatcherKind::kDT).ok());
+    FailpointRegistry::Global().Clear();
+    EXPECT_EQ(run.hits(), 1u);
+    EXPECT_EQ(run.misses(), 0u);
+    EXPECT_EQ(run.fits(), 0u);
+    ASSERT_EQ(dt->test_scores.size(), fresh.test_scores.size());
+    for (size_t i = 0; i < fresh.test_scores.size(); ++i) {
+      EXPECT_EQ(Bits(dt->test_scores[i]), Bits(fresh.test_scores[i]));
+    }
+    EXPECT_EQ(dt->f1, fresh.f1);
+  }
+  ScoreCacheEntry other_seed = std::move(ScoreEntryFromJson(good)).value();
+  other_seed.seed += 1;
+  WriteFile(entry_path, ScoreEntryToJson(other_seed));
+  RunStore third(options);
+  CacheCounters run;
+  ASSERT_TRUE(third.Run(ds, MatcherKind::kDT).ok());
+  EXPECT_EQ(run.stale(), 1u);
+  EXPECT_EQ(run.misses(), 1u);
+  EXPECT_EQ(run.fits(), 1u);
+  EXPECT_EQ(ReadFile(entry_path), good);
 }
 
 }  // namespace
