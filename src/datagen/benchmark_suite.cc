@@ -125,35 +125,38 @@ Result<DatasetKind> ParseDatasetKind(const std::string& name) {
 
 Result<EMDataset> GenerateDataset(DatasetKind kind, double scale,
                                   uint64_t seed_offset) {
-  Span span("fairem.datagen.generate");
-  span.AddArg("dataset", DatasetKindName(kind));
   double seconds = 0.0;
+  size_t num_records = 0;
+  size_t num_pairs = 0;
   Result<EMDataset> dataset = Status::Internal("datagen did not run");
   {
-    ScopedTimer timer(&seconds);
+    // `seconds` comes from the span's own monotonic clock, so the
+    // generate_seconds histogram and the trace event can never disagree.
+    Span span("fairem.datagen.generate", &seconds);
+    span.AddArg("dataset", DatasetKindName(kind));
     dataset = GenerateDatasetImpl(kind, scale, seed_offset);
-  }
-  if (dataset.ok()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    static Counter* datasets =
-        reg.GetCounter("fairem.datagen.datasets_generated");
-    static Counter* records = reg.GetCounter("fairem.datagen.records");
-    static Counter* pairs = reg.GetCounter("fairem.datagen.labeled_pairs");
-    size_t num_records =
-        dataset->table_a.num_rows() + dataset->table_b.num_rows();
-    size_t num_pairs =
+    if (!dataset.ok()) return dataset;
+    num_records = dataset->table_a.num_rows() + dataset->table_b.num_rows();
+    num_pairs =
         dataset->train.size() + dataset->valid.size() + dataset->test.size();
-    datasets->Increment();
-    records->Increment(num_records);
-    pairs->Increment(num_pairs);
     span.AddArg("records", std::to_string(num_records));
     span.AddArg("pairs", std::to_string(num_pairs));
-    FAIREM_LOG(DEBUG) << "generated dataset"
-                      << LogKv("dataset", dataset->name)
-                      << LogKv("records", num_records)
-                      << LogKv("pairs", num_pairs)
-                      << LogKv("seconds", FormatDouble(seconds, 4));
   }
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  static Counter* datasets =
+      reg.GetCounter("fairem.datagen.datasets_generated");
+  static Counter* records = reg.GetCounter("fairem.datagen.records");
+  static Counter* pairs = reg.GetCounter("fairem.datagen.labeled_pairs");
+  static Histogram* generate_seconds =
+      reg.GetHistogram("fairem.datagen.generate_seconds");
+  datasets->Increment();
+  records->Increment(num_records);
+  pairs->Increment(num_pairs);
+  generate_seconds->Observe(seconds);
+  FAIREM_LOG(DEBUG) << "generated dataset" << LogKv("dataset", dataset->name)
+                    << LogKv("records", num_records)
+                    << LogKv("pairs", num_pairs)
+                    << LogKv("seconds", FormatDouble(seconds, 4));
   return dataset;
 }
 

@@ -1,11 +1,15 @@
 #include "src/datagen/music.h"
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/datagen/pair_scan.h"
 #include "src/datagen/perturb.h"
-#include "src/text/edit_distance.h"
 #include "src/util/string_util.h"
 #include "src/util/rng.h"
 
@@ -245,14 +249,23 @@ Result<EMDataset> GenerateItunesAmazon(const ItunesAmazonOptions& options) {
   }
   // Blocked hard negatives: distinct songs by the same artist with
   // near-identical titles — the "Tequila Loves Me" / "Likes Me" trap pairs.
-  // These concentrate in the country family by construction.
-  for (size_t i = 0; i < songs.size(); ++i) {
-    for (size_t j = 0; j < songs.size(); ++j) {
-      if (i == j || songs[i].artist != songs[j].artist) continue;
-      if (JaroWinklerSimilarity(songs[i].title, songs[j].title) >= 0.84) {
-        pairs.push_back({i, j, false});
+  // These concentrate in the country family by construction. Scanned per
+  // artist, then sorted into the all-pairs loop's row-major order.
+  {
+    std::map<std::string_view, std::vector<size_t>> songs_by_artist;
+    for (size_t i = 0; i < songs.size(); ++i) {
+      songs_by_artist[songs[i].artist].push_back(i);
+    }
+    std::vector<std::pair<size_t, size_t>> traps;
+    for (const auto& [artist, ids] : songs_by_artist) {
+      std::vector<std::optional<std::string_view>> titles;
+      for (size_t id : ids) titles.emplace_back(songs[id].title);
+      for (auto [x, y] : JaroWinklerNearPairs(titles, titles, 0.84)) {
+        if (x != y) traps.emplace_back(ids[x], ids[y]);
       }
     }
+    std::sort(traps.begin(), traps.end());
+    for (auto [i, j] : traps) pairs.push_back({i, j, false});
   }
   for (size_t i = 0; i < songs.size(); ++i) {
     std::set<size_t> used;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/datagen/pair_scan.h"
 #include "src/util/rng.h"
 
 namespace fairem {
@@ -44,14 +45,7 @@ Result<EMDataset> BuildProductDataset(std::string name, ProductTables tables,
     FAIREM_RETURN_NOT_OK(
         ds.table_b.AppendValues(o.product_id, {o.title, o.company}));
   }
-  std::vector<LabeledPair> pairs;
-  for (size_t i = 0; i < tables.left.size(); ++i) {
-    for (size_t j = 0; j < tables.right.size(); ++j) {
-      if (tables.left[i].product_id == tables.right[j].product_id) {
-        pairs.push_back({i, j, true});
-      }
-    }
-  }
+  std::vector<LabeledPair> pairs = SameEntityPairs(ds.table_a, ds.table_b);
   for (size_t i = 0; i < tables.left.size(); ++i) {
     std::set<size_t> used;
     for (int n = 0; n < options.negatives_per_record; ++n) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/datagen/names.h"
+#include "src/datagen/pair_scan.h"
 #include "src/datagen/perturb.h"
 #include "src/text/edit_distance.h"
 #include "src/util/rng.h"
@@ -116,16 +117,10 @@ Status AppendTitleBlockedNegatives(const Table& a, const Table& b,
   FAIREM_ASSIGN_OR_RETURN(size_t col_a, a.schema().Index("title"));
   FAIREM_ASSIGN_OR_RETURN(size_t col_b, b.schema().Index("title"));
   std::vector<LabeledPair> candidates;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.IsNull(i, col_a)) continue;
-    for (size_t j = 0; j < b.num_rows(); ++j) {
-      if (a.row(i).entity_id == b.row(j).entity_id) continue;
-      if (b.IsNull(j, col_b)) continue;
-      if (JaroWinklerSimilarity(a.value(i, col_a), b.value(j, col_b)) >=
-          threshold) {
-        candidates.push_back({i, j, false});
-      }
-    }
+  for (auto [i, j] : JaroWinklerNearPairs(ColumnValues(a, col_a),
+                                          ColumnValues(b, col_b), threshold)) {
+    if (a.row(i).entity_id == b.row(j).entity_id) continue;
+    candidates.push_back({i, j, false});
   }
   if (candidates.size() > max_count) {
     rng->Shuffle(&candidates);
@@ -260,8 +255,8 @@ Result<EMDataset> GenerateDblpAcm(const DblpAcmOptions& options) {
       bool identical_title =
           !p.is_match && !ds.table_a.IsNull(p.left, title_col) &&
           !ds.table_b.IsNull(p.right, title_col) &&
-          JaroWinklerSimilarity(ds.table_a.value(p.left, title_col),
-                                ds.table_b.value(p.right, title_col)) >= 0.93;
+          JaroWinklerAtLeast(ds.table_a.value(p.left, title_col),
+                             ds.table_b.value(p.right, title_col), 0.93);
       if (identical_title && rng.NextBool(0.85)) {
         ds.test.push_back(p);
       } else {

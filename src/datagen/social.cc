@@ -1,40 +1,32 @@
 #include "src/datagen/social.h"
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/datagen/names.h"
+#include "src/datagen/pair_scan.h"
 #include "src/datagen/perturb.h"
-#include "src/text/edit_distance.h"
 #include "src/util/rng.h"
 
 namespace fairem {
 namespace {
 
-/// Appends every cross-table non-match pair where at least one name column
-/// is near-identical (Jaro-Winkler >= `threshold`) — the blocked hard
-/// negatives a real EM pipeline would feed the matcher. These pairs carry
-/// a surname (or first-name) collision but, thanks to the population's
-/// minimum-distance guarantee, always differ clearly in another column, so
-/// exact character features can separate them while record-level embedding
-/// similarity cannot.
-void BlockedNegatives(const Table& a, const Table& b,
-                      const std::vector<size_t>& name_cols, double threshold,
-                      size_t max_count, Rng* rng,
+/// Appends every cross-table non-match pair whose `col` values are
+/// near-identical (Jaro-Winkler >= `threshold`) — the blocked hard
+/// negatives a real EM pipeline would feed the matcher. These pairs carry a
+/// name collision but, thanks to the population's minimum-distance
+/// guarantee, always differ clearly in another column, so exact character
+/// features can separate them while record-level embedding similarity
+/// cannot.
+void BlockedNegatives(const Table& a, const Table& b, size_t col,
+                      double threshold, size_t max_count, Rng* rng,
                       std::vector<LabeledPair>* pairs) {
   std::vector<LabeledPair> candidates;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    for (size_t j = 0; j < b.num_rows(); ++j) {
-      if (a.row(i).entity_id == b.row(j).entity_id) continue;
-      double best = 0.0;
-      for (size_t col : name_cols) {
-        best = std::max(
-            best, JaroWinklerSimilarity(a.value(i, col), b.value(j, col)));
-      }
-      if (best >= threshold) candidates.push_back({i, j, false});
-    }
+  for (auto [i, j] : JaroWinklerNearPairs(ColumnValues(a, col),
+                                          ColumnValues(b, col), threshold)) {
+    if (a.row(i).entity_id == b.row(j).entity_id) continue;
+    candidates.push_back({i, j, false});
   }
   // Hard negatives are a small tail of real candidate sets; cap their count
   // (uniform subsample) so they inform the boundary without dominating it.
@@ -91,7 +83,7 @@ Result<EMDataset> GenerateFacultyMatch(const FacultyMatchOptions& options) {
   ds.simulated_full_scale_pairs = 271108 + 1084432;  // Table 4
 
   int64_t scholar_id = 0;
-  std::vector<std::string> taken_names;
+  MinDistanceNameSet taken_names(1);
   // Unlike NoFlyCompas, only exact duplicates and 1-edit twins are
   // rejected: the pinyin name space is dense enough that distance-2
   // confusables ("Qinghu Huang" / "Qingbo Huang") survive, and after the
@@ -102,22 +94,15 @@ Result<EMDataset> GenerateFacultyMatch(const FacultyMatchOptions& options) {
     for (int tries = 0; tries < 400; ++tries) {
       std::string name =
           chinese ? ChineseFullName(&rng) : GermanFullName(&rng);
-      bool too_close = false;
-      for (const auto& existing : taken_names) {
-        if (LevenshteinWithin(name, existing, 1)) {
-          too_close = true;
-          break;
-        }
-      }
-      if (!too_close) {
-        taken_names.push_back(name);
+      if (!taken_names.HasNear(name)) {
+        taken_names.Add(name);
         return name;
       }
     }
     // Pool exhausted: disambiguate with a numeric suffix.
     std::string name = (chinese ? ChineseFullName(&rng) : GermanFullName(&rng)) +
                        " " + std::to_string(taken_names.size());
-    taken_names.push_back(name);
+    taken_names.Add(name);
     return name;
   };
   auto add_faculty = [&](const std::string& name,
@@ -144,7 +129,7 @@ Result<EMDataset> GenerateFacultyMatch(const FacultyMatchOptions& options) {
   for (size_t i = 0; i < ds.table_a.num_rows(); ++i) {
     pairs.push_back({i, i, true});
   }
-  BlockedNegatives(ds.table_a, ds.table_b, {0}, 0.80,
+  BlockedNegatives(ds.table_a, ds.table_b, 0, 0.80,
                    3 * ds.table_a.num_rows(), &rng, &pairs);
   SampleNegatives(ds.table_a, ds.table_b, options.negatives_per_record, &rng,
                   &pairs);
@@ -194,7 +179,7 @@ Result<EMDataset> GenerateNoFlyCompas(const NoFlyCompasOptions& options) {
   // identical-name collisions would make even a perfect matcher fail.
   std::vector<Person> population;
   population.reserve(static_cast<size_t>(options.population));
-  std::vector<std::string> full_names;
+  MinDistanceNameSet full_names(2);
   int attempts = 0;
   int black_count = 0;
   while (static_cast<int>(population.size()) < options.population &&
@@ -210,15 +195,8 @@ Result<EMDataset> GenerateNoFlyCompas(const NoFlyCompasOptions& options) {
     // the combined name, so a 1-edit perturbed match is always closer than
     // any non-match and a perfect feature-based matcher stays perfect.
     std::string full = name.first + " " + name.last;
-    bool too_close = false;
-    for (const auto& existing : full_names) {
-      if (LevenshteinWithin(full, existing, 2)) {
-        too_close = true;
-        break;
-      }
-    }
-    if (too_close) continue;
-    full_names.push_back(std::move(full));
+    if (full_names.HasNear(full)) continue;
+    full_names.Add(std::move(full));
     population.push_back({name, black});
     if (black) ++black_count;
   }
@@ -279,18 +257,11 @@ Result<EMDataset> GenerateNoFlyCompas(const NoFlyCompasOptions& options) {
          p.black ? kBlack : kWhite}));
   }
 
-  std::vector<LabeledPair> pairs;
-  for (size_t i = 0; i < ds.table_a.num_rows(); ++i) {
-    for (size_t j = 0; j < ds.table_b.num_rows(); ++j) {
-      if (ds.table_a.row(i).entity_id == ds.table_b.row(j).entity_id) {
-        pairs.push_back({i, j, true});
-      }
-    }
-  }
+  std::vector<LabeledPair> pairs = SameEntityPairs(ds.table_a, ds.table_b);
   // Blocking on the surname (the no-fly screening key): hard negatives
   // concentrate where surnames concentrate — the African-American group.
   if (options.include_blocked_negatives) {
-    BlockedNegatives(ds.table_a, ds.table_b, {1}, 0.88,
+    BlockedNegatives(ds.table_a, ds.table_b, 1, 0.88,
                      2 * static_cast<size_t>(options.no_fly_size), &rng,
                      &pairs);
   }

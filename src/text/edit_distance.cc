@@ -11,6 +11,17 @@
 namespace fairem {
 namespace {
 
+constexpr double kWinklerScaling = 0.1;
+
+/// Common prefix length capped at 4, the Winkler bonus's input. The score
+/// rises with it: jaro + prefix * 0.1 * (1 - jaro).
+int WinklerPrefix(std::string_view a, std::string_view b) {
+  int prefix = 0;
+  size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
+  for (size_t i = 0; i < limit && a[i] == b[i]; ++i) ++prefix;
+  return prefix;
+}
+
 /// Drops the common prefix and suffix — positions the optimal alignment
 /// matches for free. Exact for Levenshtein (every edit script on the
 /// trimmed middle extends to one on the full strings and vice versa); NOT
@@ -278,11 +289,60 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
 
 double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
   double jaro = JaroSimilarity(a, b);
-  int prefix = 0;
-  size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
-  for (size_t i = 0; i < limit && a[i] == b[i]; ++i) ++prefix;
-  constexpr double kScaling = 0.1;
-  return jaro + prefix * kScaling * (1.0 - jaro);
+  return jaro + WinklerPrefix(a, b) * kWinklerScaling * (1.0 - jaro);
+}
+
+CharCounts::CharCounts(std::string_view s) {
+  ByteCounts counts{};
+  for (char c : s) ++counts[static_cast<unsigned char>(c)];
+  for (size_t byte = 0; byte < counts.size(); ++byte) {
+    if (counts[byte] > 0) {
+      entries_.push_back({static_cast<uint8_t>(byte), counts[byte]});
+    }
+  }
+}
+
+size_t CharCounts::Shared(const ByteCounts& counts) const {
+  size_t shared = 0;
+  for (const Entry& e : entries_) shared += std::min(e.count, counts[e.byte]);
+  return shared;
+}
+
+void CharCounts::AddTo(ByteCounts* counts) const {
+  for (const Entry& e : entries_) (*counts)[e.byte] += e.count;
+}
+
+void CharCounts::RemoveFrom(ByteCounts* counts) const {
+  for (const Entry& e : entries_) (*counts)[e.byte] -= e.count;
+}
+
+bool JaroWinklerAtLeast(std::string_view a, std::string_view b,
+                        double threshold) {
+  ByteCounts counts{};
+  CharCounts(a).AddTo(&counts);
+  return JaroWinklerMayReach(a, b, CharCounts(b).Shared(counts), threshold) &&
+         JaroWinklerSimilarity(a, b) >= threshold;
+}
+
+bool JaroWinklerMayReach(std::string_view a, std::string_view b,
+                         size_t shared, double threshold) {
+  // The bound and the kernel's score each sit a few roundings from their
+  // real values. Rejecting only below threshold - margin keeps a bound
+  // that rounded down from rejecting a score that rounded up to reach it.
+  constexpr double kRoundingMargin = 1e-9;
+  if (a.empty() || b.empty()) return true;  // the kernel's constant cases
+  // Jaro = (M/|a| + M/|b| + (M - t/2)/M) / 3 grows with the matches M,
+  // which never exceed `shared`, and its last term is at most 1 (t = 0).
+  // With M = 0 there is no common character, so no prefix either: 0.
+  const double m = static_cast<double>(shared);
+  const double jaro = shared == 0
+                          ? 0.0
+                          : (m / static_cast<double>(a.size()) +
+                             m / static_cast<double>(b.size()) + 1.0) /
+                                3.0;
+  const double bound =
+      jaro + WinklerPrefix(a, b) * kWinklerScaling * (1.0 - jaro);
+  return bound >= threshold - kRoundingMargin;
 }
 
 double NeedlemanWunschSimilarity(std::string_view a, std::string_view b) {

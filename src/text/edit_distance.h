@@ -1,7 +1,10 @@
 #ifndef FAIREM_TEXT_EDIT_DISTANCE_H_
 #define FAIREM_TEXT_EDIT_DISTANCE_H_
 
+#include <array>
+#include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace fairem {
 
@@ -45,6 +48,49 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 /// Jaro-Winkler similarity in [0, 1] with standard prefix scaling
 /// (p = 0.1, prefix capped at 4).
 double JaroWinklerSimilarity(std::string_view a, std::string_view b);
+
+/// A string's character counts indexed by byte. 32-bit, so no run of one
+/// byte can wrap a count.
+using ByteCounts = std::array<uint32_t, 256>;
+
+/// A string's character counts kept sparse: each distinct byte once, with
+/// its count. Built once per value by callers that compare one value with
+/// many, and compared against the other value's ByteCounts in O(distinct
+/// bytes).
+class CharCounts {
+ public:
+  explicit CharCounts(std::string_view s);
+
+  /// Sum over bytes c of min(count(c), counts[c]): the characters this
+  /// string shares with the string `counts` holds, with multiplicity.
+  size_t Shared(const ByteCounts& counts) const;
+
+  /// Adds this string's counts to `counts`; RemoveFrom takes them out.
+  void AddTo(ByteCounts* counts) const;
+  void RemoveFrom(ByteCounts* counts) const;
+
+ private:
+  struct Entry {
+    uint8_t byte;
+    uint32_t count;
+  };
+  std::vector<Entry> entries_;
+};
+
+/// JaroWinklerSimilarity(a, b) >= threshold, the same answer for every
+/// input. A pair whose score provably falls short is rejected by
+/// JaroWinklerMayReach without running the Jaro kernel (DESIGN.md §21).
+bool JaroWinklerAtLeast(std::string_view a, std::string_view b,
+                        double threshold);
+
+/// The filter half of JaroWinklerAtLeast: false only when
+/// JaroWinklerSimilarity(a, b) < threshold is certain. `shared` is
+/// CharCounts::Shared for the pair. The bound takes the Jaro matches as
+/// `shared` (each match pairs two equal characters), no transpositions and
+/// the exact prefix bonus, and rejects only below threshold minus a fixed
+/// rounding margin.
+bool JaroWinklerMayReach(std::string_view a, std::string_view b,
+                         size_t shared, double threshold);
 
 /// Needleman-Wunsch global alignment score normalized to [0, 1]
 /// (match = +1, mismatch/gap = -1; score scaled by max length).

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/datagen/names.h"
+#include "src/datagen/pair_scan.h"
 #include "src/datagen/perturb.h"
 #include "src/text/edit_distance.h"
 
@@ -82,6 +88,129 @@ TEST(NamesTest, ChineseNamesClusterMoreThanGerman) {
     return total / static_cast<double>(names.size());
   };
   EXPECT_GT(mean_top_sim(cn), mean_top_sim(de));
+}
+
+// The all-pairs loop JaroWinklerNearPairs replaces.
+std::vector<std::pair<size_t, size_t>> NestedNearPairs(
+    const std::vector<std::optional<std::string_view>>& left,
+    const std::vector<std::optional<std::string_view>>& right,
+    double threshold) {
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < left.size(); ++i) {
+    if (!left[i].has_value()) continue;
+    for (size_t j = 0; j < right.size(); ++j) {
+      if (!right[j].has_value()) continue;
+      if (JaroWinklerSimilarity(*left[i], *right[j]) >= threshold) {
+        pairs.emplace_back(i, j);
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST(PairScanTest, NearPairsEqualTheNestedLoopInOrder) {
+  // Duplicate-heavy columns: few distinct values behind many rows, some
+  // of them one edit apart, some null, and long runs of one byte (a count
+  // that saturates at 255 drops the 400-byte pair's bound below 0.93).
+  Rng rng(17);
+  const std::vector<std::string> base = {
+      "guest editorial", "editor's notes", "efficient query processing",
+      "effective query processing", "brown", "browne", "qing hu",
+      "qingbo hu", std::string(400, 'z'), std::string(399, 'z') + "y", ""};
+  std::vector<std::string> pool = base;
+  for (const std::string& s : base) pool.push_back(PerturbString(s, &rng));
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::string> left_strings;
+    std::vector<std::string> right_strings;
+    for (int i = 0; i < 60; ++i) {
+      left_strings.push_back(pool[rng.NextBounded(pool.size())]);
+    }
+    for (int i = 0; i < 45; ++i) {
+      right_strings.push_back(pool[rng.NextBounded(pool.size())]);
+    }
+    std::vector<std::optional<std::string_view>> left;
+    std::vector<std::optional<std::string_view>> right;
+    for (const std::string& s : left_strings) {
+      left.push_back(rng.NextBool(0.1) ? std::nullopt
+                                       : std::optional<std::string_view>(s));
+    }
+    for (const std::string& s : right_strings) {
+      right.push_back(rng.NextBool(0.1) ? std::nullopt
+                                        : std::optional<std::string_view>(s));
+    }
+    for (double t : {0.80, 0.84, 0.88, 0.93}) {
+      const auto expected = NestedNearPairs(left, right, t);
+      EXPECT_FALSE(expected.empty());
+      EXPECT_EQ(JaroWinklerNearPairs(left, right, t), expected)
+          << "trial " << trial << " threshold " << t;
+      EXPECT_EQ(JaroWinklerNearPairs(left, left, t),
+                NestedNearPairs(left, left, t));
+    }
+  }
+  EXPECT_TRUE(JaroWinklerNearPairs({}, {std::string_view("a")}, 0.8).empty());
+}
+
+TEST(PairScanTest, SameEntityPairsEqualTheNestedLoopInOrder) {
+  Schema schema = Schema::Make({"v"}).value();
+  Table a("a", schema);
+  Table b("b", schema);
+  for (int64_t id : {3, 1, 4, 1, 5, 9, 2, 6}) {
+    ASSERT_TRUE(a.AppendValues(id, {"x"}).ok());
+  }
+  for (int64_t id : {1, 2, 7, 1, 8, 3, 3}) {
+    ASSERT_TRUE(b.AppendValues(id, {"y"}).ok());
+  }
+  std::vector<std::pair<size_t, size_t>> expected;
+  for (size_t i = 0; i < a.num_rows(); ++i) {
+    for (size_t j = 0; j < b.num_rows(); ++j) {
+      if (a.row(i).entity_id == b.row(j).entity_id) expected.emplace_back(i, j);
+    }
+  }
+  std::vector<std::pair<size_t, size_t>> actual;
+  for (const LabeledPair& p : SameEntityPairs(a, b)) {
+    EXPECT_TRUE(p.is_match);
+    actual.emplace_back(p.left, p.right);
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+TEST(PairScanTest, NameSetEqualsALinearLevenshteinScan) {
+  for (int k : {1, 2}) {
+    Rng rng(static_cast<uint64_t>(100 + k));
+    MinDistanceNameSet set(k);
+    std::vector<std::string> linear;
+    int near = 0;
+    for (int i = 0; i < 1500; ++i) {
+      // Fresh names from the dense pools, and edited copies of names
+      // already in the set, so both answers are common.
+      std::string name;
+      if (!linear.empty() && rng.NextBool(0.3)) {
+        name = PerturbString(linear[rng.NextBounded(linear.size())], &rng,
+                             static_cast<int>(rng.NextInt(1, 3)));
+      } else if (rng.NextBool(0.5)) {
+        name = ChineseFullName(&rng);
+      } else {
+        PersonName person = UsPersonName(rng.NextBool(0.5), &rng);
+        name = person.first + " " + person.last;
+      }
+      bool expected = false;
+      for (const std::string& existing : linear) {
+        if (LevenshteinWithin(name, existing, k)) {
+          expected = true;
+          break;
+        }
+      }
+      ASSERT_EQ(set.HasNear(name), expected) << name << " k=" << k;
+      if (expected) ++near;
+      // Near names join too, now and then: the set holds any names.
+      if (!expected || rng.NextBool(0.1)) {
+        set.Add(name);
+        linear.push_back(name);
+      }
+    }
+    EXPECT_EQ(set.size(), linear.size());
+    EXPECT_GT(near, 100) << "k=" << k;
+  }
 }
 
 class GeneratorContract : public ::testing::TestWithParam<DatasetKind> {};

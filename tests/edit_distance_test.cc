@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <tuple>
+#include <vector>
+
+#include "src/util/rng.h"
 
 namespace fairem {
 namespace {
@@ -53,6 +57,105 @@ TEST(JaroWinklerTest, PrefixBoost) {
   // No common prefix: no boost.
   EXPECT_DOUBLE_EQ(JaroWinklerSimilarity("abc", "xbc"),
                    JaroSimilarity("abc", "xbc"));
+}
+
+// JaroWinklerAtLeast must answer exactly as JaroWinklerSimilarity(a, b) >=
+// t, on every input. A bound that is too tight turns a true into a false
+// here; the threshold equal to the pair's own score is where a bound that
+// rounds or undercounts is caught.
+const double kThresholds[] = {0.80, 0.84, 0.88, 0.93};
+
+void ExpectAtLeastAgrees(const std::string& a, const std::string& b) {
+  const double reached = JaroWinklerSimilarity(a, b);
+  std::vector<double> thresholds(std::begin(kThresholds),
+                                 std::end(kThresholds));
+  thresholds.insert(thresholds.end(), {0.0, 1.0, reached});
+  for (double t : thresholds) {
+    EXPECT_EQ(JaroWinklerAtLeast(a, b, t), reached >= t)
+        << "'" << a << "' / '" << b << "' at " << t;
+  }
+  EXPECT_TRUE(JaroWinklerAtLeast(a, b, reached)) << a << " / " << b;
+}
+
+TEST(JaroWinklerAtLeastTest, EmptyEqualAndOneCharacterStrings) {
+  for (const char* a : {"", "a", "b", "ab", "guest editorial"}) {
+    for (const char* b : {"", "a", "b", "ab", "guest editorial"}) {
+      ExpectAtLeastAgrees(a, b);
+    }
+  }
+}
+
+TEST(JaroWinklerAtLeastTest, PairsThatAgreeOnlyOnThePrefix) {
+  // The Winkler bonus is most of these pairs' score: a bound without it
+  // rejects pairs the kernel accepts.
+  for (const std::string prefix : {"a", "ab", "abc", "abcd", "abcde"}) {
+    for (const std::string tail_a : {"", "x", "xyz", "xyzw", "xyzwvu"}) {
+      for (const std::string tail_b : {"", "q", "qrs", "qrst", "qrstpo"}) {
+        ExpectAtLeastAgrees(prefix + tail_a, prefix + tail_b);
+        ExpectAtLeastAgrees(prefix + tail_a, prefix + tail_a + tail_b);
+      }
+    }
+  }
+  // "abcdxxxx" / "abcdyyyy": Jaro 2/3, the prefix lifts the score to 0.8.
+  EXPECT_TRUE(JaroWinklerAtLeast("abcdxxxx", "abcdyyyy", 0.79));
+  EXPECT_FALSE(JaroWinklerAtLeast("abcdxxxx", "abcdyyyy", 0.81));
+}
+
+TEST(JaroWinklerAtLeastTest, LongRunsOfOneByte) {
+  // 300 copies of one byte: a count that saturates at 255 undercounts the
+  // shared characters and rejects near-identical pairs.
+  const std::string run(300, 'x');
+  ExpectAtLeastAgrees(run, run);
+  ExpectAtLeastAgrees(run, run + "y");
+  ExpectAtLeastAgrees(run, run.substr(1) + "y");
+  ExpectAtLeastAgrees("y" + run, run);
+  ExpectAtLeastAgrees(run + "ab", run + "ba");
+  ExpectAtLeastAgrees(run, std::string(150, 'x'));
+}
+
+TEST(JaroWinklerAtLeastTest, RandomPairsAgree) {
+  Rng rng(2023);
+  int rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Small alphabets make near pairs, transpositions and repeated bytes
+    // common; the second string is often an edited copy of the first.
+    const int alphabet = static_cast<int>(rng.NextInt(2, 6));
+    auto random_string = [&](int length) {
+      std::string s;
+      for (int i = 0; i < length; ++i) {
+        s.push_back(static_cast<char>('a' + rng.NextBounded(alphabet)));
+      }
+      return s;
+    };
+    std::string a = random_string(static_cast<int>(rng.NextInt(0, 14)));
+    std::string b = rng.NextBool(0.5)
+                        ? random_string(static_cast<int>(rng.NextInt(0, 14)))
+                        : a;
+    if (!b.empty() && rng.NextBool(0.7)) {
+      b[rng.NextBounded(b.size())] = static_cast<char>('a' + alphabet);
+    }
+    ExpectAtLeastAgrees(a, b);
+    ByteCounts counts{};
+    CharCounts(a).AddTo(&counts);
+    if (!JaroWinklerMayReach(a, b, CharCounts(b).Shared(counts), 0.88)) {
+      ++rejected;
+    }
+  }
+  // Both halves of the predicate ran: the bound rejected some pairs.
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(CharCountsTest, SharedCountsCommonCharactersWithMultiplicity) {
+  ByteCounts counts{};
+  CharCounts("banana").AddTo(&counts);
+  EXPECT_EQ(counts['a'], 3u);
+  EXPECT_EQ(CharCounts("bandana").Shared(counts), 6u);
+  EXPECT_EQ(CharCounts("xyz").Shared(counts), 0u);
+  EXPECT_EQ(CharCounts("").Shared(counts), 0u);
+  CharCounts("banana").RemoveFrom(&counts);
+  EXPECT_EQ(counts, ByteCounts{});
+  CharCounts(std::string(300, '\xff')).AddTo(&counts);
+  EXPECT_EQ(counts[0xff], 300u);
 }
 
 TEST(AlignmentTest, NeedlemanWunschIdentityAndDisjoint) {
