@@ -23,20 +23,13 @@ int Run() {
     std::cerr << ds.status() << "\n";
     return 1;
   }
-  Result<std::vector<FeatureDef>> defs =
-      GenerateFeatures(ds->table_a, ds->table_b, ds->matching_attrs);
-  if (!defs.ok()) {
-    std::cerr << defs.status() << "\n";
+  Result<DatasetFeatures> features = BuildDatasetFeatures(*ds);
+  if (!features.ok()) {
+    std::cerr << features.status() << "\n";
     return 1;
   }
-  Result<FeatureTable> train =
-      BuildFeatureTable(*defs, ds->table_a, ds->table_b, ds->train);
-  Result<FeatureTable> test =
-      BuildFeatureTable(*defs, ds->table_a, ds->table_b, ds->test);
-  if (!train.ok() || !test.ok()) {
-    std::cerr << "feature extraction failed\n";
-    return 1;
-  }
+  const FeatureTable& train = features->train;
+  const FeatureTable& test = features->test;
   std::cout << "== Ablation: class-weight exponent for logistic regression "
                "on NoFlyCompas ==\n"
             << "positive rate: "
@@ -48,14 +41,14 @@ int Run() {
     options.balance_power = power;
     LogisticRegression model(options);
     Rng rng(2024);
-    if (Status st = model.Fit(train->rows, train->labels, &rng); !st.ok()) {
+    if (Status st = model.Fit(train.rows, train.labels, &rng); !st.ok()) {
       std::cerr << st << "\n";
       return 1;
     }
     ConfusionCounts counts;
-    for (size_t i = 0; i < test->rows.size(); ++i) {
-      counts.Add(model.PredictScore(test->rows[i]) >= 0.5,
-                 test->labels[i] == 1);
+    for (size_t i = 0; i < test.rows.size(); ++i) {
+      counts.Add(model.PredictScore(test.rows[i]) >= 0.5,
+                 test.labels[i] == 1);
     }
     auto fmt = [](const Result<double>& v) {
       return v.ok() ? FormatDouble(*v, 3) : std::string("-");

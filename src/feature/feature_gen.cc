@@ -50,44 +50,11 @@ std::vector<size_t> ReferencedRows(const std::vector<LabeledPair>& pairs,
   return rows;
 }
 
-/// Both sides' prepared columns: every column pair some def touches,
-/// tokenized once per referenced record with exactly the representations
-/// the measures on that pair need. Built pairwise (not per side) because
-/// the interned-token fast path needs one TokenInterner spanning both
-/// sides of a column pair — ids from separate interners would not be
-/// comparable (DESIGN.md §17). The a-side interns first, then the b-side
-/// extends the same universe; the interners are dropped here once the ids
-/// are baked into the PreparedValues.
-class PreparedPair {
- public:
-  void Build(const Table& a, const Table& b,
-             const std::vector<ResolvedDef>& defs,
-             const std::vector<LabeledPair>& pairs) {
-    std::map<std::pair<size_t, size_t>, PreparedNeeds> needs;
-    for (const auto& def : defs) {
-      needs[{def.col_a, def.col_b}].MergeFrom(NeedsForMeasure(def.measure));
-    }
-    std::vector<size_t> rows_a = ReferencedRows(pairs, /*left_side=*/true);
-    std::vector<size_t> rows_b = ReferencedRows(pairs, /*left_side=*/false);
-    for (const auto& [cols, pair_needs] : needs) {
-      ColumnInterners interners;
-      columns_a_[cols.first].BuildRows(a, cols.first, rows_a, pair_needs,
-                                       &interners);
-      columns_b_[cols.second].BuildRows(b, cols.second, rows_b, pair_needs,
-                                        &interners);
-    }
-  }
-
-  const PreparedValue& GetA(size_t col, size_t row) const {
-    return columns_a_.at(col).Get(row);
-  }
-  const PreparedValue& GetB(size_t col, size_t row) const {
-    return columns_b_.at(col).Get(row);
-  }
-
- private:
-  std::map<size_t, PreparedColumn> columns_a_;
-  std::map<size_t, PreparedColumn> columns_b_;
+/// The defs that read one column pair, and the representations their
+/// measures need from it.
+struct ColumnPairDefs {
+  PreparedNeeds needs;
+  std::vector<size_t> defs;  // indices into the resolved defs, in def order
 };
 
 }  // namespace
@@ -202,51 +169,84 @@ Result<FeatureTable> BuildFeatureTable(const std::vector<FeatureDef>& defs,
     // into the prepared cache the pairwise kernels read.
     FAIREM_ASSIGN_OR_RETURN(std::vector<ResolvedDef> resolved,
                             ResolveDefs(defs, a, b));
-    PreparedPair prepared;
-    prepared.Build(a, b, resolved, pairs);
+    std::map<std::pair<size_t, size_t>, ColumnPairDefs> column_pairs;
+    for (size_t d = 0; d < resolved.size(); ++d) {
+      ColumnPairDefs& group =
+          column_pairs[{resolved[d].col_a, resolved[d].col_b}];
+      group.needs.MergeFrom(NeedsForMeasure(resolved[d].measure));
+      group.defs.push_back(d);
+    }
+    const std::vector<size_t> rows_a =
+        ReferencedRows(pairs, /*left_side=*/true);
+    const std::vector<size_t> rows_b =
+        ReferencedRows(pairs, /*left_side=*/false);
 
     FeatureTable table;
     table.defs = defs;
-    table.rows.assign(pairs.size(), {});
-    table.labels.assign(pairs.size(), 0);
-    // Row chunks write disjoint slots in pair order, so the matrix is
-    // byte-identical for any --intra_jobs; the first non-finite feature by
-    // pair index wins the error, again independent of the schedule.
-    FAIREM_RETURN_NOT_OK(ParallelForChunks(
-        pairs.size(), /*grain=*/0, [&](size_t begin, size_t end) -> Status {
-          uint64_t cache_hits = 0;
-          for (size_t i = begin; i < end; ++i) {
-            const LabeledPair& p = pairs[i];
-            std::vector<double> row;
-            row.reserve(resolved.size());
-            for (const auto& def : resolved) {
-              const PreparedValue& va = prepared.GetA(def.col_a, p.left);
-              const PreparedValue& vb = prepared.GetB(def.col_b, p.right);
-              if (va.is_null || vb.is_null) {
-                row.push_back(0.0);
-                continue;
+    table.rows.assign(pairs.size(), std::vector<double>(defs.size(), 0.0));
+    table.labels.reserve(pairs.size());
+    for (const LabeledPair& p : pairs) {
+      table.labels.push_back(p.is_match ? 1 : 0);
+    }
+    // One column pair at a time, so only its two prepared columns are alive
+    // (DESIGN.md §22). Both sides share one ColumnInterners, the a-side
+    // interning first: ids from separate interners would not be comparable
+    // (DESIGN.md §17). Row chunks write disjoint slots, so the matrix is
+    // byte-identical for any --intra_jobs.
+    for (const auto& [cols, group] : column_pairs) {
+      ColumnInterners interners;
+      PreparedColumn column_a;
+      PreparedColumn column_b;
+      column_a.BuildRows(a, cols.first, rows_a, group.needs, &interners);
+      column_b.BuildRows(b, cols.second, rows_b, group.needs, &interners);
+      GlobalThreadPool().ParallelFor(
+          pairs.size(), /*grain=*/0, [&](size_t begin, size_t end) {
+            uint64_t cache_hits = 0;
+            for (size_t i = begin; i < end; ++i) {
+              const PreparedValue& va = column_a.Get(pairs[i].left);
+              const PreparedValue& vb = column_b.Get(pairs[i].right);
+              if (va.is_null || vb.is_null) continue;  // the row's 0.0
+              cache_hits += 2 * group.defs.size();
+              std::vector<double>& row = table.rows[i];
+              for (size_t d : group.defs) {
+                row[d] = ComputeSimilarity(resolved[d].measure, va, vb);
               }
-              cache_hits += 2;
-              row.push_back(ComputeSimilarity(def.measure, va, vb));
             }
-            for (size_t f = 0; f < row.size(); ++f) {
-              if (!std::isfinite(row[f])) {
-                AddPreparedCacheHits(cache_hits);
-                return Status::InvalidArgument(
-                    "non-finite feature value for attribute '" +
-                    defs[f].attr + "'");
-              }
-            }
-            table.rows[i] = std::move(row);
-            table.labels[i] = p.is_match ? 1 : 0;
-          }
-          AddPreparedCacheHits(cache_hits);
-          return Status::OK();
-        }));
+            AddPreparedCacheHits(cache_hits);
+          });
+    }
+    // Row-major, so the first pair's first non-finite def names the error.
+    for (const std::vector<double>& row : table.rows) {
+      for (size_t f = 0; f < row.size(); ++f) {
+        if (!std::isfinite(row[f])) {
+          return Status::InvalidArgument(
+              "non-finite feature value for attribute '" + defs[f].attr +
+              "'");
+        }
+      }
+    }
     return table;
   }();
   if (result.ok()) build_hist->Observe(seconds);
   return result;
+}
+
+Result<DatasetFeatures> BuildDatasetFeatures(const EMDataset& dataset) {
+  DatasetFeatures features;
+  FAIREM_ASSIGN_OR_RETURN(
+      features.defs, GenerateFeatures(dataset.table_a, dataset.table_b,
+                                      dataset.matching_attrs));
+  if (features.defs.empty()) {
+    return Status::InvalidArgument("no features generated for dataset '" +
+                                   dataset.name + "'");
+  }
+  FAIREM_ASSIGN_OR_RETURN(
+      features.train, BuildFeatureTable(features.defs, dataset.table_a,
+                                        dataset.table_b, dataset.train));
+  FAIREM_ASSIGN_OR_RETURN(
+      features.test, BuildFeatureTable(features.defs, dataset.table_a,
+                                       dataset.table_b, dataset.test));
+  return features;
 }
 
 }  // namespace fairem

@@ -55,9 +55,27 @@ struct FeatureTable {
   std::vector<int> labels;  // 1 = match, 0 = non-match
 };
 
+/// Fills the table one column pair at a time: that pair's two prepared
+/// columns are built, its defs written for every pair, and the columns
+/// dropped before the next (DESIGN.md §22). A non-finite value fails the
+/// build, naming the attribute of the first pair's first non-finite def.
 Result<FeatureTable> BuildFeatureTable(const std::vector<FeatureDef>& defs,
                                        const Table& a, const Table& b,
                                        const std::vector<LabeledPair>& pairs);
+
+/// The tables every feature-based matcher of a dataset fits and predicts
+/// on: its generated defs, and one table over each of its train and test
+/// splits (DESIGN.md §22).
+struct DatasetFeatures {
+  std::vector<FeatureDef> defs;
+  FeatureTable train;
+  FeatureTable test;
+};
+
+/// GenerateFeatures over `dataset.matching_attrs`, then BuildFeatureTable
+/// over its train and its test split. InvalidArgument when no feature is
+/// generated.
+Result<DatasetFeatures> BuildDatasetFeatures(const EMDataset& dataset);
 
 }  // namespace fairem
 

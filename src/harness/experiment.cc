@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/matcher/ml_matchers.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
@@ -20,6 +21,15 @@
 namespace fairem {
 namespace {
 
+// Registered when the library loads, so that every snapshot carries them.
+Counter* const kUnsupportedRuns = MetricsRegistry::Global().GetCounter(
+    "fairem.harness.unsupported_runs");
+// The shared feature tables' counters (DESIGN.md §22).
+Counter* const kTablesBuilt = MetricsRegistry::Global().GetCounter(
+    "fairem.harness.feature_tables_built");  // two per dataset
+Counter* const kTablesReused = MetricsRegistry::Global().GetCounter(
+    "fairem.harness.feature_tables_reused");  // per fit and per predict
+
 /// Fills `run`'s confusion counts, accuracy and F1 from its test scores at
 /// the dataset's default threshold; a non-finite score is an error.
 Status TallyRun(const EMDataset& dataset, MatcherRun* run) {
@@ -32,14 +42,42 @@ Status TallyRun(const EMDataset& dataset, MatcherRun* run) {
   return Status::OK();
 }
 
-}  // namespace
+Result<std::unique_ptr<Matcher>> NewMatcher(MatcherKind kind) {
+  std::unique_ptr<Matcher> matcher = CreateMatcher(kind);
+  if (matcher == nullptr) {
+    return Status::Internal("CreateMatcher returned null");
+  }
+  return matcher;
+}
 
-Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
-                              uint64_t seed) {
+/// Whether `matcher` fits on a dataset's shared feature tables.
+bool UsesFeatureTables(const Matcher& matcher) {
+  return dynamic_cast<const FeatureClassifierMatcher*>(&matcher) != nullptr;
+}
+
+/// The `scores/` key of `kind` on `dataset`.
+std::string ScoresKey(const EMDataset& dataset, MatcherKind kind) {
+  return dataset.name + "." + MatcherKindName(kind);
+}
+
+/// The run of a matcher that does not support the dataset (Table 9's "-").
+MatcherRun UnsupportedRun(MatcherKind kind) {
+  kUnsupportedRuns->Increment();
+  MatcherRun run;
+  run.kind = kind;
+  run.matcher_name = MatcherKindName(kind);
+  run.supported = false;
+  return run;
+}
+
+/// Fits `matcher` (of `kind`, already known to support `dataset`) and
+/// scores the test split. `features`, when given, are handed to a
+/// feature-based matcher.
+Result<MatcherRun> FitAndPredict(Matcher* matcher, const EMDataset& dataset,
+                                 MatcherKind kind, uint64_t seed,
+                                 const DatasetFeatures* features) {
   static Counter* runs =
       MetricsRegistry::Global().GetCounter("fairem.harness.matcher_runs");
-  static Counter* unsupported = MetricsRegistry::Global().GetCounter(
-      "fairem.harness.unsupported_runs");
   static Histogram* fit_hist =
       MetricsRegistry::Global().GetHistogram("fairem.matcher.fit_seconds");
   static Histogram* predict_hist =
@@ -48,15 +86,9 @@ Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
   MatcherRun run;
   run.kind = kind;
   run.matcher_name = MatcherKindName(kind);
-  std::unique_ptr<Matcher> matcher = CreateMatcher(kind);
-  if (matcher == nullptr) {
-    return Status::Internal("CreateMatcher returned null");
-  }
-  if (!matcher->SupportsDataset(dataset)) {
-    run.supported = false;
-    unsupported->Increment();
-    return run;
-  }
+  auto* feature_matcher = dynamic_cast<FeatureClassifierMatcher*>(matcher);
+  const bool shared = features != nullptr && feature_matcher != nullptr;
+  if (shared) feature_matcher->ShareFeatures(features);
   runs->Increment();
   Rng rng(seed ^ (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL));
   // Generic and per-matcher injection sites, so fault-injection runs can
@@ -72,6 +104,7 @@ Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
     span.AddArg("dataset", dataset.name);
     FAIREM_RETURN_NOT_OK(matcher->Fit(dataset, &rng));
   }
+  if (shared) kTablesReused->Increment();
   fit_hist->Observe(run.fit_seconds);
   MetricsRegistry::Global()
       .GetHistogram("fairem.matcher." + run.matcher_name + ".fit_seconds")
@@ -86,6 +119,7 @@ Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
     FAIREM_ASSIGN_OR_RETURN(run.test_scores,
                             matcher->PredictScores(dataset, dataset.test));
   }
+  if (shared) kTablesReused->Increment();
   predict_hist->Observe(run.predict_seconds);
   MetricsRegistry::Global()
       .GetHistogram("fairem.matcher." + run.matcher_name + ".predict_seconds")
@@ -98,6 +132,15 @@ Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
                     << LogKv("predict_s", FormatDouble(run.predict_seconds, 4))
                     << LogKv("f1", FormatDouble(run.f1, 3));
   return run;
+}
+
+}  // namespace
+
+Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
+                              uint64_t seed, const DatasetFeatures* features) {
+  FAIREM_ASSIGN_OR_RETURN(std::unique_ptr<Matcher> matcher, NewMatcher(kind));
+  if (!matcher->SupportsDataset(dataset)) return UnsupportedRun(kind);
+  return FitAndPredict(matcher.get(), dataset, kind, seed, features);
 }
 
 RunStore::RunStore(const GridRunOptions& options)
@@ -123,14 +166,53 @@ void RunStore::Forget(const EMDataset& dataset, MatcherKind kind) {
   runs_.erase({dataset.name, kind});
 }
 
-void RunStore::PrepareFork(const EMDataset& dataset) {
+void RunStore::PrepareFork(const EMDataset& dataset,
+                           const std::vector<MatcherKind>& pending) {
   if (scores_.enabled()) Fingerprint(dataset);
+  for (MatcherKind kind : pending) {
+    std::unique_ptr<Matcher> matcher = CreateMatcher(kind);
+    const bool needs_tables =
+        matcher != nullptr && UsesFeatureTables(*matcher) &&
+        runs_.count({dataset.name, kind}) == 0 &&
+        !(scores_.enabled() && std::filesystem::exists(scores_.PathFor(
+                                   ScoresKey(dataset, kind)))) &&
+        matcher->SupportsDataset(dataset);
+    if (!needs_tables) continue;
+    // Kept, or not, as on a first fit: a worker meets a kept failure
+    // again, and builds the tables itself after a retryable one.
+    (void)Features(dataset);
+    return;
+  }
 }
 
 uint64_t RunStore::Fingerprint(const EMDataset& dataset) {
   auto [it, inserted] = fingerprints_.try_emplace(dataset.name, 0);
   if (inserted) it->second = DatasetFingerprint(dataset);
   return it->second;
+}
+
+Result<const DatasetFeatures*> RunStore::Features(const EMDataset& dataset) {
+  auto it = features_.find(dataset.name);
+  if (it == features_.end()) {
+    Result<DatasetFeatures> built = BuildDatasetFeatures(dataset);
+    if (!built.ok() && IsRetryableStatus(built.status())) {
+      return built.status();
+    }
+    if (built.ok()) kTablesBuilt->Increment(2);
+    it = features_.emplace(dataset.name, std::move(built)).first;
+  }
+  if (!it->second.ok()) return it->second.status();
+  return &*it->second;
+}
+
+Result<MatcherRun> RunStore::FitRun(Matcher* matcher,
+                                    const EMDataset& dataset,
+                                    MatcherKind kind) {
+  const DatasetFeatures* features = nullptr;
+  if (UsesFeatureTables(*matcher)) {
+    FAIREM_ASSIGN_OR_RETURN(features, Features(dataset));
+  }
+  return FitAndPredict(matcher, dataset, kind, seed_, features);
 }
 
 Result<MatcherRun> RunStore::Miss(const EMDataset& dataset, MatcherKind kind) {
@@ -140,12 +222,13 @@ Result<MatcherRun> RunStore::Miss(const EMDataset& dataset, MatcherKind kind) {
       "fairem.harness.score_cache_misses");
   static Counter* stale = MetricsRegistry::Global().GetCounter(
       "fairem.harness.score_cache_stale");
-  // An unsupported matcher neither reads nor writes an entry.
-  if (!scores_.enabled() || !CreateMatcher(kind)->SupportsDataset(dataset)) {
-    return RunMatcher(dataset, kind, seed_);
-  }
-  const std::string matcher = MatcherKindName(kind);
-  const std::string key = dataset.name + "." + matcher;
+  // One matcher and one SupportsDataset per miss. An unsupported matcher
+  // neither reads nor writes an entry, nor builds tables.
+  FAIREM_ASSIGN_OR_RETURN(std::unique_ptr<Matcher> matcher, NewMatcher(kind));
+  if (!matcher->SupportsDataset(dataset)) return UnsupportedRun(kind);
+  if (!scores_.enabled()) return FitRun(matcher.get(), dataset, kind);
+  const std::string matcher_name = MatcherKindName(kind);
+  const std::string key = ScoresKey(dataset, kind);
   // A valid entry stands in for the fit. Anything else is a miss: no entry,
   // or a stale one (corrupt, of the wrong length, or computed under another
   // seed or dataset).
@@ -154,7 +237,7 @@ Result<MatcherRun> RunStore::Miss(const EMDataset& dataset, MatcherKind kind) {
     Result<ScoreCacheEntry> entry = ScoreEntryFromJson(*payload);
     const char* reason =
         !entry.ok() ? "corrupt"
-        : entry->dataset != dataset.name || entry->matcher != matcher
+        : entry->dataset != dataset.name || entry->matcher != matcher_name
             ? "wrong key"
         : entry->seed != seed_                      ? "seed changed"
         : entry->fingerprint != Fingerprint(dataset) ? "dataset changed"
@@ -164,7 +247,7 @@ Result<MatcherRun> RunStore::Miss(const EMDataset& dataset, MatcherKind kind) {
       hits->Increment();
       MatcherRun run;
       run.kind = kind;
-      run.matcher_name = matcher;
+      run.matcher_name = matcher_name;
       run.test_scores = std::move(entry->scores);
       FAIREM_RETURN_NOT_OK(TallyRun(dataset, &run));
       return run;
@@ -182,8 +265,9 @@ Result<MatcherRun> RunStore::Miss(const EMDataset& dataset, MatcherKind kind) {
   misses->Increment();
   // Only a run that MakeOutcomes accepted (every score finite) is saved. A
   // failed save only WARNs: it costs the next report a refit, never this run.
-  FAIREM_ASSIGN_OR_RETURN(MatcherRun run, RunMatcher(dataset, kind, seed_));
-  const ScoreCacheEntry entry{dataset.name, matcher, seed_,
+  FAIREM_ASSIGN_OR_RETURN(MatcherRun run,
+                          FitRun(matcher.get(), dataset, kind));
+  const ScoreCacheEntry entry{dataset.name, matcher_name, seed_,
                               Fingerprint(dataset), run.test_scores};
   if (Status st = scores_.Save(key, ScoreEntryToJson(entry)); !st.ok()) {
     FAIREM_LOG(WARN) << "score cache save failed" << LogKv("key", key)
@@ -460,9 +544,13 @@ Result<std::string> UnfairnessGridReport(const EMDataset& dataset,
       };
       tasks.push_back(std::move(task));
     }
-    // Fingerprint the dataset once, before forking, rather than once per
-    // worker.
-    if (!todo.empty()) runs->PrepareFork(dataset);
+    // Fingerprint the dataset and build its feature tables once, before
+    // forking, rather than once per worker.
+    if (!todo.empty()) {
+      std::vector<MatcherKind> pending;
+      for (size_t i : todo) pending.push_back(slots[i].kind);
+      runs->PrepareFork(dataset, pending);
+    }
     SupervisorOptions sup;
     sup.jobs = options.jobs;
     sup.cell_timeout_s = options.cell_timeout_s;

@@ -8,6 +8,7 @@
 
 #include "src/core/audit.h"
 #include "src/data/dataset.h"
+#include "src/feature/feature_gen.h"
 #include "src/matcher/matcher.h"
 #include "src/ml/metrics.h"
 #include "src/robust/checkpoint.h"
@@ -38,9 +39,12 @@ struct MatcherRun {
 /// Trains `kind` on `dataset` with the given seed and scores the test
 /// split. Unsupported (matcher, dataset) combinations return a MatcherRun
 /// with supported = false rather than an error. Every call fits; a RunStore
-/// fits each (dataset, matcher) once.
+/// fits each (dataset, matcher) once. `features`, when given, must be
+/// BuildDatasetFeatures(dataset): a feature-based matcher then fits and
+/// predicts on those tables instead of building its own (DESIGN.md §22).
 Result<MatcherRun> RunMatcher(const EMDataset& dataset, MatcherKind kind,
-                              uint64_t seed = 1234);
+                              uint64_t seed = 1234,
+                              const DatasetFeatures* features = nullptr);
 
 /// Convenience: the single-fairness audit of a run at the dataset's
 /// default threshold.
@@ -115,6 +119,9 @@ struct GridRunOptions {
 /// dataset name. With a checkpoint directory a memo miss first reads
 /// the run's test scores from `<checkpoint_dir>/scores/`, valid only for the
 /// same matcher seed and DatasetFingerprint, and a fit writes them there.
+/// Next to its runs the store keeps one DatasetFeatures per dataset name,
+/// built on the first fit of a feature-based matcher (or by PrepareFork)
+/// and handed to every later one (DESIGN.md §22).
 /// Nothing is process-global: the memo dies with its owner (a report, a
 /// bench, a serve query).
 class RunStore {
@@ -130,24 +137,36 @@ class RunStore {
   /// `kind` on `dataset`: memoized, else read from `scores/`, else fitted by
   /// RunMatcher. A retryable failure (IsRetryableStatus) is not kept, so a
   /// retry fits again; any other failure is returned again on every ask.
+  /// The dataset's feature tables follow the same policy.
   Result<const MatcherRun*> Run(const EMDataset& dataset, MatcherKind kind);
 
   /// Drops `kind` on `dataset` from the memo, freeing its scores; a later
-  /// ask reads `scores/` or fits again.
+  /// ask reads `scores/` or fits again. The feature tables stay.
   void Forget(const EMDataset& dataset, MatcherKind kind);
 
-  /// Fingerprints `dataset` now when the store has a directory, so that
-  /// workers forked afterwards inherit it instead of each hashing it.
-  void PrepareFork(const EMDataset& dataset);
+  /// Readies the store for workers forked to run the `pending` matchers on
+  /// `dataset`, so that they inherit, copy-on-write, what each would
+  /// otherwise compute alone: the dataset's fingerprint when the store has
+  /// a directory, and its feature tables when a pending feature-based
+  /// matcher supports it and has neither a run in the memo nor stored
+  /// scores.
+  void PrepareFork(const EMDataset& dataset,
+                   const std::vector<MatcherKind>& pending);
 
  private:
   Result<MatcherRun> Miss(const EMDataset& dataset, MatcherKind kind);
+  /// Fits `matcher`, which supports `dataset`, on the dataset's feature
+  /// tables when it is feature-based.
+  Result<MatcherRun> FitRun(Matcher* matcher, const EMDataset& dataset,
+                            MatcherKind kind);
   uint64_t Fingerprint(const EMDataset& dataset);
+  Result<const DatasetFeatures*> Features(const EMDataset& dataset);
 
   uint64_t seed_;
   CheckpointStore scores_;
   std::map<std::pair<std::string, MatcherKind>, Result<MatcherRun>> runs_;
   std::map<std::string, uint64_t> fingerprints_;
+  std::map<std::string, Result<DatasetFeatures>> features_;
 };
 
 /// Registers the grid-sweep flags into `options`: --checkpoint_dir,

@@ -45,42 +45,11 @@ bool DedupeMatcher::SupportsDataset(const EMDataset& dataset) const {
   return true;
 }
 
-Status DedupeMatcher::Fit(const EMDataset& dataset, Rng* rng) {
-  if (!SupportsDataset(dataset)) {
-    return Status::FailedPrecondition("Dedupe did not scale for dataset '" +
-                                      dataset.name + "'");
-  }
-  FAIREM_ASSIGN_OR_RETURN(
-      features_, GenerateFeatures(dataset.table_a, dataset.table_b,
-                                  dataset.matching_attrs));
-  FAIREM_ASSIGN_OR_RETURN(
-      FeatureTable table,
-      BuildFeatureTable(features_, dataset.table_a, dataset.table_b,
-                        dataset.train));
-  FAIREM_RETURN_NOT_OK(regression_.Fit(table.rows, table.labels, rng));
-  fitted_ = true;
-  return Status::OK();
-}
-
-Result<double> DedupeMatcher::ScorePair(const EMDataset& dataset, size_t left,
-                                        size_t right) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("Dedupe used before Fit");
-  }
-  FAIREM_ASSIGN_OR_RETURN(
-      std::vector<double> x,
-      ExtractFeatures(features_, dataset.table_a, dataset.table_b, left,
-                      right));
-  return regression_.PredictScore(x);
-}
-
 Result<std::vector<double>> DedupeMatcher::PredictScores(
     const EMDataset& dataset, const std::vector<LabeledPair>& pairs) const {
-  std::vector<double> scores(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    FAIREM_ASSIGN_OR_RETURN(scores[i],
-                            ScorePair(dataset, pairs[i].left, pairs[i].right));
-  }
+  FAIREM_ASSIGN_OR_RETURN(
+      std::vector<double> scores,
+      FeatureClassifierMatcher::PredictScores(dataset, pairs));
   // Agglomerative pass: link every pair whose raw score clears the linkage
   // threshold, then lift the scores of same-cluster pairs to the cluster's
   // minimum linking score (single-linkage transitive closure).

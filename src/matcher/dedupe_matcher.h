@@ -1,11 +1,10 @@
 #ifndef FAIREM_MATCHER_DEDUPE_MATCHER_H_
 #define FAIREM_MATCHER_DEDUPE_MATCHER_H_
 
-#include <string>
+#include <memory>
 #include <vector>
 
-#include "src/feature/feature_gen.h"
-#include "src/matcher/matcher.h"
+#include "src/matcher/ml_matchers.h"
 #include "src/ml/linear_models.h"
 
 namespace fairem {
@@ -13,23 +12,23 @@ namespace fairem {
 /// Model of Dedupe [28]: a regularized logistic regression over distance
 /// features followed by agglomerative hierarchical clustering of records;
 /// pairs landing in the same cluster get their scores lifted to at least
-/// the cluster linkage score (transitive closure smoothing).
+/// the cluster linkage score (transitive closure smoothing). The features
+/// and the regression are FeatureClassifierMatcher's, so Dedupe fits and
+/// predicts on the same shared tables as the six classifiers.
 ///
 /// Mirroring the paper's protocol (§5.1.4): active labelling is bypassed by
 /// training on the full labelled train split, and the matcher "does not
 /// scale" to datasets past a size cutoff or with a single textual attribute
 /// (FacultyMatch, NoFlyCompas, Shoes, Cameras) — SupportsDataset returns
 /// false there and benches print "-".
-class DedupeMatcher : public Matcher {
+class DedupeMatcher : public FeatureClassifierMatcher {
  public:
-  DedupeMatcher() : regression_(LinearOptions{.l2 = 1e-2}) {}
+  DedupeMatcher()
+      : FeatureClassifierMatcher(
+            "Dedupe",
+            std::make_unique<LogisticRegression>(LinearOptions{.l2 = 1e-2})) {}
 
-  std::string name() const override { return "Dedupe"; }
-  MatcherFamily family() const override { return MatcherFamily::kNonNeural; }
-
-  Status Fit(const EMDataset& dataset, Rng* rng) override;
-  Result<double> ScorePair(const EMDataset& dataset, size_t left,
-                           size_t right) const override;
+  /// The regression's scores, then the clustering pass over `pairs`.
   Result<std::vector<double>> PredictScores(
       const EMDataset& dataset,
       const std::vector<LabeledPair>& pairs) const override;
@@ -45,11 +44,8 @@ class DedupeMatcher : public Matcher {
   static constexpr size_t kMaxFullScalePairs = 50000;
 
  private:
-  LogisticRegression regression_;
-  std::vector<FeatureDef> features_;
   /// Agglomerative linkage threshold for the clustering pass.
   double cluster_threshold_ = 0.5;
-  bool fitted_ = false;
 };
 
 }  // namespace fairem

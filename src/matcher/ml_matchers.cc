@@ -8,20 +8,17 @@
 namespace fairem {
 
 Status FeatureClassifierMatcher::Fit(const EMDataset& dataset, Rng* rng) {
-  FAIREM_ASSIGN_OR_RETURN(
-      features_, GenerateFeatures(dataset.table_a, dataset.table_b,
-                                  dataset.matching_attrs));
-  if (features_.empty()) {
-    return Status::InvalidArgument("no features generated for dataset '" +
-                                   dataset.name + "'");
+  if (shared_ == nullptr) {
+    if (!SupportsDataset(dataset)) {
+      return Status::FailedPrecondition(display_name_ +
+                                        " did not scale for dataset '" +
+                                        dataset.name + "'");
+    }
+    FAIREM_ASSIGN_OR_RETURN(own_, BuildDatasetFeatures(dataset));
   }
-  FAIREM_ASSIGN_OR_RETURN(
-      FeatureTable table,
-      BuildFeatureTable(features_, dataset.table_a, dataset.table_b,
-                        dataset.train));
-  std::vector<std::vector<double>> x = std::move(table.rows);
-  std::vector<int> y = std::move(table.labels);
-  FAIREM_RETURN_NOT_OK(classifier_->Fit(x, y, rng));
+  const FeatureTable& train = tables().train;
+  FAIREM_RETURN_NOT_OK(classifier_->Fit(train.rows, train.labels, rng));
+  test_pairs_ = &dataset.test;
   fitted_ = true;
   return Status::OK();
 }
@@ -35,7 +32,7 @@ Result<double> FeatureClassifierMatcher::ScorePair(const EMDataset& dataset,
   }
   FAIREM_ASSIGN_OR_RETURN(
       std::vector<double> features,
-      ExtractFeatures(features_, dataset.table_a, dataset.table_b, left,
+      ExtractFeatures(tables().defs, dataset.table_a, dataset.table_b, left,
                       right));
   return classifier_->PredictScore(features);
 }
@@ -46,9 +43,12 @@ Result<std::vector<double>> FeatureClassifierMatcher::PredictScores(
     return Status::FailedPrecondition("matcher '" + display_name_ +
                                       "' used before Fit");
   }
-  FAIREM_ASSIGN_OR_RETURN(
-      FeatureTable table,
-      BuildFeatureTable(features_, dataset.table_a, dataset.table_b, pairs));
+  if (&pairs == test_pairs_) {
+    return classifier_->PredictScores(tables().test.rows);
+  }
+  FAIREM_ASSIGN_OR_RETURN(FeatureTable table,
+                          BuildFeatureTable(tables().defs, dataset.table_a,
+                                            dataset.table_b, pairs));
   return classifier_->PredictScores(table.rows);
 }
 

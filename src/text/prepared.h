@@ -114,11 +114,13 @@ PreparedValue PrepareValue(std::string_view raw, bool is_null,
 double ComputeSimilarity(SimilarityMeasure m, const PreparedValue& a,
                          const PreparedValue& b);
 
-/// A per-(table, column) cache of PreparedValue, built once per
-/// BuildFeatureTable / batch-predict call for exactly the rows a pair list
-/// references. BuildRows chunks the row list over the global thread pool
-/// (disjoint slots, deterministic); afterwards Get is const and safe from
-/// any thread.
+/// A per-(table, column) cache of PreparedValue for exactly the rows a pair
+/// list references. BuildFeatureTable builds the two columns of one column
+/// pair over one ColumnInterners, fills that pair's features for every
+/// pair, and drops them before the next column pair, so at most two are
+/// alive at once (DESIGN.md §22). BuildRows chunks the row list over the
+/// global thread pool (disjoint slots, deterministic); afterwards Get is
+/// const and safe from any thread.
 ///
 /// Counters: `fairem.prepared.builds` counts cells prepared,
 /// `fairem.prepared.cache_hits` counts pair-side lookups served from the

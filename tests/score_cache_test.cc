@@ -1,7 +1,8 @@
 // The run store (DESIGN.md §18): its in-process memo under both audit
 // modes and its failure policy; its checkpointed test scores' entry codec
-// and invalidation rules; and byte-identity of stored reports against
-// fresh ones, sequentially and under the supervised executor.
+// and invalidation rules; byte-identity of stored reports against fresh
+// ones, sequentially and under the supervised executor; and the shared
+// feature tables it keeps per dataset (DESIGN.md §22).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,17 +14,21 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/data/dataset.h"
 #include "src/datagen/benchmark_suite.h"
+#include "src/feature/feature_gen.h"
 #include "src/harness/experiment.h"
+#include "src/matcher/ml_matchers.h"
 #include "src/obs/metrics.h"
 #include "src/robust/checkpoint.h"
 #include "src/robust/failpoint.h"
 #include "src/robust/retry.h"
+#include "src/util/thread_pool.h"
 
 namespace fairem {
 namespace {
@@ -529,6 +534,204 @@ TEST(RunStoreTest, MemoMissReadsTheScoresDirectory) {
   EXPECT_EQ(run.misses(), 1u);
   EXPECT_EQ(run.fits(), 1u);
   EXPECT_EQ(ReadFile(entry_path), good);
+}
+
+
+// ---------------------------------------------------------------------------
+// The store's feature tables
+
+/// Deltas of the table builds (BuildFeatureTable's histogram count, as the
+/// benchmark's feature.builds_in_grid reads it) and of the store's table
+/// counters over a scope.
+class TableCounters {
+ public:
+  TableCounters()
+      : builds_(Builds()),
+        built_(CounterValue("fairem.harness.feature_tables_built")),
+        reused_(CounterValue("fairem.harness.feature_tables_reused")) {}
+  uint64_t builds() const { return Builds() - builds_; }
+  uint64_t built() const {
+    return CounterValue("fairem.harness.feature_tables_built") - built_;
+  }
+  uint64_t reused() const {
+    return CounterValue("fairem.harness.feature_tables_reused") - reused_;
+  }
+
+ private:
+  static uint64_t Builds() {
+    return MetricsRegistry::Global()
+        .GetHistogram("fairem.feature.build_table_seconds")
+        ->count();
+  }
+  uint64_t builds_, built_, reused_;
+};
+
+/// Runs the pool at `n` threads in scope, so the forest's trees and the
+/// table fill read shared tables from several threads.
+class IntraJobsScope {
+ public:
+  explicit IntraJobsScope(int n) : saved_(IntraJobs()) { SetIntraJobs(n); }
+  ~IntraJobsScope() { SetIntraJobs(saved_); }
+
+ private:
+  int saved_;
+};
+
+/// The seven matchers that fit on the generated similarity features.
+const std::vector<MatcherKind> kFeatureKinds = {
+    MatcherKind::kDedupe, MatcherKind::kDT,     MatcherKind::kSvm,
+    MatcherKind::kRF,     MatcherKind::kLogReg, MatcherKind::kLinReg,
+    MatcherKind::kNB};
+
+/// A draw every feature-based matcher supports, Dedupe included.
+EMDataset DblpAcm() {
+  return std::move(GenerateDataset(DatasetKind::kDblpAcm, 0.25)).value();
+}
+
+GridRunOptions NonNeuralGridOptions() {
+  GridRunOptions options;
+  options.audit.reference = AuditReference::kComplement;
+  options.skip = NeuralMatcherKinds();
+  return options;
+}
+
+// One store runs all seven feature kinds on one dataset off one train and
+// one test table, with RunMatcher's scores bit for bit.
+TEST(RunStoreTest, SevenFeatureMatchersShareOnePairOfTables) {
+  RobustGuard guard;
+  IntraJobsScope threads(4);
+  EMDataset ds = DblpAcm();
+  RunStore runs;
+  TableCounters tables;
+  for (MatcherKind kind : kFeatureKinds) {
+    SCOPED_TRACE(MatcherKindName(kind));
+    const MatcherRun* run = std::move(runs.Run(ds, kind)).value();
+    ASSERT_TRUE(run->supported);
+    const MatcherRun fresh = std::move(RunMatcher(ds, kind)).value();
+    ASSERT_EQ(run->test_scores.size(), fresh.test_scores.size());
+    for (size_t i = 0; i < fresh.test_scores.size(); ++i) {
+      EXPECT_EQ(Bits(run->test_scores[i]), Bits(fresh.test_scores[i]));
+    }
+  }
+  // RunMatcher without a store builds its own pair for each of the seven.
+  EXPECT_EQ(tables.builds(), 2u + 2u * kFeatureKinds.size());
+  EXPECT_EQ(tables.built(), 2u);
+  EXPECT_EQ(tables.reused(), 2u * kFeatureKinds.size());
+
+  // A refit after Forget reuses the kept tables.
+  runs.Forget(ds, MatcherKind::kNB);
+  TableCounters refit;
+  ASSERT_TRUE(runs.Run(ds, MatcherKind::kNB).ok());
+  EXPECT_EQ(refit.builds(), 0u);
+  EXPECT_EQ(refit.reused(), 2u);
+}
+
+// A supervised report builds the tables once, in the parent before the
+// fork, and its forked workers fit on them: the snapshot's merged build
+// count is 2, as in the sequential report, whose bytes it renders.
+TEST(RunStoreTest, SupervisedReportBuildsTheTablesInTheParent) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = NonNeuralGridOptions();
+  TableCounters sequential;
+  const std::string expected = Report(ds, false, options);
+  EXPECT_EQ(sequential.builds(), 2u);
+  EXPECT_EQ(sequential.built(), 2u);
+  // Dedupe does not support FacultyMatch: six fits and six predicts.
+  EXPECT_EQ(sequential.reused(), 12u);
+
+  options.jobs = 2;
+  TableCounters supervised;
+  EXPECT_EQ(Report(ds, false, options), expected);
+  EXPECT_EQ(supervised.builds(), 2u);
+  EXPECT_EQ(supervised.built(), 2u);
+  EXPECT_EQ(supervised.reused(), 12u);
+}
+
+// Feature cells that all hit scores/ build no table, sequentially and
+// before a fork.
+TEST(RunStoreTest, ReportOfStoredScoresBuildsNoTable) {
+  RobustGuard guard;
+  EMDataset ds = Faculty();
+  GridRunOptions options = NonNeuralGridOptions();
+  const std::string single_expected = Uncached(ds, false, options);
+  const std::string pairwise_expected = Uncached(ds, true, options);
+  TempCheckpointDir dir("fairem_scores_tables");
+  options.checkpoint_dir = dir.path();
+  Report(ds, false, options);
+
+  // The pairwise cells are new, and each of their runs is a scores/ hit.
+  CacheCounters sequential_cache;
+  TableCounters sequential;
+  EXPECT_EQ(Report(ds, true, options), pairwise_expected);
+  EXPECT_EQ(sequential_cache.fits(), 0u);
+  EXPECT_EQ(sequential.builds(), 0u);
+  EXPECT_EQ(sequential.built(), 0u);
+
+  // So are the single cells of a supervised report once their files are
+  // gone.
+  for (MatcherKind kind : AllMatcherKinds()) {
+    std::filesystem::remove(options.checkpoint_dir + "/" +
+                            AuditCellKey(ds.name, kind, false) + ".json");
+  }
+  options.jobs = 2;
+  CacheCounters supervised_cache;
+  TableCounters supervised;
+  EXPECT_EQ(Report(ds, false, options), single_expected);
+  EXPECT_EQ(supervised_cache.fits(), 0u);
+  EXPECT_EQ(supervised.builds(), 0u);
+  EXPECT_EQ(supervised.built(), 0u);
+}
+
+// PredictScores reads the test table only for the fitted dataset's own
+// test split. Any other pair list, even an equal copy of it, gets a table
+// of its own, and scores every pair as ScorePair does, bit for bit; with
+// shared tables as with the matcher's own.
+TEST(RunStoreTest, OtherPairListsScoreAsScorePair) {
+  IntraJobsScope threads(4);
+  EMDataset ds = DblpAcm();
+  const DatasetFeatures shared = std::move(BuildDatasetFeatures(ds)).value();
+  // No record twice, so Dedupe's clustering pass lifts no score.
+  std::vector<LabeledPair> distinct;
+  std::set<size_t> lefts, rights;
+  for (const LabeledPair& p : ds.test) {
+    if (lefts.insert(p.left).second && rights.insert(p.right).second) {
+      distinct.push_back(p);
+    }
+  }
+  ASSERT_GE(distinct.size(), 20u);
+  const std::vector<LabeledPair> test_copy = ds.test;
+  for (bool share : {false, true}) {
+    for (MatcherKind kind : kFeatureKinds) {
+      SCOPED_TRACE(std::string(MatcherKindName(kind)) +
+                   (share ? " shared" : " own"));
+      std::unique_ptr<Matcher> matcher = CreateMatcher(kind);
+      if (share) {
+        static_cast<FeatureClassifierMatcher*>(matcher.get())
+            ->ShareFeatures(&shared);
+      }
+      Rng rng(1234);
+      ASSERT_TRUE(matcher->Fit(ds, &rng).ok());
+      const std::vector<double> from_table =
+          std::move(matcher->PredictScores(ds, ds.test)).value();
+      const std::vector<double> from_copy =
+          std::move(matcher->PredictScores(ds, test_copy)).value();
+      ASSERT_EQ(from_copy.size(), from_table.size());
+      for (size_t i = 0; i < from_table.size(); ++i) {
+        EXPECT_EQ(Bits(from_copy[i]), Bits(from_table[i]));
+      }
+      const std::vector<double> scores =
+          std::move(matcher->PredictScores(ds, distinct)).value();
+      ASSERT_EQ(scores.size(), distinct.size());
+      for (size_t i = 0; i < distinct.size(); ++i) {
+        const double one = std::move(matcher->ScorePair(
+                                         ds, distinct[i].left,
+                                         distinct[i].right))
+                               .value();
+        EXPECT_EQ(Bits(scores[i]), Bits(one));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -233,29 +233,22 @@ int Pipeline(const CliOptions& o, const Args& args) {
               << FormatDouble(stats.pair_completeness, 3) << "\n";
   }
 
-  // Stage 3: feature generation over the training pairs (the same tables
-  // and defs the feature-based matchers build internally during Fit).
-  {
+  // Stage 3: feature generation: the defs and the train and test tables
+  // a feature-based matcher fits and predicts on, handed to it below.
+  Result<DatasetFeatures> features = [&]() {
     Span feature_span("fairem.pipeline.features");
-    Result<std::vector<FeatureDef>> defs =
-        GenerateFeatures(dataset->table_a, dataset->table_b,
-                         dataset->matching_attrs);
-    if (!defs.ok()) {
-      std::cerr << defs.status() << "\n";
-      return 1;
-    }
-    Result<FeatureTable> features = BuildFeatureTable(
-        *defs, dataset->table_a, dataset->table_b, dataset->train);
-    if (!features.ok()) {
-      std::cerr << features.status() << "\n";
-      return 1;
-    }
-    std::cout << "features: " << features->rows.size() << " rows x "
-              << defs->size() << " features\n";
+    return BuildDatasetFeatures(*dataset);
+  }();
+  if (!features.ok()) {
+    std::cerr << features.status() << "\n";
+    return 1;
   }
+  std::cout << "features: " << features->train.rows.size() << " rows x "
+            << features->defs.size() << " features\n";
 
   // Stages 4+5: fit and predict (spans recorded inside RunMatcher).
-  Result<MatcherRun> run = RunMatcher(*dataset, *matcher_kind);
+  Result<MatcherRun> run =
+      RunMatcher(*dataset, *matcher_kind, /*seed=*/1234, &*features);
   if (!run.ok()) {
     std::cerr << run.status() << "\n";
     return 1;
